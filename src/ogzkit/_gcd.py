@@ -4,10 +4,11 @@ Works on the kernel's raw dict representation with *integer* coefficients:
 the public entry point ``gcd_qq`` clears rational denominators first and
 returns a primitive integer gcd (as a QQ-coefficient dict).
 
-Strategy: strip monomial and integer content, align variable sets via
-content reduction, then try a heuristic gcd (evaluate at a large integer,
-recurse, interpolate base-x digits, verify by exact division) with a
-primitive pseudo-remainder-sequence fallback.  Verification by division
+Strategy: a constant argument reduces to an integer gcd with the other
+side's content.  Otherwise strip monomial and integer content, align
+variable sets via content reduction, then try a heuristic gcd (evaluate at
+a large integer, recurse, interpolate base-x digits, verify by exact
+division) with a primitive pseudo-remainder-sequence fallback.  Verification by division
 makes the heuristic sound; the fallback makes it total.
 """
 
@@ -76,7 +77,7 @@ def _pos(a):
     return a
 
 
-def _divexact_int(a, b):
+def divexact_int(a, b):
     """Exact quotient of integer dicts, or None when b does not divide a."""
     if not a:
         return {}
@@ -113,7 +114,7 @@ def _content_primitive_wrt(a, v, nvars):
             content = ce if content is None else _gcd_int(content, ce, nvars)
             if _is_one(content):
                 return _one(nvars), dict(a)
-    prim = _divexact_int(a, content)
+    prim = divexact_int(a, content)
     return content, prim
 
 
@@ -176,7 +177,7 @@ def _heu_gcd(a, b, v, nvars):
                 ch = _int_content(h)
                 if ch > 1:
                     h = _divexact_scalar(h, ch)
-                if _divexact_int(a, h) is not None and _divexact_int(b, h) is not None:
+                if divexact_int(a, h) is not None and divexact_int(b, h) is not None:
                     return h
         x = 73794 * x * math.isqrt(math.isqrt(x)) // 27011 + 1
     return None
@@ -228,6 +229,13 @@ def _gcd_int(a, b, nvars):
         return _pos(dict(b))
     if not b:
         return _pos(dict(a))
+    # a nonzero constant side: the gcd is an integer, that constant's gcd
+    # with the other side's content
+    for x, y in ((a, b), (b, a)):
+        if len(x) == 1:
+            ((m, c),) = x.items()
+            if not any(m):
+                return {m: math.gcd(c, _int_content(y))}
     ma, mb = _mono_min(a), _mono_min(b)
     mg = tuple(min(x, y) for x, y in zip(ma, mb))
     if any(ma):
@@ -270,19 +278,16 @@ def gcd_qq(a, b, nvars):
     (integer-primitive, positive leading coefficient) is canonical.
     """
     if not a:
-        return {m: QQ(c) for m, c in _pos(_clear_den(b)[0]).items()}
+        return {m: QQ(c) for m, c in _pos(clear_den(b)[0]).items()}
     if not b:
-        return {m: QQ(c) for m, c in _pos(_clear_den(a)[0]).items()}
-    ia, _ = _clear_den(a)
-    ib, _ = _clear_den(b)
+        return {m: QQ(c) for m, c in _pos(clear_den(a)[0]).items()}
+    ia, _ = clear_den(a)
+    ib, _ = clear_den(b)
     g = _gcd_int(ia, ib, nvars)
     return {m: QQ(c) for m, c in g.items()}
 
 
-def _clear_den(a):
+def clear_den(a):
     """Scale a QQ dict to integer coefficients; returns (int dict, scale)."""
-    lcm = 1
-    for c in a.values():
-        d = c.denominator
-        lcm = lcm * d // math.gcd(lcm, d)
-    return {m: int(c * lcm) for m, c in a.items()}, lcm
+    lcm = math.lcm(*(c.denominator for c in a.values()))
+    return {m: c.numerator * (lcm // c.denominator) for m, c in a.items()}, lcm

@@ -402,6 +402,8 @@ def _cmd_ddiff_compare(args) -> str:
         mu = tuple(int(t) for t in args.mu.split(","))
     except ValueError:
         raise ParseError(f"bad composition {args.mu!r}") from None
+    if not 1 <= args.row <= len(shape) - 1:
+        raise ParseError(f"ladder row {args.row} out of range for the shape")
     up = not args.down
     classical = Generators(ring).raising(args.row) if up else Generators(ring).lowering(args.row)
     ddiff = divdiff.generators_ddiff_form(ring, args.row, mu, up=up)
@@ -636,15 +638,23 @@ def _cmd_probe(args) -> str:
 # wiring
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors as ParseError, so that main() reports them as one
+    JSON line like every other input error."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="ogzkit",
         description="Exact computations with row-shift operator algebras "
         "and their windowed evaluation modules.",
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write output to this file instead of stdout")
-    sub = p.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
+    sub = p.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
 
     def add(name, **kw):
         return sub.add_parser(name, parents=[common], **kw)
@@ -722,6 +732,9 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+    except ParseError as e:
+        _emit_error(2, e)
+        return 2
     except SystemExit as e:
         return 0 if not e.code else 2
     if args.command == "walk":
@@ -738,8 +751,12 @@ def main(argv: Optional[list] = None) -> int:
         return 3
     data = text + "\n"
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(data)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(data)
+        except OSError as e:
+            _emit_error(2, ParseError(f"cannot write output file: {e}"))
+            return 2
     else:
         sys.stdout.write(data)
     return 0

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
+from ._gcd import clear_den
+from ._ratio import QQ
 from .combinat import RowPermutation, canonical_word, check_shape, word_to_perm
 from .errors import InvalidComposition, InvalidPair
 from .exactalg import Polynomial, RationalFunction, Ring
@@ -89,14 +91,30 @@ def partial_apply_rf(ring: Ring, a, b, g: RationalFunction) -> RationalFunction:
 
 def apply_word(ring: Ring, word: Iterable, f: Polynomial) -> Polynomial:
     """Apply a word of adjacent divided differences to a polynomial, rightmost
-    letter first, via exact division (no rational intermediates)."""
-    out = f
+    letter first, monomial by monomial in closed form:
+    (x_a^p x_b^q - x_a^q x_b^p)/(x_a - x_b) is x_a^q x_b^q times the sum of
+    the p-q monomials of degree p-q-1 in x_a, x_b (p > q), and antisymmetric
+    in p, q."""
+    terms, lcm = clear_den(f.terms)
     for i, p in reversed(list(word)):
-        a, b = (i, p), (i, p + 1)
-        _pair_cells(ring, a, b)
-        swapped = out.permute_cells({a: b, b: a})
-        out = (out - swapped).divide_exact(ring.x(*a) - ring.x(*b))
-    return out
+        a, b = _pair_cells(ring, (i, p), (i, p + 1))
+        sa, sb = ring.index[("x",) + a], ring.index[("x",) + b]
+        acc: dict = {}
+        get = acc.get
+        for m, c in terms.items():
+            ea, eb = m[sa], m[sb]
+            if ea == eb:
+                continue
+            low, n = min(ea, eb), abs(ea - eb)
+            if ea < eb:
+                c = -c
+            mm = list(m)
+            for t in range(n):
+                mm[sa], mm[sb] = low + t, low + n - 1 - t
+                key = tuple(mm)
+                acc[key] = get(key, 0) + c
+        terms = {m: c for m, c in acc.items() if c}
+    return Polynomial._wrap(ring, {m: QQ(c, lcm) for m, c in terms.items()})
 
 
 def leibniz_parts(ring: Ring, a, b, f, gamma: AffineSymmetry):

@@ -11,10 +11,11 @@ equality is mathematical equality.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping, Union
 
 from . import _kernel as K
-from ._gcd import gcd_qq
+from ._gcd import clear_den, gcd_qq
 from ._ratio import QQ, qq_str
 from .errors import DivisionByZero, SingularSubstitution
 
@@ -239,32 +240,13 @@ class Polynomial:
 
     def shift_cells(self, offsets: Mapping) -> "Polynomial":
         """Substitute x[a] -> x[a] + n_a for integer offsets keyed by cell."""
-        out = self
-        for cell, n in offsets.items():
-            if n:
-                out = out._shift_one(self.ring.index[("x",) + tuple(cell)], int(n))
-        return out
-
-    def _shift_one(self, slot: int, n: int) -> "Polynomial":
-        # binomial expansion of (x+n)^e, term by term
-        acc: dict = {}
-        for m, c in self.terms.items():
-            e = m[slot]
-            if not e:
-                acc = K.p_add(acc, {m: c})
-                continue
-            coeff = c
-            row = {}
-            binom = 1
-            power = 1
-            for t in range(e, -1, -1):
-                # term x^t * C(e, e-t) * n^(e-t)
-                mm = m[:slot] + (t,) + m[slot + 1 :]
-                row[mm] = coeff * binom * power
-                binom = binom * t // (e - t + 1)
-                power *= n
-            acc = K.p_add(acc, row)
-        return Polynomial._wrap(self.ring, acc)
+        shifts = [(self.ring.index[("x",) + tuple(cell)], int(n)) for cell, n in offsets.items() if n]
+        if not shifts:
+            return self
+        terms, lcm = clear_den(self.terms)
+        for slot, n in shifts:
+            terms = _shift_slot(terms, slot, n)
+        return Polynomial._wrap(self.ring, {m: QQ(v, lcm) for m, v in terms.items()})
 
     def permute_cells(self, mapping: Mapping) -> "Polynomial":
         """Substitute x[a] -> x[mapping(a)] for a cell bijection."""
@@ -319,38 +301,14 @@ class Polynomial:
             out = out + factor
         return out
 
-    def eval_cells(self, images: Mapping) -> "Polynomial":
+    def eval_cells(self, images: "PointMap | Mapping") -> "Polynomial":
         """Substitute parameter-only polynomials for cell variables (the fast
-        path used by functional evaluation).  ``images`` maps cells to
-        Polynomials in the z-variables."""
-        ring = self.ring
-        slot_imgs = {ring.index[("x",) + tuple(cell)]: p.terms for cell, p in images.items()}
-        pow_cache: dict = {}
-        acc: dict = {}
-        one = {(0,) * ring.nvars: QQ(1)}
-        for m, c in self.terms.items():
-            factor = dict(one)
-            rest = [0] * ring.nvars
-            for slot, e in enumerate(m):
-                if not e:
-                    continue
-                img = slot_imgs.get(slot)
-                if img is None:
-                    rest[slot] = e
-                    continue
-                key = (slot, e)
-                pe = pow_cache.get(key)
-                if pe is None:
-                    pe = one
-                    for _ in range(e):
-                        pe = K.p_mul(pe, img)
-                    pow_cache[key] = pe
-                factor = K.p_mul(factor, pe)
-            if any(rest):
-                factor = K.p_mul_term(factor, tuple(rest), QQ(1))
-            factor = K.p_mul_scalar(factor, c)
-            acc = K.p_add(acc, factor)
-        return Polynomial._wrap(ring, acc)
+        path used by functional evaluation).  ``images`` is a
+        :class:`PointMap`, or a mapping from cells to Polynomials in the
+        z-variables (a one-off map is built for it)."""
+        if not isinstance(images, PointMap):
+            images = PointMap(self.ring, images)
+        return images(self)
 
     def divide_exact(self, other: "Polynomial") -> "Polynomial":
         """Exact quotient; raises ArithmeticError when division leaves a
@@ -370,6 +328,24 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({render_poly(self)})"
+
+
+def _shift_slot(terms: dict, slot: int, n: int) -> dict:
+    """Integer dict with x_slot -> x_slot + n, by the binomial expansion of
+    (x+n)^e term by term."""
+    acc: dict = {}
+    get = acc.get
+    for m, c in terms.items():
+        e = m[slot]
+        binom = 1
+        power = c
+        for t in range(e, -1, -1):
+            # term x^t * C(e, e-t) * n^(e-t)
+            mm = m[:slot] + (t,) + m[slot + 1 :]
+            acc[mm] = get(mm, 0) + binom * power
+            binom = binom * t // (e - t + 1)
+            power *= n
+    return {m: v for m, v in acc.items() if v}
 
 
 def render_poly(p: Polynomial) -> str:
@@ -396,6 +372,65 @@ def render_poly(p: Polynomial) -> str:
         else:
             bits.append(("-" if neg else "+") + term)
     return "".join(bits)
+
+
+class PointMap:
+    """Ring map fixing the parameters and sending cell variables to
+    parameter polynomials (their values at a point).
+
+    The image of every power and of every monomial is memoised on the map,
+    so evaluating many polynomials at one point multiplies out each distinct
+    monomial once; after that a polynomial costs one scaled sum of memoised
+    images.  Images are kept as integer dicts over one denominator, so the
+    sum runs on integers and each output coefficient is reduced once."""
+
+    __slots__ = ("ring", "_images", "_powers", "_monos")
+
+    def __init__(self, ring: Ring, images: Mapping):
+        self.ring = ring
+        self._images = {
+            ring.index[("x",) + tuple(cell)]: clear_den(p.terms) for cell, p in images.items()
+        }
+        self._powers: dict = {}
+        self._monos: dict = {}
+
+    def _power(self, slot: int, e: int) -> tuple:
+        pe = self._powers.get((slot, e))
+        if pe is None:
+            img = self._images[slot]
+            if e > 1:
+                prev = self._power(slot, e - 1)
+                img = (K.p_mul(prev[0], img[0]), prev[1] * img[1])
+            pe = self._powers[(slot, e)] = img
+        return pe
+
+    def _monomial(self, m: tuple) -> tuple:
+        img = self._monos.get(m)
+        if img is None:
+            rest = list(m)
+            terms, den = {(0,) * self.ring.nvars: 1}, 1
+            for slot, e in enumerate(m):
+                if e and slot in self._images:
+                    rest[slot] = 0
+                    pe, pd = self._power(slot, e)
+                    terms, den = K.p_mul(terms, pe), den * pd
+            if any(rest):
+                terms = K.p_mul_term(terms, tuple(rest), 1)
+            img = self._monos[m] = (terms, den)
+        return img
+
+    def __call__(self, p: Polynomial) -> Polynomial:
+        if p.ring is not self.ring:
+            raise ValueError("polynomial from a different ring")
+        parts = [(c, self._monomial(m)) for m, c in p.terms.items()]
+        lcm = math.lcm(*(d * c.denominator for c, (_, d) in parts))
+        acc: dict = {}
+        get = acc.get
+        for c, (terms, d) in parts:
+            s = c.numerator * (lcm // (d * c.denominator))
+            for mm, v in terms.items():
+                acc[mm] = get(mm, 0) + s * v
+        return Polynomial._wrap(self.ring, {mm: QQ(v, lcm) for mm, v in acc.items() if v})
 
 
 class RationalFunction:

@@ -13,7 +13,11 @@ minimal coset representative ``w``.  Generator actions on this basis are
 computed two independent ways:
 
 * :meth:`ModuleWindow.act` — evaluate against an invariant test family and
-  solve exactly for the (theory-predicted, then fully verified) columns;
+  solve exactly for the (theory-predicted, then fully verified) columns.
+  The solve picks independent rows modulo a word-size prime at an integer
+  point, eliminates fraction-free (Bareiss) over Q[z] to numerators N_c and
+  a determinant D, and checks every family member with the identity
+  sum_c N_c * col_c = D * rhs, which needs no gcd;
 * :meth:`ModuleWindow.act_structural` — push the generator through the
   functional symbolically in the divided-difference basis, conjugate back
   to canonical form, and evaluate coefficients at the point.
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from . import _linalg
@@ -46,6 +51,7 @@ from .errors import (
     WindowRankError,
 )
 from .exactalg import (
+    PointMap,
     Polynomial,
     RationalFunction,
     Ring,
@@ -109,6 +115,19 @@ class EvalPoint:
     def value_poly(self, ring: Ring, cell) -> Polynomial:
         tag, off = self.pair(cell)
         return ring.z(tag) + ring.const(off)
+
+    @cached_property
+    def _point_maps(self) -> dict:
+        return {}
+
+    def point_map(self, ring: Ring) -> PointMap:
+        """The evaluation map x_c -> z_tag + offset into ``ring``, kept on
+        the point so that every functional at the point shares its memo."""
+        pm = self._point_maps.get(ring)
+        if pm is None:
+            pm = PointMap(ring, {cell: self.value_poly(ring, cell) for cell in ring.cells()})
+            self._point_maps[ring] = pm
+        return pm
 
     def translated(self, offsets: Mapping) -> "EvalPoint":
         """The point v + n (cellwise offset addition on shiftable cells)."""
@@ -180,11 +199,11 @@ def gamma_eigenvalue(ring: Ring, point: EvalPoint, i: int, d: int) -> RationalFu
 def eval_rf_at(ring: Ring, rf: RationalFunction, point: EvalPoint, err=RegularityError):
     """Evaluate a rational function at the point (cells -> values); raises
     ``err`` when the denominator vanishes there."""
-    imgs = {cell: point.value_poly(ring, cell) for cell in ring.cells()}
-    den = rf.den.eval_cells(imgs)
+    pm = point.point_map(ring)
+    den = rf.den.eval_cells(pm)
     if den.is_zero():
         raise err(f"denominator {rf.den} vanishes at point {point}")
-    num = rf.num.eval_cells(imgs)
+    num = rf.num.eval_cells(pm)
     return num / den
 
 
@@ -206,8 +225,7 @@ class Functional:
         word = canonical_word(self.perm)
         if word:
             g = apply_word(ring, word, g)
-        imgs = {cell: self.point.value_poly(ring, cell) for cell in ring.cells()}
-        out = g.eval_cells(imgs)
+        out = g.eval_cells(self.point.point_map(ring))
         if not out.uses_only_params():
             raise ValueError("functional evaluation left non-parameter variables")
         return RationalFunction.from_poly(out)
@@ -523,7 +541,18 @@ class ModuleWindow:
     def act(self, gen: tuple, idx: int) -> dict:
         """Coefficients of basis functionals in (basis[idx] ∘ generator),
         solved exactly against the invariant family and verified on every
-        family member."""
+        family member.
+
+        The right-hand side evaluates the generator images through the
+        point's memoised map x_c -> z_tag + offset.  The solve
+        (:func:`_linalg.solve_columns`) chooses independent rows modulo a
+        word-size prime at an integer point, eliminates fraction-free over
+        Q[z] to numerators N_c and one determinant D, verifies every family
+        member with sum_c N_c * col_c = D * rhs, and normalises N_c / D once
+        per column.  The rank certificate makes the window's columns
+        independent, so the solution is unique.  When the theory-predicted
+        target blocks do not solve, the full basis is tried before
+        :class:`WindowLeakage` is raised."""
         key = (gen, idx)
         hit = self._act_cache.get(key)
         if hit is not None:
@@ -788,7 +817,7 @@ def conjugation_check(window: ModuleWindow, orbit_idx: int, rho: RowPermutation)
     xi_moved = rho.apply_to_cellmap(xi)
     rho_inv_map = rho.inverse().cell_map()
     rho_map = rho.cell_map()
-    imgs = {cell: window.point.value_poly(ring, cell) for cell in ring.cells()}
+    pm = window.point.point_map(ring)
     for w in orb.coset_reps:
         func = Functional(
             window.point, w, tuple((c, n) for c, n in xi.items() if n)
@@ -802,7 +831,7 @@ def conjugation_check(window: ModuleWindow, orbit_idx: int, rho: RowPermutation)
             if word:
                 g = apply_word(ring, word, g)
             g = g.permute_cells(rho_map)
-            rhs = RationalFunction.from_poly(g.eval_cells(imgs))
+            rhs = RationalFunction.from_poly(g.eval_cells(pm))
             if not (lhs - rhs).is_zero():
                 return False
     return True

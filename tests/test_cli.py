@@ -138,6 +138,29 @@ def test_argparse_error_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_ddiff_compare_row_out_of_range_exits_2(capsys):
+    rc, out, err = run(capsys, "ddiff-compare", "--shape", "2,1", "--row", "5", "--mu", "2")
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert error_payload(err)["type"] == "ParseError"
+
+
+def test_unwritable_out_path_exits_2(capsys, tmp_path):
+    dest = tmp_path / "missing-dir" / "x"
+    rc, out, err = run(capsys, "walk", "--start", "0,0", "--target", "1,1", "--out", str(dest))
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert error_payload(err)["code"] == 2
+
+
+def test_usage_error_is_one_json_line(capsys):
+    # a leading minus makes argparse read the expression as an option
+    rc, out, err = run(capsys, "apply", "--shape", "2,1", "--op", "E1", "--expr", "-9*x[1,1]")
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert error_payload(err)["type"] == "ParseError"
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

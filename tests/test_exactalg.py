@@ -1,5 +1,6 @@
 """Exact polynomial / rational-function arithmetic."""
 
+import math
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from ogzkit import (
     elementary_symmetric,
     is_row_symmetric,
 )
+from ogzkit._gcd import clear_den, gcd_qq
 
 
 def random_poly2(ring: Ring, rng: random.Random, max_degree: int = 4) -> Polynomial:
@@ -245,3 +247,30 @@ def test_total_degree_multiplicative(f):
     if f.is_zero():
         return
     assert (f * g).total_degree() == f.total_degree() + g.total_degree()
+
+
+# ---------------------------------------------------------------------------
+# gcd with a constant argument
+
+
+NV = 3
+qq_coeff = st.builds(
+    QQ,
+    st.integers(min_value=-60, max_value=60).filter(bool),
+    st.integers(min_value=1, max_value=12),
+)
+qq_dict = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=3)] * NV), qq_coeff, max_size=6
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(qq_coeff, qq_dict)
+def test_gcd_with_constant_is_integer_content_gcd(c, b):
+    zero = (0,) * NV
+    content = 0
+    for v in clear_den(b)[0].values():
+        content = math.gcd(content, v)
+    want = {zero: QQ(math.gcd(clear_den({zero: c})[0][zero], content))}
+    assert gcd_qq({zero: c}, b, NV) == want
+    assert gcd_qq(b, {zero: c}, NV) == want

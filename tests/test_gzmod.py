@@ -1,17 +1,24 @@
 """Windowed module basis, two-route generator actions, block structure."""
 
+import random
+
 import pytest
+from test_exactalg import random_poly2
 
 from ogzkit import (
     QQ,
     AffineSymmetry,
     EvalPoint,
+    Functional,
     InvalidSingularSetup,
     ModuleWindow,
     RegularityError,
     Ring,
+    RowPermutation,
     WindowLeakage,
+    apply_word,
     build_basis_B,
+    canonical_word,
     component_graph,
     conjugation_check,
     eval_functional,
@@ -338,3 +345,93 @@ def test_probe_flags_integer_cross_row_gap():
     rep = simplicity_probe(w)
     assert not rep.hypothesis_ok
     assert rep.hypothesis_issues
+
+
+# ---------------------------------------------------------------------------
+# the memoised point map agrees with general substitution
+
+
+def substituted(point, ring, f):
+    images = {("x",) + c: point.value_poly(ring, c) for c in ring.cells()}
+    out = f.substitute(images)
+    assert out.is_polynomial()
+    return out.polynomial_part()
+
+
+def test_point_map_matches_substitute_at_rational_offsets():
+    rng = random.Random(31337)
+    v = EvalPoint.make(
+        (2, 1), {(1, 1): (1, QQ(1, 2)), (1, 2): (1, QQ(-3, 2)), (2, 1): (2, QQ(2, 3))}
+    )
+    ring = v.ring()
+    pm = v.point_map(ring)
+    assert v.point_map(ring) is pm
+    for _ in range(40):
+        f = random_poly2(ring, rng, 6)
+        g = f.eval_cells(pm)
+        assert g == substituted(v, ring, f) and g.uses_only_params()
+        assert f.eval_cells(pm) == g  # memoised images give the same value
+
+
+def test_point_map_with_more_parameters_than_tags():
+    rng = random.Random(4)
+    v = EvalPoint.make((2, 1), {(1, 1): (1, 0), (1, 2): (2, QQ(5, 3)), (2, 1): (1, -2)})
+    wide = v.ring(4)
+    assert wide.nparams == 4 and v.point_map(wide) is not v.point_map(v.ring())
+    for _ in range(30):
+        f = random_poly2(wide, rng, 5)  # uses z[3], z[4], which the map fixes
+        assert f.eval_cells(v.point_map(wide)) == substituted(v, wide, f)
+
+
+def test_functional_evaluation_matches_substitute_after_a_word():
+    rng = random.Random(2718)
+    v = EvalPoint.make(
+        (3, 1),
+        {(1, 1): (1, QQ(1, 3)), (1, 2): (1, QQ(1, 3)), (1, 3): (2, -1), (2, 1): (3, QQ(-1, 2))},
+    )
+    ring = v.ring()
+    w = RowPermutation.simple(v.shape, 1, 1) * RowPermutation.simple(v.shape, 1, 2)
+    word = canonical_word(w)
+    assert len(word) == 2
+    shifts = (((1, 1), 1), ((1, 3), -2))
+    func = Functional(v, w, shifts)
+    for _ in range(25):
+        f = random_poly2(ring, rng, 5)
+        g = apply_word(ring, word, f.shift_cells(dict(shifts)))
+        assert func.evaluate(ring, f).polynomial_part() == substituted(v, ring, g)
+
+
+# ---------------------------------------------------------------------------
+# a second window: the (3,1) triple point, stabiliser blocks of 3 cells
+
+
+@pytest.fixture(scope="module")
+def triple_window():
+    v = EvalPoint.make(
+        (3, 1), {(1, 1): (1, 0), (1, 2): (1, 0), (1, 3): (1, 0), (2, 1): (2, 0)}
+    )
+    return build_basis_B(v, 1)
+
+
+def test_triple_point_rank_certificate(triple_window):
+    w = triple_window
+    assert len(w.basis) == 27 and len(w.family) == 189
+    assert w.rank_history == [7, 11, 16, 23, 26, 27, 27]
+
+
+def test_triple_point_route_agreement(triple_window):
+    # E1 and F1 on the centre functional, the four multipliers on one block
+    # of 6 functionals: 26 queries through both routes
+    w = triple_window
+    centre = find_orbit(w, (0, 0, 0))
+    big = find_orbit(w, (1, 0, -1))
+    assert len(w.block_indices(big)) == 6
+    picks = [(("raising", 1), w.block_indices(centre)[0])]
+    picks.append((("lowering", 1), w.block_indices(centre)[0]))
+    picks += [(g, b) for g in w.multiplier_gens() for b in w.block_indices(big)]
+    assert len(picks) == 26
+    for gen, b in picks:
+        a = w.act(gen, b)
+        s = w.act_structural(gen, b)
+        assert set(a) == set(s)
+        assert all((a[k] - s[k]).is_zero() for k in a)
