@@ -1,17 +1,22 @@
 """Small exact linear algebra.
 
-``rank`` and ``kernel_basis`` work generically over any value type with
-field semantics exposed as ``+ - * /`` plus an ``is_zero()``-or-falsy test;
-they are used with rational functions in the parameters and with plain
-rationals (for specialized rank certificates).
+``rank`` works generically over any value type with field semantics exposed
+as ``+ - * /`` plus an ``is_zero()``-or-falsy test; it is the exact
+reference, used with rational functions in the parameters.
+
+:class:`ModEchelon` is the one rank certificate: rows of rational functions
+are specialised at an integer point of the parameters modulo a prime and
+reduced incrementally.  Its rank is a lower bound on the rank over Q(z)
+(Schwartz-Zippel: a point loses rank with probability at most deg/p), so a
+full rank certifies independence.  A window's rank certificate and the row
+choice of ``solve_columns`` both use it.
 
 ``solve_columns`` solves overdetermined systems over rational functions
 without a gcd per operation.  Its columns must be independent over Q(z),
 which a window's rank certificate guarantees.  It chooses k independent
-rows by elimination modulo a word-size prime at an integer point of the
-variables, solves those k rows over Q[z] by fraction-free (Bareiss)
-Gauss-Jordan elimination, which gives numerators N_c and one determinant D,
-verifies every row with the gcd-free identity
+rows with a :class:`ModEchelon`, solves those k rows over Q[z] by
+fraction-free (Bareiss) Gauss-Jordan elimination, which gives numerators
+N_c and one determinant D, verifies every row with the gcd-free identity
 sum_c N_c * col_c[r] = D * rhs[r], and normalises x_c = N_c / D once per
 column.
 
@@ -66,69 +71,92 @@ def rank(rows: List[list]) -> int:
     return rk
 
 
-# Row selection specialises the parameters at integer points and works
-# modulo a word-size prime; the points are tried in this fixed order.
-_PRIME = 2**61 - 1
-_ROW_POINTS = 8
+# Attempt a specialises the parameters at _spec_point(a) and works modulo
+# _PRIMES[a % 2]; alternating the prime means a coefficient denominator
+# divisible by one of them makes only every other attempt unlucky.
+_PRIMES = (2**61 - 1, 2**89 - 1)
+_ATTEMPTS = 8
 
 
 def _spec_point(attempt: int, nvars: int) -> list:
-    return [(1009 + 7919 * attempt + 104729 * slot) % _PRIME for slot in range(nvars)]
+    return [1009 + 7919 * attempt + 104729 * slot for slot in range(nvars)]
 
 
 class _UnluckyPoint(Exception):
     pass
 
 
-def _mod_eval(terms: dict, zv: list) -> int:
+def _mod_eval(terms: dict, zv: list, p: int) -> int:
     """Value mod p of a QQ-coefficient dict at the integer point ``zv``."""
     acc = 0
     for m, c in terms.items():
-        den = c.denominator % _PRIME
+        den = c.denominator % p
         if not den:
             raise _UnluckyPoint
-        t = c.numerator * pow(den, -1, _PRIME)
+        t = c.numerator * pow(den, -1, p)
         for slot, e in enumerate(m):
             if e:
-                t = t * pow(zv[slot], e, _PRIME) % _PRIME
+                t = t * pow(zv[slot], e, p) % p
         acc += t
-    return acc % _PRIME
+    return acc % p
 
 
-def _mod_value(rf, zv: list) -> int:
-    num = _mod_eval(rf.num.terms, zv)
+def _mod_value(rf, zv: list, p: int) -> int:
+    num = _mod_eval(rf.num.terms, zv, p)
     if rf.den.is_one():
         return num
-    den = _mod_eval(rf.den.terms, zv)
+    den = _mod_eval(rf.den.terms, zv, p)
     if not den:
         raise _UnluckyPoint
-    return num * pow(den, -1, _PRIME) % _PRIME
+    return num * pow(den, -1, p) % p
+
+
+class ModEchelon:
+    """Incremental row echelon form of rows of rational functions, taken at
+    the integer point of one attempt modulo that attempt's prime.
+
+    ``add`` raises :class:`_UnluckyPoint` when a coefficient denominator or
+    a denominator vanishes there mod p; the caller then starts again with
+    the next attempt.  ``len`` is the rank of the rows added so far."""
+
+    def __init__(self, attempt: int, nvars: int):
+        self.prime = _PRIMES[attempt % 2]
+        self.point = _spec_point(attempt, nvars)
+        self._rows: list = []  # (pivot column, row scaled to 1 there)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def add(self, row: list) -> bool:
+        """Specialise and reduce ``row``; True when it raised the rank."""
+        p = self.prime
+        vals = [_mod_value(v, self.point, p) for v in row]
+        for pc, prow in self._rows:
+            f = vals[pc]
+            if f:
+                vals = [(a - f * b) % p for a, b in zip(vals, prow)]
+        pc = next((c for c, a in enumerate(vals) if a), None)
+        if pc is None:
+            return False
+        inv = pow(vals[pc], -1, p)
+        self._rows.append((pc, [a * inv % p for a in vals]))
+        return True
 
 
 def _independent_rows(columns: List[list], nrows: int, nvars: int) -> Optional[list]:
     """Indices of len(columns) rows whose square minor is nonsingular, found
-    by incremental elimination mod p at the first lucky integer point; None
-    when no point in the list certifies them."""
+    with a :class:`ModEchelon` at the first lucky attempt; None when no
+    attempt certifies them."""
     k = len(columns)
-    for attempt in range(_ROW_POINTS):
-        zv = _spec_point(attempt, nvars)
-        echelon: list = []  # (pivot column, row scaled to 1 there)
+    for attempt in range(_ATTEMPTS):
+        echelon = ModEchelon(attempt, nvars)
         chosen: list = []
         try:
             for r in range(nrows):
-                row = [_mod_value(col[r], zv) for col in columns]
-                for pc, prow in echelon:
-                    f = row[pc]
-                    if f:
-                        row = [(a - f * b) % _PRIME for a, b in zip(row, prow)]
-                pc = next((c for c, a in enumerate(row) if a), None)
-                if pc is None:
-                    continue
-                inv = pow(row[pc], -1, _PRIME)
-                echelon.append((pc, [a * inv % _PRIME for a in row]))
-                chosen.append(r)
-                if len(chosen) == k:
-                    return chosen
+                if echelon.add([col[r] for col in columns]):
+                    chosen.append(r)
+                    if len(chosen) == k:
+                        return chosen
         except _UnluckyPoint:
             continue
     return None
@@ -161,7 +189,7 @@ def _exact_quotient(a: dict, b: dict) -> dict:
     return q
 
 
-def solve_columns(columns: List[list], rhs: list, zero, one) -> Optional[list]:
+def solve_columns(columns: List[list], rhs: list, zero) -> Optional[list]:
     """Solve sum_c x_c * columns[c] = rhs exactly over rational functions.
 
     The columns must be linearly independent over Q(z), which the window's
@@ -170,8 +198,7 @@ def solve_columns(columns: List[list], rhs: list, zero, one) -> Optional[list]:
     where the rows found are dependent, is unlucky: the next point of the
     fixed list is tried), solved fraction-free over Q[z], and *every*
     equation is verified (see the module docstring).  Returns None when no
-    point certifies k rows or an equation fails.  ``zero`` fixes the ring;
-    ``one`` is unused and kept for the signature.
+    point certifies k rows or an equation fails.  ``zero`` fixes the ring.
     """
     ncols = len(columns)
     nrows = len(rhs)
@@ -219,43 +246,3 @@ def solve_columns(columns: List[list], rhs: list, zero, one) -> Optional[list]:
         RationalFunction.normalize(Polynomial._wrap(ring, {mo: QQ(v) for mo, v in n.items()}), den)
         for n in nums
     ]
-
-
-def kernel_basis(rows: List[list], zero, one) -> List[list]:
-    """Basis of the right kernel {x : rows @ x = 0}, exact RREF."""
-    if not rows:
-        return []
-    nrows, ncols = len(rows), len(rows[0])
-    m = [list(r) for r in rows]
-    pivots = []  # (row, col)
-    rk = 0
-    for c in range(ncols):
-        piv = None
-        for r in range(rk, nrows):
-            if not _is_zero(m[r][c]):
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rk], m[piv] = m[piv], m[rk]
-        pv = m[rk][c]
-        m[rk] = [v / pv for v in m[rk]]
-        for r in range(nrows):
-            if r != rk and not _is_zero(m[r][c]):
-                factor = m[r][c]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rk])]
-        pivots.append((rk, c))
-        rk += 1
-        if rk == nrows:
-            break
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = [zero] * ncols
-        vec[free] = one
-        for r, c in pivots:
-            vec[c] = zero - m[r][free]
-        basis.append(vec)
-    return basis

@@ -638,6 +638,14 @@ def _cmd_probe(args) -> str:
 # wiring
 
 
+def non_negative_int(text: str) -> int:
+    """An argparse type for counts and degrees: a non-negative integer."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Raises usage errors as ParseError, so that main() reports them as one
     JSON line like every other input error."""
@@ -663,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--shape", required=True, help="row lengths, e.g. 2,1")
     sp.add_argument("--op", required=True, help="operator expression, e.g. 'E1*F1'")
     sp.add_argument("--expr", required=True, help="function expression, e.g. 'x[1,1]+x[1,2]'")
-    sp.add_argument("--params", type=int, default=0, help="number of z parameters")
+    sp.add_argument("--params", type=non_negative_int, default=0, help="number of z parameters")
     sp.set_defaults(func=_cmd_apply)
 
     sp = add("check-relations", help="exact operator relation battery")
@@ -678,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--row", type=int, required=True)
     sp.add_argument("--mu", required=True, help="composition of the row length, e.g. 2,1")
     sp.add_argument("--down", action="store_true", help="compare the lowering form")
-    sp.add_argument("--degree", type=int, default=4)
+    sp.add_argument("--degree", type=non_negative_int, default=4)
     sp.set_defaults(func=_cmd_ddiff_compare)
 
     sp = add("basis", help="windowed basis with rank certificate")

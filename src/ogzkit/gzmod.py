@@ -9,14 +9,18 @@ For a point whose stabilizer is maximal inside its window (checked by
 :func:`singularity_setup_check`) the window carries a distinguished basis
 of functionals ``ev_v ∘ diff_w ∘ xi_j``: one orbit of translates per
 stabilizer-sorted canonical representative ``xi_j``, one functional per
-minimal coset representative ``w``.  Generator actions on this basis are
-computed two independent ways:
+minimal coset representative ``w``.  The basis is certified by the rank of
+its evaluation matrix on an invariant test family, taken at an integer point
+of the parameters modulo a prime by one incremental echelon
+(:class:`_linalg.ModEchelon`, which also picks the solve's rows below); a
+full specialised rank is a lower bound, hence a sound certificate.
+Generator actions on this basis are computed two independent ways:
 
 * :meth:`ModuleWindow.act` — evaluate against an invariant test family and
   solve exactly for the (theory-predicted, then fully verified) columns.
-  The solve picks independent rows modulo a word-size prime at an integer
-  point, eliminates fraction-free (Bareiss) over Q[z] to numerators N_c and
-  a determinant D, and checks every family member with the identity
+  The solve picks independent rows modulo a prime at an integer point,
+  eliminates fraction-free (Bareiss) over Q[z] to numerators N_c and a
+  determinant D, and checks every family member with the identity
   sum_c N_c * col_c = D * rhs, which needs no gcd;
 * :meth:`ModuleWindow.act_structural` — push the generator through the
   functional symbolically in the divided-difference basis, conjugate back
@@ -84,6 +88,8 @@ class EvalPoint:
                 raise ValueError(f"missing value for cell {cell}")
         for cell, pair in values.items():
             cell = tuple(cell)
+            if cell not in cells:
+                raise ValueError(f"cell {cell} is not a cell of the shape {shape}")
             tag, off = pair
             tag = int(tag)
             if tag < 1:
@@ -188,12 +194,8 @@ class EvalPoint:
 def gamma_eigenvalue(ring: Ring, point: EvalPoint, i: int, d: int) -> RationalFunction:
     """Value of the degree-d row multiplier at the point: the d-th elementary
     symmetric function of the row's values, as a parameter polynomial."""
-    vals = [point.value_poly(ring, c) for c in ring.row_cells(i)]
-    acc = [ring.one()] + [ring.zero()] * d
-    for vp in vals:
-        for t in range(min(d, len(acc) - 1), 0, -1):
-            acc[t] = acc[t] + acc[t - 1] * vp
-    return RationalFunction.from_poly(acc[d])
+    e = elementary_symmetric(ring, i, d)
+    return RationalFunction.from_poly(e.eval_cells(point.point_map(ring)))
 
 
 def eval_rf_at(ring: Ring, rf: RationalFunction, point: EvalPoint, err=RegularityError):
@@ -353,7 +355,6 @@ class ModuleWindow:
         self._gen_image_cache: Dict[tuple, Polynomial] = {}
         self._act_cache: Dict[tuple, dict] = {}
         self._act_structural_cache: Dict[tuple, dict] = {}
-        self._spec_rows: Dict[int, list] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -425,61 +426,43 @@ class ModuleWindow:
         self.family.extend(new)
         self.family_degree = degree
 
-    def _specialize_scalar(self, rf: RationalFunction, zvals: list) -> QQ:
-        def ev(p: Polynomial):
-            acc = QQ(0)
-            for m, c in p.terms.items():
-                v = c
-                for slot, e in enumerate(m):
-                    if e:
-                        v = v * zvals[slot] ** e
-                acc += v
-            return acc
-
-        den = ev(rf.den)
-        if den == 0:
-            raise ZeroDivisionError
-        return ev(rf.num) / den
-
-    def _zvals(self, attempt: int) -> list:
-        P = self.ring.nparams
-        zvals = [QQ(97 + 89 * t * t + 131 * attempt, 3 + t + 2 * attempt) for t in range(P)]
-        return zvals + [QQ(0)] * (self.ring.nvars - P)
-
-    def _specialized_rank(self, attempt: int) -> int:
-        cache = self._spec_rows.setdefault(attempt, [])
-        zvals = self._zvals(attempt)
-        try:
-            for t in range(len(cache), len(self.family)):
-                cache.append(
-                    [self._specialize_scalar(self.columns[b][t], zvals) for b in range(len(self.basis))]
-                )
-        except ZeroDivisionError:
-            return -1
-        return _linalg.rank(cache)
-
     def certify_rank(self, max_extra_degrees: int = 16, min_degree: Optional[int] = None):
         """Escalate the family degree until the evaluation matrix certifies
-        full rank at two consecutive degrees (exact rank after a rational
-        parameter specialization; a full specialized rank is a sound
-        lower-bound certificate)."""
+        full rank at two consecutive degrees.
+
+        The rank is that of the family rows specialised at an integer point
+        mod a prime (:class:`_linalg.ModEchelon`), a lower bound on their
+        rank over Q(z), so a full specialised rank is a sound certificate.
+        One echelon is kept across the degree steps and fed only the new
+        rows; when a point is unlucky (a denominator vanishes there mod p)
+        the next point of the fixed list rebuilds it from all rows."""
         n = len(self.basis)
         D = min_degree if min_degree is not None else max(self.ring.shape)
         start = D
+        attempt = fed = 0
+        echelon = _linalg.ModEchelon(attempt, self.ring.nvars)
         while True:
             self.extend_family(D)
-            best = -1
-            for attempt in range(3):
-                rk = self._specialized_rank(attempt)
-                best = max(best, rk)
-                if best == n:
-                    break
-            self.rank_history.append(best)
+            while fed < len(self.family) and len(echelon) < n:
+                try:
+                    echelon.add([col[fed] for col in self.columns])
+                except _linalg._UnluckyPoint:
+                    attempt += 1
+                    if attempt == _linalg._ATTEMPTS:
+                        raise WindowRankError(
+                            f"no specialisation point is lucky (history {self.rank_history})"
+                        ) from None
+                    echelon = _linalg.ModEchelon(attempt, self.ring.nvars)
+                    fed = 0
+                    continue
+                fed += 1
+            rk = len(echelon)
+            self.rank_history.append(rk)
             if len(self.rank_history) >= 2 and self.rank_history[-1] == n and self.rank_history[-2] == n:
                 return
             if D - start >= max_extra_degrees:
                 raise WindowRankError(
-                    f"rank stuck at {best}/{n} after degree {D} (history {self.rank_history})"
+                    f"rank stuck at {rk}/{n} after degree {D} (history {self.rank_history})"
                 )
             D += 1
 
@@ -546,9 +529,9 @@ class ModuleWindow:
         The right-hand side evaluates the generator images through the
         point's memoised map x_c -> z_tag + offset.  The solve
         (:func:`_linalg.solve_columns`) chooses independent rows modulo a
-        word-size prime at an integer point, eliminates fraction-free over
-        Q[z] to numerators N_c and one determinant D, verifies every family
-        member with sum_c N_c * col_c = D * rhs, and normalises N_c / D once
+        prime at an integer point, eliminates fraction-free over Q[z] to
+        numerators N_c and one determinant D, verifies every family member
+        with sum_c N_c * col_c = D * rhs, and normalises N_c / D once
         per column.  The rank certificate makes the window's columns
         independent, so the solution is unique.  When the theory-predicted
         target blocks do not solve, the full basis is tried before
@@ -572,15 +555,11 @@ class ModuleWindow:
             for t in range(len(self.family))
         ]
         cand = [b for j in self.target_orbits(orbit_idx, gen) for b in self.block_indices(j)]
-        x = _linalg.solve_columns(
-            [self.columns[b] for b in cand], rhs, self._zero(), self._one()
-        )
+        x = _linalg.solve_columns([self.columns[b] for b in cand], rhs, self._zero())
         if x is None:
             # fall back to the full basis before declaring leakage
             cand = list(range(len(self.basis)))
-            x = _linalg.solve_columns(
-                [self.columns[b] for b in cand], rhs, self._zero(), self._one()
-            )
+            x = _linalg.solve_columns([self.columns[b] for b in cand], rhs, self._zero())
             if x is None:
                 raise WindowLeakage(
                     f"action of {gen} on functional {idx} is not supported on the window basis"
@@ -755,8 +734,7 @@ class ModuleWindow:
                     stacked.append(
                         [A[r][c] - (chi if r == c else self._zero()) for c in range(n)]
                     )
-            kern = _linalg.kernel_basis(stacked, self._zero(), self._one())
-            dims.append(len(kern))
+            dims.append(n - _linalg.rank(stacked))
         return dims
 
 

@@ -20,11 +20,26 @@ SPEC_R2 = {
 }
 
 
+SPEC_R2_HALF = {
+    "lambda": [2, 1],
+    "point": {
+        "1,1": {"tag": 1, "offset": "1/2"},
+        "1,2": {"tag": 1, "offset": "1/2"},
+        "2,1": {"tag": 2, "offset": -1},
+    },
+    "radius": 2,
+}
+
+
+def write_spec(tmp_path, spec, name="spec.json"):
+    p = tmp_path / name
+    p.write_text(json.dumps(spec))
+    return str(p)
+
+
 @pytest.fixture()
 def spec_file(tmp_path):
-    p = tmp_path / "spec.json"
-    p.write_text(json.dumps(SPEC_R2))
-    return str(p)
+    return write_spec(tmp_path, SPEC_R2)
 
 
 def run(capsys, *argv):
@@ -161,6 +176,20 @@ def test_usage_error_is_one_json_line(capsys):
     assert error_payload(err)["type"] == "ParseError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ddiff-compare", "--shape", "2,1", "--row", "1", "--mu", "2", "--degree", "-1"),
+        ("apply", "--shape", "2,1", "--op", "E1", "--expr", "x[1,1]", "--params", "-3"),
+    ],
+)
+def test_negative_count_exits_2(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert error_payload(err)["type"] == "ParseError"
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
@@ -202,18 +231,51 @@ def test_jobspec_point_shape_mismatch(capsys, tmp_path):
     assert error_payload(err)["type"] == "JobSpecError"
 
 
+@pytest.mark.parametrize("cell", ["3,1", "1,3"])
+def test_jobspec_cell_outside_shape_is_named(capsys, tmp_path, cell):
+    spec = json.loads(json.dumps(SPEC_R2))
+    spec["point"][cell] = {"tag": 1, "offset": 0}
+    rc, _, err = run(capsys, "basis", "--spec", write_spec(tmp_path, spec))
+    assert rc == 2
+    e = error_payload(err)
+    assert e["type"] == "JobSpecError"
+    assert e["message"] == f"cell ({cell.replace(',', ', ')}) is not a cell of the shape (2, 1)"
+
+
 # ---------------------------------------------------------------------------
 # windowed commands
 
 
-def test_basis_output(capsys, spec_file):
-    rc, out, _ = run(capsys, "basis", "--spec", spec_file)
+def test_basis_output(capsys, spec_file, tmp_path):
+    for path, point in [
+        (spec_file, "point x[1,1]=z[1];x[1,2]=z[1];x[2,1]=z[2]"),
+        (write_spec(tmp_path, SPEC_R2_HALF, "half.json"),
+         "point x[1,1]=z[1]+1/2;x[1,2]=z[1]+1/2;x[2,1]=z[2]-1"),
+    ]:
+        rc, out, _ = run(capsys, "basis", "--spec", path)
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[0] == point
+        assert "window_size 25" in lines
+        assert "basis 25" in lines
+        assert "rank_history 4,6,9,12,16,20,25,25" in lines
+
+
+def test_offset_denominator_divisible_by_a_certificate_prime(capsys, tmp_path):
+    # 2^61 - 1 divides a coefficient denominator, so every specialisation
+    # attempt modulo that prime is unlucky; the other prime must take over
+    spec = json.loads(json.dumps(SPEC_R2))
+    spec["point"]["2,1"]["offset"] = "1/2305843009213693951"
+    spec["radius"] = 1
+    path = write_spec(tmp_path, spec)
+    rc, out, _ = run(capsys, "basis", "--spec", path)
     assert rc == 0
-    lines = out.splitlines()
-    assert lines[0] == "point x[1,1]=z[1];x[1,2]=z[1];x[2,1]=z[2]"
-    assert "window_size 25" in lines
-    assert "basis 25" in lines
-    assert "rank_history 4,6,9,12,16,20,25,25" in lines
+    assert "rank_history 4,6,9,9" in out.splitlines()
+    rc, out, _ = run(capsys, "action", "--spec", path, "--op", "E1", "--routes", "both")
+    assert rc == 0
+    assert "agree=yes" in out and "agree=NO" not in out
+    rc, _, _ = run(capsys, "blocks", "--spec", path)
+    assert rc == 0
 
 
 def test_basis_rerun_identical(capsys, spec_file):

@@ -82,6 +82,10 @@ def test_gamma_eigenvalue_golden(singular_point):
     assert str(gamma_eigenvalue(ring, singular_point, 1, 2)) == "z[1]^2"
     assert str(gamma_eigenvalue(ring, singular_point, 1, 1)) == "2*z[1]"
     assert str(gamma_eigenvalue(ring, singular_point, 2, 1)) == "z[2]"
+    half = EvalPoint.make((2, 1), {(1, 1): (1, QQ(1, 2)), (1, 2): (1, QQ(1, 2)), (2, 1): (2, -1)})
+    assert str(gamma_eigenvalue(ring, half, 1, 2)) == "z[1]^2+z[1]+1/4"
+    assert str(gamma_eigenvalue(ring, half, 1, 1)) == "2*z[1]+1"
+    assert str(gamma_eigenvalue(ring, half, 2, 1)) == "z[2]-1"
 
 
 def test_eval_rf_at_regularity(singular_point):

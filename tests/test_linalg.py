@@ -1,7 +1,9 @@
-"""The verified solve: rows chosen mod p, fraction-free elimination over
-Q[z], every equation checked."""
+"""The mod-p echelon against the exact rank, and the verified solve: rows
+chosen mod p, fraction-free elimination over Q[z], every equation checked."""
 
 import random
+
+import pytest
 
 from ogzkit import QQ, RationalFunction, Ring, _linalg
 
@@ -35,7 +37,7 @@ def combine(columns, x):
 
 
 def solve(columns, rhs):
-    return _linalg.solve_columns(columns, rhs, rf(0), rf(1))
+    return _linalg.solve_columns(columns, rhs, rf(0))
 
 
 def random_system(rng: random.Random, k: int, extra: int):
@@ -108,3 +110,84 @@ def test_dependent_columns_are_not_certified():
     z1 = RING.z(1)
     col = [rf(z1 + n) for n in range(3)]
     assert solve([col, col], col) is None
+
+
+# ---------------------------------------------------------------------------
+# the mod-p echelon against the exact rank
+
+M61 = 2**61 - 1
+
+
+def echelon_rank(rows):
+    """Rank of ``rows`` by ModEchelon at the first attempt with no
+    denominator vanishing mod p (the way a window certifies its rank)."""
+    for attempt in range(_linalg._ATTEMPTS):
+        echelon = _linalg.ModEchelon(attempt, RING.nvars)
+        try:
+            for row in rows:
+                echelon.add(row)
+        except _linalg._UnluckyPoint:
+            continue
+        return len(echelon)
+    return None
+
+
+def random_rf(rng: random.Random):
+    num = random_zpoly(rng, 2)
+    if rng.random() < 0.3:
+        num = num * QQ(rng.randint(1, 5), M61)
+    den = random_zpoly(rng, 1) if rng.random() < 0.3 else RING.one()
+    return RationalFunction.normalize(num, den if not den.is_zero() else RING.one())
+
+
+def test_echelon_rank_matches_exact_rank():
+    rng = random.Random(31337)
+    unlucky = 0
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 4)
+        rk = rng.randint(0, min(nrows, ncols))
+        base = [[random_rf(rng) for _ in range(ncols)] for _ in range(rk)]
+        rows = []
+        for _ in range(nrows):
+            row = [rf(0)] * ncols
+            for b in base:
+                c = rf(random_zpoly(rng, 1))
+                row = [a + c * v for a, v in zip(row, b)]
+            rows.append(row)
+        try:
+            first = _linalg.ModEchelon(0, RING.nvars)
+            for row in rows:
+                first.add(row)
+        except _linalg._UnluckyPoint:
+            unlucky += 1
+        assert echelon_rank(rows) == _linalg.rank(rows)
+    assert unlucky  # some matrices carry denominators divisible by 2^61 - 1
+
+
+def test_echelon_unlucky_and_vanishing_rows():
+    a1, a2 = _linalg._spec_point(0, RING.nvars)[:2]
+    z1, z2 = RING.z(1), RING.z(2)
+    # a coefficient denominator divisible by 2^61 - 1 is unlucky at every
+    # attempt with that prime, never at an attempt with the other one
+    scaled = [[rf(z1 * QQ(1, M61)), rf(z2)], [rf(z2), rf(z1 + 1)]]
+    for attempt in range(_linalg._ATTEMPTS):
+        echelon = _linalg.ModEchelon(attempt, RING.nvars)
+        if echelon.prime == M61:
+            with pytest.raises(_linalg._UnluckyPoint):
+                echelon.add(scaled[0])
+        else:
+            assert echelon.add(scaled[0]) and echelon.add(scaled[1])
+    assert echelon_rank(scaled) == _linalg.rank(scaled) == 2
+    # a row vanishing at the first point does not count there: the
+    # specialised rank is only a lower bound
+    vanishing = [[rf((z1 - a1) * z2), rf((z1 - a1) * (z2 + 3))], [rf(z1), rf(z1)]]
+    first = _linalg.ModEchelon(0, RING.nvars)
+    assert not first.add(vanishing[0]) and first.add(vanishing[1]) and len(first) == 1
+    second = _linalg.ModEchelon(1, RING.nvars)
+    assert second.add(vanishing[0]) and second.add(vanishing[1]) and len(second) == 2
+    assert _linalg.rank(vanishing) == 2
+    # a pole at the first point makes it unlucky
+    pole = [[rf(z2) / rf(z1 - a1), rf(RING.one())], [rf(z1), rf(z2)]]
+    with pytest.raises(_linalg._UnluckyPoint):
+        _linalg.ModEchelon(0, RING.nvars).add(pole[0])
+    assert echelon_rank(pole) == _linalg.rank(pole) == 2
