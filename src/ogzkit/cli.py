@@ -291,9 +291,14 @@ def load_jobspec(path: str) -> Tuple[EvalPoint, int, int]:
         where = "/".join(str(p) for p in e.absolute_path) or "(root)"
         raise JobSpecError(f"job spec invalid at {where}: {e.message}") from None
     shape = tuple(data["lambda"])
-    values = {}
+    values, keys = {}, {}
     for key, entry in data["point"].items():
         i, j = (int(t) for t in key.split(","))
+        if (i, j) in keys:
+            raise JobSpecError(
+                f"job spec keys {keys[(i, j)]!r} and {key!r} both name cell ({i}, {j})"
+            )
+        keys[(i, j)] = key
         try:
             off = QQ(entry["offset"]) if isinstance(entry["offset"], str) else QQ(entry["offset"])
         except (ValueError, ZeroDivisionError) as e:
@@ -579,6 +584,12 @@ def _parse_state_arg(text: str) -> tuple:
         raise ParseError(f"bad state {text!r}: comma-separated integers expected") from None
 
 
+# A found walk has about 2 * m * (2 * v + 2 * m) states of m coordinates for
+# endpoints of m coordinates bounded by v in absolute value: at the caps
+# about 65 000 states, some 12 MB.
+MAX_WALK_COORDS = 16
+MAX_WALK_VALUE = 1000
+
 _WALK_TRAILER = re.compile(r"steps \d+ all_ok (?:yes|no)|\(empty walk\)")
 
 
@@ -604,6 +615,12 @@ def _cmd_walk(args) -> str:
         return "\n".join(lines)
     start = _parse_state_arg(args.start)
     target = _parse_state_arg(args.target)
+    for state in (start, target):
+        if len(state) > MAX_WALK_COORDS or any(abs(v) > MAX_WALK_VALUE for v in state):
+            raise ParseError(
+                f"walk endpoint with {len(state)} coordinates up to {max(map(abs, state))} "
+                f"exceeds the cap ({MAX_WALK_COORDS} coordinates, |value| <= {MAX_WALK_VALUE})"
+            )
     try:
         walk = latwalk.find_path(start, target)
     except ValueError as e:

@@ -28,7 +28,7 @@ from ._gcd import clear_den
 from ._ratio import QQ
 from .combinat import RowPermutation, canonical_word, check_shape, word_to_perm
 from .errors import InvalidComposition, InvalidPair
-from .exactalg import Polynomial, RationalFunction, Ring
+from .exactalg import Polynomial, RationalFunction, Ring, merge_terms
 from .skewops import AffineSymmetry, SkewOperator
 
 
@@ -82,38 +82,66 @@ def partial_for_perm(ring: Ring, perm: RowPermutation) -> SkewOperator:
 
 
 def partial_apply_rf(ring: Ring, a, b, g: RationalFunction) -> RationalFunction:
-    """Divided difference of a rational function: (g - g^t)/(x_a - x_b)."""
+    """Divided difference (g - g^t)/(x_a - x_b) of a quotient g = n/d, in
+    closed form: diff(n/d) = diff(n*d^t)/(d*d^t), with diff of a polynomial
+    taken monomial by monomial (:func:`_ddiff_int`).
+
+    When d^t = d this is diff(n)/d.  Otherwise c = gcd(d, d^t) comes out
+    first when c^t = c: with e = d/c, diff(n/d) = diff(n*e^t)/(c*e*e^t), and
+    gcd(e, e^t) = 1 makes the numerator coprime to e*e^t, so only a gcd with
+    c is left to take.  When c^t = -c (an odd power of x_a - x_b in c) the
+    quotient diff(n*d^t)/(d*d^t) is reduced by one normalize."""
     a, b = _pair_cells(ring, a, b)
     swap = {a: b, b: a}
-    diff = g - g.permute_cells(swap)
-    return diff / RationalFunction.from_poly(ring.x(*a) - ring.x(*b))
+    slots = ring.index[("x",) + a], ring.index[("x",) + b]
+    g = RationalFunction.from_any(ring, g)
+    n, d = g.num, g.den
+    dt = d.permute_cells(swap)
+    if dt == d:
+        return RationalFunction.normalize(_ddiff(n, *slots), d)
+    c = d.gcd(dt)
+    if c.permute_cells(swap) != c:
+        return RationalFunction.normalize(_ddiff(n * dt, *slots), d * dt)
+    e = d if c.is_one() else d.divide_exact(c)
+    et = e.permute_cells(swap)
+    return RationalFunction._over_coprime(_ddiff(n * et, *slots), c, e * et)
+
+
+def _ddiff_int(terms: dict, sa: int, sb: int) -> dict:
+    """(f - f^t)/(x_a - x_b) on an integer dict, with a, b in slots sa, sb:
+    (x_a^p x_b^q - x_a^q x_b^p)/(x_a - x_b) is x_a^q x_b^q times the sum of
+    the p-q monomials of degree p-q-1 in x_a, x_b (p > q), and antisymmetric
+    in p, q."""
+    acc: dict = {}
+    get = acc.get
+    for m, c in terms.items():
+        ea, eb = m[sa], m[sb]
+        if ea == eb:
+            continue
+        low, n = min(ea, eb), abs(ea - eb)
+        if ea < eb:
+            c = -c
+        mm = list(m)
+        for t in range(n):
+            mm[sa], mm[sb] = low + t, low + n - 1 - t
+            key = tuple(mm)
+            acc[key] = get(key, 0) + c
+    return {m: c for m, c in acc.items() if c}
+
+
+def _ddiff(f: Polynomial, sa: int, sb: int) -> Polynomial:
+    terms, lcm = clear_den(f.terms)
+    return Polynomial._wrap(f.ring, {m: QQ(c, lcm) for m, c in _ddiff_int(terms, sa, sb).items()})
 
 
 def apply_word(ring: Ring, word: Iterable, f: Polynomial) -> Polynomial:
     """Apply a word of adjacent divided differences to a polynomial, rightmost
-    letter first, monomial by monomial in closed form:
-    (x_a^p x_b^q - x_a^q x_b^p)/(x_a - x_b) is x_a^q x_b^q times the sum of
-    the p-q monomials of degree p-q-1 in x_a, x_b (p > q), and antisymmetric
-    in p, q."""
+    letter first, monomial by monomial in closed form (:func:`_ddiff_int`)
+    on integers over one denominator."""
     terms, lcm = clear_den(f.terms)
     for i, p in reversed(list(word)):
         a, b = _pair_cells(ring, (i, p), (i, p + 1))
-        sa, sb = ring.index[("x",) + a], ring.index[("x",) + b]
-        acc: dict = {}
-        get = acc.get
-        for m, c in terms.items():
-            ea, eb = m[sa], m[sb]
-            if ea == eb:
-                continue
-            low, n = min(ea, eb), abs(ea - eb)
-            if ea < eb:
-                c = -c
-            mm = list(m)
-            for t in range(n):
-                mm[sa], mm[sb] = low + t, low + n - 1 - t
-                key = tuple(mm)
-                acc[key] = get(key, 0) + c
-        terms = {m: c for m, c in acc.items() if c}
+        terms = _ddiff_int(terms, ring.index[("x",) + a], ring.index[("x",) + b])
     return Polynomial._wrap(ring, {m: QQ(c, lcm) for m, c in terms.items()})
 
 
@@ -228,15 +256,7 @@ class NilHecke:
         return out
 
     def __add__(self, other: "NilHecke") -> "NilHecke":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return NilHecke(self.ring, out)
+        return NilHecke(self.ring, merge_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "NilHecke":
         return NilHecke(self.ring, {w: -c for w, c in self.terms.items()})
@@ -271,26 +291,13 @@ class NilHecke:
         dg = partial_apply_rf(self.ring, a, b, g)
         out: dict = {}
         if not dg.is_zero():
-            for w, c in self._word_times_fun(head, dg).items():
-                s = out.get(w)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = s
+            merge_terms(out, self._word_times_fun(head, dg).items())
         gs = g.permute_cells({a: b, b: a})
         if not gs.is_zero():
             sperm = RowPermutation.simple(self.ring.shape, i, p)
-            for w, c in self._word_times_fun(head, gs).items():
-                ws = w * sperm
-                if ws.length() != w.length() + 1:
-                    continue
-                s = out.get(ws)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(ws, None)
-                else:
-                    out[ws] = s
+            expanded = self._word_times_fun(head, gs).items()
+            merge_terms(out, ((ws, c) for w, c in expanded
+                              if (ws := w * sperm).length() == w.length() + 1))
         return out
 
     def mul_right_fun(self, g) -> "NilHecke":
@@ -310,19 +317,9 @@ class NilHecke:
     def mul(self, other: "NilHecke") -> "NilHecke":
         out = NilHecke.zero(self.ring)
         for u, g in other.terms.items():
-            part = self.mul_right_fun(g)
-            merged: dict = {}
             ulen = u.length()
-            for v, c in part.terms.items():
-                vu = v * u
-                if vu.length() != v.length() + ulen:
-                    continue
-                s = merged.get(vu)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    merged.pop(vu, None)
-                else:
-                    merged[vu] = s
+            merged = merge_terms({}, ((vu, c) for v, c in self.mul_right_fun(g).terms.items()
+                                      if (vu := v * u).length() == v.length() + ulen))
             out = out + NilHecke(self.ring, merged)
         return out
 

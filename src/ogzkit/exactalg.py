@@ -310,6 +310,11 @@ class Polynomial:
             images = PointMap(self.ring, images)
         return images(self)
 
+    def gcd(self, other: "Polynomial") -> "Polynomial":
+        """Integer-primitive gcd with a positive leading coefficient."""
+        self._check(other)
+        return Polynomial._wrap(self.ring, gcd_qq(self.terms, other.terms, self.ring.nvars))
+
     def divide_exact(self, other: "Polynomial") -> "Polynomial":
         """Exact quotient; raises ArithmeticError when division leaves a
         remainder (internal misuse, not user error)."""
@@ -465,17 +470,33 @@ class RationalFunction:
             raise DivisionByZero("zero denominator")
         if num.is_zero():
             return RationalFunction(ring.zero(), ring.one())
-        g = gcd_qq(num.terms, den.terms, ring.nvars)
-        if not (len(g) == 1 and g.get((0,) * ring.nvars) == 1):
-            gp = Polynomial._wrap(ring, g)
-            num = num.divide_exact(gp)
-            den = den.divide_exact(gp)
+        g = num.gcd(den)
+        if not g.is_one():
+            num = num.divide_exact(g)
+            den = den.divide_exact(g)
+        return RationalFunction._monic(num, den)
+
+    @staticmethod
+    def _monic(num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """num/den with the unit moved so that den is monic (no gcd)."""
         _, lc = K.p_lead(den.terms)
         if lc != 1:
             inv = QQ(1) / lc
-            num = Polynomial._wrap(ring, K.p_mul_scalar(num.terms, inv))
-            den = Polynomial._wrap(ring, K.p_mul_scalar(den.terms, inv))
+            num = Polynomial._wrap(num.ring, K.p_mul_scalar(num.terms, inv))
+            den = Polynomial._wrap(den.ring, K.p_mul_scalar(den.terms, inv))
         return RationalFunction(num, den)
+
+    @staticmethod
+    def _over_coprime(num: Polynomial, part: Polynomial, rest: Polynomial) -> "RationalFunction":
+        """Canonical num/(part*rest) for a num coprime to rest: the only gcd
+        taken is the one with part."""
+        if num.is_zero():
+            return RationalFunction(num, num.ring.one())
+        if not part.is_constant():
+            t = num.gcd(part)
+            if not t.is_constant():
+                num, part = num.divide_exact(t), part.divide_exact(t)
+        return RationalFunction._monic(num, rest if part.is_one() else part * rest)
 
     @staticmethod
     def from_poly(p: Polynomial) -> "RationalFunction":
@@ -510,14 +531,32 @@ class RationalFunction:
         return self.den.is_one() and self.num.is_constant()
 
     def __add__(self, other):
+        """Sum of reduced quotients by Henrici's rule (Knuth, TAOCP 2,
+        4.5.1), which takes no gcd of the product of the denominators.
+
+        With g = gcd(d1, d2) and e_i = d_i/g, n1/d1 + n2/d2 is
+        (n1*e2 + n2*e1)/(g*e1*e2).  A prime dividing e1 divides n2*e1 but
+        neither n1 (n1/d1 is reduced) nor e2 (gcd(e1, e2) = 1), so it does
+        not divide the numerator; the same holds for e2.  Hence only a gcd
+        with g is left to take, none at all when g = 1, and a denominator 1
+        on either side needs none either.  A product of monic polynomials
+        is monic, so the result is canonical."""
         try:
             other = RationalFunction.from_any(self.ring, other)
         except TypeError:
             return NotImplemented
-        if self.den == other.den:
-            return RationalFunction.normalize(self.num + other.num, self.den)
-        num = self.num * other.den + other.num * self.den
-        return RationalFunction.normalize(num, self.den * other.den)
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if d1 == d2:
+            return RationalFunction.normalize(n1 + n2, d1)
+        if d1.is_one():
+            return RationalFunction(n1 * d2 + n2, d2)
+        if d2.is_one():
+            return RationalFunction(n1 + n2 * d1, d1)
+        g = d1.gcd(d2)
+        if g.is_one():
+            return RationalFunction(n1 * d2 + n2 * d1, d1 * d2)
+        e1, e2 = d1.divide_exact(g), d2.divide_exact(g)
+        return RationalFunction._over_coprime(n1 * e2 + n2 * e1, g, e1 * e2)
 
     __radd__ = __add__
 
@@ -587,16 +626,10 @@ class RationalFunction:
         return RationalFunction(self.num.shift_cells(offsets), self.den.shift_cells(offsets))
 
     def permute_cells(self, mapping: Mapping) -> "RationalFunction":
-        num = self.num.permute_cells(mapping)
-        den = self.den.permute_cells(mapping)
         # permutation can break denominator monicity (it permutes the
         # graded-lex order), so renormalize the unit
-        _, lc = K.p_lead(den.terms)
-        if lc != 1:
-            inv = QQ(1) / lc
-            num = Polynomial._wrap(num.ring, K.p_mul_scalar(num.terms, inv))
-            den = Polynomial._wrap(den.ring, K.p_mul_scalar(den.terms, inv))
-        return RationalFunction(num, den)
+        num, den = self.num.permute_cells(mapping), self.den.permute_cells(mapping)
+        return RationalFunction._monic(num, den)
 
     def __str__(self):
         if self.den.is_one():
@@ -605,6 +638,19 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({self})"
+
+
+def merge_terms(acc: dict, pairs) -> dict:
+    """Add each (key, value) of ``pairs`` into ``acc``, dropping a key whose
+    sum is zero; returns ``acc``."""
+    for k, c in pairs:
+        prev = acc.get(k)
+        s = c if prev is None else prev + c
+        if s.is_zero():
+            acc.pop(k, None)
+        else:
+            acc[k] = s
+    return acc
 
 
 def is_scalar(rf: RationalFunction) -> bool:

@@ -61,6 +61,7 @@ from .exactalg import (
     Ring,
     elementary_symmetric,
     is_scalar,
+    merge_terms,
 )
 from .skewops import AffineSymmetry, Generators, SkewOperator, invariant_family
 
@@ -647,22 +648,14 @@ class ModuleWindow:
                 raise HypothesisViolation(
                     f"stable sort failed to canonicalize {xi_new} (got {tgt_key}, want {canon_check})"
                 )
-            allowed = {wp.rows: wp for wp in tgt.coset_reps}
-            for y, c in moved.terms.items():
-                if y.rows not in allowed:
-                    # y is not a minimal coset representative: the functional
-                    # ev ∘ diff_y ∘ xi vanishes on invariants (vanishing rule)
-                    continue
-                val = eval_rf_at(ring, c, self.point, err=HypothesisViolation)
-                if val.is_zero():
-                    continue
-                bidx = self.index_of(tgt_idx, y)
-                prev = result.get(bidx)
-                s = val if prev is None else prev + val
-                if s.is_zero():
-                    result.pop(bidx, None)
-                else:
-                    result[bidx] = s
+            # a y that is not a minimal coset representative gives a
+            # functional ev ∘ diff_y ∘ xi vanishing on invariants (vanishing rule)
+            allowed = {wp.rows for wp in tgt.coset_reps}
+            merge_terms(result, (
+                (self.index_of(tgt_idx, y), eval_rf_at(ring, c, self.point, err=HypothesisViolation))
+                for y, c in moved.terms.items()
+                if y.rows in allowed
+            ))
         self._act_structural_cache[key] = result
         return result
 
@@ -1041,15 +1034,9 @@ def simplicity_probe(window: ModuleWindow, max_visited: int = 4000) -> ProbeRepo
         while heap and len(seen) < max_visited and not reached:
             _, _, cur_orbit, vec, depth = heapq.heappop(heap)
             for g in gensarr:
-                img: Dict[int, RationalFunction] = {}
-                for b, c in vec.items():
-                    for t, val in window.act(g, b).items():
-                        s = img.get(t)
-                        s = c * val if s is None else s + c * val
-                        if s.is_zero():
-                            img.pop(t, None)
-                        else:
-                            img[t] = s
+                img: Dict[int, RationalFunction] = merge_terms({}, (
+                    (t, c * val) for b, c in vec.items() for t, val in window.act(g, b).items()
+                ))
                 if target_idx in img:
                     reached = True
                     steps_used = depth + 1

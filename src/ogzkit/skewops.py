@@ -27,6 +27,7 @@ from .exactalg import (
     Ring,
     elementary_symmetric,
     is_row_symmetric,
+    merge_terms,
 )
 
 Value = Union[Polynomial, RationalFunction, int]
@@ -173,15 +174,7 @@ class SkewOperator:
     def __add__(self, other: "SkewOperator") -> "SkewOperator":
         if self.ring is not other.ring:
             raise ValueError("ring mismatch")
-        out = dict(self.terms)
-        for sym, c in other.terms.items():
-            s = out.get(sym)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(sym, None)
-            else:
-                out[sym] = s
-        return SkewOperator(self.ring, out)
+        return SkewOperator(self.ring, merge_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "SkewOperator":
         return SkewOperator(self.ring, {sym: -c for sym, c in self.terms.items()})
@@ -201,18 +194,12 @@ class SkewOperator:
         """Operator composition (self applied after other)."""
         if self.ring is not other.ring:
             raise ValueError("ring mismatch")
-        out: dict = {}
-        for pi, f in self.terms.items():
-            for rho, g in other.terms.items():
-                sym = pi.compose(rho)
-                c = f * pi.act(g)
-                s = out.get(sym)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(sym, None)
-                else:
-                    out[sym] = s
-        return SkewOperator(self.ring, out)
+        products = (
+            (pi.compose(rho), f * pi.act(g))
+            for pi, f in self.terms.items()
+            for rho, g in other.terms.items()
+        )
+        return SkewOperator(self.ring, merge_terms({}, products))
 
     def apply(self, f: Value) -> RationalFunction:
         out = RationalFunction.from_any(self.ring, 0)

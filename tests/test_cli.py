@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ogzkit import QQ, Ring
-from ogzkit.cli import main, parse_expr, parse_op
+from ogzkit.cli import MAX_WALK_COORDS, MAX_WALK_VALUE, main, parse_expr, parse_op
 
 SPEC_R2 = {
     "lambda": [2, 1],
@@ -242,6 +242,18 @@ def test_jobspec_cell_outside_shape_is_named(capsys, tmp_path, cell):
     assert e["message"] == f"cell ({cell.replace(',', ', ')}) is not a cell of the shape (2, 1)"
 
 
+def test_jobspec_duplicate_cell_keys_are_named(capsys, tmp_path):
+    # "01,1" and "1,1" both name cell (1, 1); neither may silently win
+    spec = json.loads(json.dumps(SPEC_R2))
+    spec["point"]["01,1"] = {"tag": 1, "offset": 5}
+    rc, out, err = run(capsys, "basis", "--spec", write_spec(tmp_path, spec))
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    e = error_payload(err)
+    assert e["type"] == "JobSpecError"
+    assert e["message"] == "job spec keys '1,1' and '01,1' both name cell (1, 1)"
+
+
 # ---------------------------------------------------------------------------
 # windowed commands
 
@@ -354,6 +366,21 @@ def test_walk_find(capsys):
     assert lines[0] == "(0,0,0,0) -1-> (1,0,0,0)"
     assert lines[-1].startswith("steps ")
     assert "all_ok yes" in lines[-1]
+
+
+@pytest.mark.parametrize(
+    "start, target",
+    [
+        ("0,0", f"0,{MAX_WALK_VALUE + 1}"),
+        (f"-{MAX_WALK_VALUE + 1},0", "0,0"),
+        (",".join(["0"] * (MAX_WALK_COORDS + 1)), ",".join(["1"] * (MAX_WALK_COORDS + 1))),
+    ],
+)
+def test_walk_endpoint_over_the_cap_exits_2(capsys, start, target):
+    rc, out, err = run(capsys, "walk", f"--start={start}", f"--target={target}")
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert "exceeds the cap" in error_payload(err)["message"]
 
 
 def test_walk_validate_file(capsys, tmp_path):

@@ -24,6 +24,7 @@ from ogzkit import (
     invariant_family,
     leibniz_parts,
     partial,
+    partial_apply_rf,
     partial_for_perm,
     partial_simple,
     partial_word,
@@ -220,6 +221,52 @@ def test_leibniz_parts_agree():
         sym = AffineSymmetry.shift((3, 1), {(1, 1): rng.randint(-1, 1), (1, 2): rng.randint(-1, 1)})
         lhs, rhs = leibniz_parts(ring, (1, 1), (1, 2), f, sym)
         assert (lhs - rhs).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# divided difference of a quotient against (g - g^t)/(x_a - x_b)
+
+
+def reference_partial_rf(ring, a, b, g):
+    swap = {a: b, b: a}
+    return (g - g.permute_cells(swap)) / rf(ring.x(*a) - ring.x(*b))
+
+
+def test_partial_apply_rf_matches_reference():
+    rng = random.Random(80613)
+    ring = Ring((3, 1), 1)
+    x = {c: ring.x(*c) for c in ring.cells()}
+    z = ring.z(1)
+    x1, x2, x3, y = x[(1, 1)], x[(1, 2)], x[(1, 3)], x[(2, 1)]
+    dens = {
+        "polynomial": ring.one(),
+        "symmetric": (x1 + x2 + z) * (x1 * x2 - 1),
+        "symmetric, adjacent row": (x1 - y) * (x2 - y),
+        "asymmetric": (x1 - y) * (x2 + 2 * x3),
+        "asymmetric, only x_b": x2 - y + 1,
+        "shared symmetric factor": (x1 + x2) * (x1 - y) * (x1 - y),
+        "symmetric square times asymmetric": (x1 - y) * (x1 - y) * (x2 - y),
+        "with x_a - x_b": (x1 - x2) * (x1 - z),
+        "with (x_a - x_b)^2": (x1 - x2) * (x1 - x2) * (x3 + QQ(1, 2)),
+        "with x_a - x_b, rational": QQ(2, 3) * (x1 - x2) * (x1 + x2 - y),
+    }
+    for pair in (((1, 1), (1, 2)), ((1, 2), (1, 1)), ((1, 1), (1, 3))):
+        for name, d in dens.items():
+            for _ in range(6):
+                num = random_poly(ring, rng, 3) * QQ(rng.randint(1, 5), rng.randint(1, 4))
+                num = num + QQ(rng.randint(-3, 3), 2) * z
+                g = RationalFunction.normalize(num, d)
+                got = partial_apply_rf(ring, *pair, g)
+                want = reference_partial_rf(ring, *pair, g)
+                assert got == want, (pair, name, str(g))
+                assert str(got) == str(want)
+
+
+def test_partial_apply_rf_of_a_symmetric_quotient_is_zero():
+    ring = Ring((3, 1), 0)
+    x1, x2, y = ring.x(1, 1), ring.x(1, 2), ring.x(2, 1)
+    g = RationalFunction.normalize(x1 * x2 + y, (x1 - y) * (x2 - y))
+    assert partial_apply_rf(ring, (1, 1), (1, 2), g).is_zero()
 
 
 # ---------------------------------------------------------------------------

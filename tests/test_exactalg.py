@@ -274,3 +274,81 @@ def test_gcd_with_constant_is_integer_content_gcd(c, b):
     want = {zero: QQ(math.gcd(clear_den({zero: c})[0][zero], content))}
     assert gcd_qq({zero: c}, b, NV) == want
     assert gcd_qq(b, {zero: c}, NV) == want
+
+
+# ---------------------------------------------------------------------------
+# the rational-function sum against the product-gcd reference
+
+
+def reference_sum(f, g):
+    return RationalFunction.normalize(f.num * g.den + g.num * f.den, f.den * g.den)
+
+
+def linear_factors(ring, rng, count):
+    gens = [ring.x(*c) for c in ring.cells()] + [ring.z(t + 1) for t in range(ring.nparams)]
+    out = []
+    while len(out) < count:
+        a, b = rng.sample(gens, 2)
+        lin = a + QQ(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)) * b + rng.randint(-2, 2)
+        # pairwise non-proportional, so products of them are distinct
+        if all(not RationalFunction.normalize(lin, f).is_constant() for f in out):
+            out.append(lin)
+    return out
+
+
+def product(ring, factors):
+    out = ring.one()
+    for f in factors:
+        out = out * f
+    return out
+
+
+def assert_sum_and_difference(f, g):
+    for got, want in ((f + g, reference_sum(f, g)), (f - g, reference_sum(f, -g))):
+        assert got == want
+        assert str(got) == str(want)
+
+
+def test_sum_matches_product_gcd_reference():
+    rng = random.Random(140512)
+    ring = Ring((2, 1), 1)
+    pool = linear_factors(ring, rng, 6)
+    for case in range(120):
+        kind = case % 4
+        if kind == 0:  # equal denominators
+            d1 = d2 = product(ring, rng.choices(pool, k=rng.randint(1, 3)))
+        elif kind == 1:  # one side a polynomial
+            d1, d2 = ring.one(), product(ring, rng.choices(pool, k=rng.randint(1, 3)))
+        elif kind == 2:  # coprime denominators
+            left = rng.sample(range(len(pool)), 3)
+            right = [t for t in range(len(pool)) if t not in left]
+            d1 = product(ring, [pool[t] for t in rng.choices(left, k=rng.randint(1, 3))])
+            d2 = product(ring, [pool[t] for t in rng.choices(right, k=rng.randint(1, 3))])
+        else:  # shared linear factors, with multiplicities
+            shared = rng.choices(pool, k=rng.randint(1, 2))
+            d1 = product(ring, shared + rng.choices(pool, k=rng.randint(0, 2)))
+            d2 = product(ring, shared + rng.choices(pool, k=rng.randint(0, 2)))
+        f = RationalFunction.normalize(random_poly2(ring, rng, 3), d1)
+        g = RationalFunction.normalize(random_poly2(ring, rng, 3), d2)
+        if case % 2:
+            f, g = g, f
+        assert_sum_and_difference(f, g)
+        assert (f + (-f)).is_zero() and (f - f) == RationalFunction.from_any(ring, 0)
+        assert str(f - f) == "0"
+
+
+def test_sum_with_cancellation_against_the_common_factor():
+    # 1/(l1*l2) + 1/(l1*l3) with l2 + l3 = l1: the sum is 1/(l2*l3), so the
+    # numerator shares a factor with gcd(d1, d2) itself
+    ring = Ring((2, 1), 1)
+    l1 = ring.x(1, 1) - ring.x(2, 1)
+    l2 = ring.x(1, 2) + ring.z(1)
+    l3 = l1 - l2
+    f = RationalFunction.normalize(ring.one(), l1 * l2)
+    g = RationalFunction.normalize(ring.one(), l1 * l3)
+    assert f + g == RationalFunction.normalize(ring.one(), l2 * l3)
+    assert_sum_and_difference(f, g)
+    h = RationalFunction.normalize(QQ(3, 7) * l1 * l1, l2 * l2 * l3)
+    k = RationalFunction.normalize(QQ(-5, 2) * l2, l1 * l3 * l3)
+    assert_sum_and_difference(h, k)
+    assert_sum_and_difference(h, RationalFunction.from_any(ring, QQ(1, 3)))

@@ -1,5 +1,6 @@
 """Windowed module basis, two-route generator actions, block structure."""
 
+import hashlib
 import random
 
 import pytest
@@ -439,3 +440,34 @@ def test_triple_point_route_agreement(triple_window):
         s = w.act_structural(gen, b)
         assert set(a) == set(s)
         assert all((a[k] - s[k]).is_zero() for k in a)
+
+
+@pytest.fixture(scope="module")
+def triple_window_r2():
+    # radius 2 puts the (1,0,-1) orbit inside the window, so its ladder
+    # images run the longest divided-difference words of the structural route
+    v = EvalPoint.make(
+        (3, 1), {(1, 1): (1, 0), (1, 2): (1, 0), (1, 3): (1, 0), (2, 1): (2, 0)}
+    )
+    return ModuleWindow(v, 2)
+
+
+def test_triple_point_ladder_on_the_big_block(triple_window_r2):
+    # E1 and F1 on the 6 functionals of the (1,0,-1) block, through the
+    # structural route; the rendering is pinned by its sha256
+    w = triple_window_r2
+    big = find_orbit(w, (1, 0, -1))
+    assert w.orbits[big].interior
+    assert w.block_indices(big) == [45, 46, 47, 48, 49, 50]
+    lines = []
+    for gen in (("raising", 1), ("lowering", 1)):
+        for b in w.block_indices(big):
+            vec = w.act_structural(gen, b)
+            lines.append(f"{gen[0]} {b} -> " + " ".join(f"{k}:({vec[k]})" for k in sorted(vec)))
+    assert lines[0] == (
+        "raising 45 -> 51:(1/2*z[1]-1/2*z[2]-1/2) 57:(-z[1]+z[2]) 82:(1/2*z[1]-1/2*z[2]+1/2)"
+    )
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2433c8d8965d760c6f923b1c3cfc5b5559d990daa54004454676c13d1182e995"
+    )
