@@ -18,8 +18,3 @@ else:
 
 QQ0 = QQ(0)
 QQ1 = QQ(1)
-
-
-def qq_str(c) -> str:
-    """Canonical ``p`` / ``p/q`` rendering (both backends agree already)."""
-    return str(c)

@@ -38,6 +38,32 @@ from .gzmod import (
 from .skewops import Generators, SkewOperator, commutator, invariant_family
 
 # ---------------------------------------------------------------------------
+# resource caps: inputs above them are refused (exit 2) before any
+# computation.  Costs are single-threaded on a 2-vCPU VM, pure kernel.
+
+# A found walk has about 2 * m * (2 * v + 2 * m) states of m coordinates for
+# endpoints of m coordinates bounded by v in absolute value: at the caps
+# about 65 000 states, some 12 MB.
+MAX_WALK_COORDS = 16
+MAX_WALK_VALUE = 1000
+
+# ddiff-compare applies both forms to every invariant-family member up to
+# the degree: at the cap 233 members on row 1 of (3,2) in 2.4 s and 603 on
+# row 2 of (1,2,3) in 20 s (degree 10 on (3,2): 489 members, 13 s).
+MAX_DDIFF_DEGREE = 8
+
+# The largest power of one atom that the exponents of an expression may ask
+# for.  Functions: (x[1,1]+x[1,2]+x[2,1]+1)^24 takes 3.6 s and 1 MB (^32:
+# 20 s).  Operators, where E1^n composes n times: E1^4 takes 0.16 s on
+# (2,1) and 11 s on (3,2) (E1^8 on (2,1): 1.6 s).
+MAX_FUNCTION_EXPONENT = 24
+MAX_OPERATOR_EXPONENT = 4
+
+# Longer tokens (an integer literal of thousands of digits) are refused;
+# Python's int() refuses more than 4300 digits with a ValueError.
+MAX_TOKEN_CHARS = 1000
+
+# ---------------------------------------------------------------------------
 # expression parsing
 
 
@@ -64,9 +90,43 @@ def _tokenize(text: str) -> list:
         pos = m.end()
         kind = m.lastgroup
         if kind != "ws":
+            if len(m.group()) > MAX_TOKEN_CHARS:
+                raise ParseError(
+                    f"a token of {len(m.group())} characters is above the cap of {MAX_TOKEN_CHARS}"
+                )
             out.append((kind, m.group()))
     out.append(("end", ""))
     return out
+
+
+def _check_exponents(tokens: list):
+    """Refuse, before any computation, exponents that raise an atom past
+    its cap.  An atom's power is the product of the exponents whose base
+    contains it, so nested and chained powers multiply."""
+    power = [1] * len(tokens)
+    for k, tok in enumerate(tokens):
+        if tok != ("sym", "^") or tokens[k + 1][0] != "int":
+            continue
+        n = int(tokens[k + 1][1])
+        if n < 2:
+            continue
+        j = k - 1
+        while j >= 2 and tokens[j][0] == "int" and tokens[j - 1] == ("sym", "^"):
+            j -= 2  # a chained power: its base is the previous one's
+        if j >= 0 and tokens[j] == ("sym", ")"):
+            depth = 0
+            for j in range(j, -1, -1):
+                depth += {("sym", ")"): 1, ("sym", "("): -1}.get(tokens[j], 0)
+                if depth == 0:
+                    break
+        for t in range(max(j, 0), k):
+            kind, val = tokens[t]
+            if kind == "sym" or (kind == "int" and tokens[t - 1] == ("sym", "^")):
+                continue  # not an atom
+            power[t] *= n
+            cap = MAX_OPERATOR_EXPONENT if kind in ("shift", "opname") else MAX_FUNCTION_EXPONENT
+            if power[t] > cap:
+                raise ParseError(f"{val} is raised to the power {power[t]}, above the cap of {cap}")
 
 
 class _Parser:
@@ -76,6 +136,7 @@ class _Parser:
     def __init__(self, ring: Ring, text: str, allow_ops: bool):
         self.ring = ring
         self.tokens = _tokenize(text)
+        _check_exponents(self.tokens)
         self.pos = 0
         self.allow_ops = allow_ops
         self.gens = Generators(ring) if allow_ops else None
@@ -138,7 +199,10 @@ class _Parser:
         return ("o", out)
 
     def parse(self):
-        v = self.expr()
+        try:
+            v = self.expr()
+        except RecursionError:
+            raise ParseError("expression nested too deeply") from None
         kind, val = self.take()
         if kind != "end":
             raise ParseError(f"unexpected trailing {val!r}")
@@ -401,6 +465,8 @@ def _cmd_check_relations(args) -> str:
 
 
 def _cmd_ddiff_compare(args) -> str:
+    if args.degree > MAX_DDIFF_DEGREE:
+        raise ParseError(f"--degree {args.degree} is above the cap of {MAX_DDIFF_DEGREE}")
     shape = _parse_shape(args.shape)
     ring = Ring(shape, 0)
     try:
@@ -584,12 +650,6 @@ def _parse_state_arg(text: str) -> tuple:
         raise ParseError(f"bad state {text!r}: comma-separated integers expected") from None
 
 
-# A found walk has about 2 * m * (2 * v + 2 * m) states of m coordinates for
-# endpoints of m coordinates bounded by v in absolute value: at the caps
-# about 65 000 states, some 12 MB.
-MAX_WALK_COORDS = 16
-MAX_WALK_VALUE = 1000
-
 _WALK_TRAILER = re.compile(r"steps \d+ all_ok (?:yes|no)|\(empty walk\)")
 
 
@@ -626,7 +686,8 @@ def _cmd_walk(args) -> str:
     except ValueError as e:
         raise ParseError(str(e)) from None
     rep = latwalk.validate_walk(walk)
-    out = latwalk.render_walk(walk) if len(walk) > 1 else "(empty walk)"
+    labels = [a.label for a in rep.arrows]
+    out = latwalk.render_walk(walk, labels) if len(walk) > 1 else "(empty walk)"
     return out + f"\nsteps {len(walk) - 1} all_ok {'yes' if rep.all_ok else 'no'}"
 
 

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Union
 
 from . import _kernel as K
 from ._gcd import clear_den, gcd_qq
-from ._ratio import QQ, qq_str
+from ._ratio import QQ
 from .errors import DivisionByZero, SingularSubstitution
 
 VarId = tuple
@@ -366,7 +366,7 @@ def render_poly(p: Polynomial) -> str:
         mag = -c if neg else c
         factors = []
         if mag != 1 or not any(m):
-            factors.append(qq_str(mag))
+            factors.append(str(mag))
         for slot, e in enumerate(m):
             if e:
                 name = _var_name(ring.vars[slot])

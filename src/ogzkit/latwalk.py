@@ -42,8 +42,12 @@ def _check_state(state) -> tuple:
 
 def state_partition(state) -> tuple:
     """Coordinate indices grouped by equal value, blocks sorted by minimum."""
+    return _partition(_check_state(state))
+
+
+def _partition(state: tuple) -> tuple:
     groups: dict = {}
-    for idx, v in enumerate(_check_state(state)):
+    for idx, v in enumerate(state):
         groups.setdefault(v, []).append(idx)
     return tuple(sorted(tuple(g) for g in groups.values()))
 
@@ -56,8 +60,11 @@ def partition_refines(p: tuple, q: tuple) -> bool:
 
 def classify_move(src, dst) -> str:
     """Kind of the move src -> dst; raises :class:`InvalidMove` otherwise."""
-    src = _check_state(src)
-    dst = _check_state(dst)
+    return _classify(_check_state(src), _check_state(dst))
+
+
+def _classify(src: tuple, dst: tuple) -> str:
+    """:func:`classify_move` on states already checked."""
     if len(src) != len(dst):
         raise InvalidMove(
             f"states have different lengths ({len(src)} vs {len(dst)})"
@@ -69,8 +76,8 @@ def classify_move(src, dst) -> str:
         raise InvalidMove(
             "a move changes exactly one coordinate by exactly 1"
         )
-    p_src = state_partition(src)
-    p_dst = state_partition(dst)
+    p_src = _partition(src)
+    p_dst = _partition(dst)
     if partition_refines(p_dst, p_src):
         return REDUCTION_SPLIT
     if partition_refines(p_src, p_dst):
@@ -148,12 +155,17 @@ class ArrowCheck:
     ok: bool
     note: str
 
+    @property
+    def label(self) -> int:
+        """The given label, else the kind's, else 0 for an arrow that is no
+        move (as :func:`render_walk` labels it)."""
+        if self.given_label is not None:
+            return self.given_label
+        return move_label(self.kind) if self.kind else 0
+
     def render(self) -> str:
-        lbl = self.given_label if self.given_label is not None else (
-            move_label(self.kind) if self.kind else 0
-        )
         verdict = "ok" if self.ok else f"FLAG({self.note})"
-        return f"{_state_str(self.source)} -{lbl}-> {_state_str(self.dest)}  {verdict}"
+        return f"{_state_str(self.source)} -{self.label}-> {_state_str(self.dest)}  {verdict}"
 
 
 @dataclass(frozen=True)
@@ -199,7 +211,7 @@ def validate_walk(states: Sequence, labels: Optional[Sequence] = None) -> WalkRe
             )
             continue
         try:
-            kind = classify_move(src, dst)
+            kind = _classify(src, dst)
         except InvalidMove as e:
             arrows.append(ArrowCheck(idx, src, dst, given, None, False, str(e)))
             continue

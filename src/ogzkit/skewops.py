@@ -16,9 +16,13 @@ shifts, and multiplication by row elementary symmetric polynomials.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Union
 
+from . import _kernel as K
+from ._gcd import clear_den, divexact_int
+from ._ratio import QQ
 from .combinat import RowPermutation, check_shape
 from .errors import NotInvariantInput
 from .exactalg import (
@@ -138,10 +142,11 @@ class AffineSymmetry:
 class SkewOperator:
     """Normal-form sum of (rational coefficient) x (affine symmetry) terms."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_common")
 
     def __init__(self, ring: Ring, terms: Mapping):
         self.ring = ring
+        self._common = None
         clean = {}
         for sym, coeff in terms.items():
             coeff = RationalFunction.from_any(ring, coeff)
@@ -201,11 +206,69 @@ class SkewOperator:
         )
         return SkewOperator(self.ring, merge_terms({}, products))
 
+    def _over_common_denominator(self) -> tuple:
+        """(D, D_int, M, [(sym, C_t)]) for the coefficients c_t = n_t/d_t:
+        D is the lcm of the d_t with primitive integer coefficients (D_int
+        as an integer dict), and C_t = M * n_t * D/d_t are the numerators'
+        integer cofactors over one integer M.  Computed on the first call."""
+        if self._common is None:
+            ring = self.ring
+            den = ring.one()
+            for c in self.terms.values():
+                if not c.den.is_one():
+                    den = c.den if den.is_one() else den * c.den.divide_exact(den.gcd(c.den))
+            den_int, _ = clear_den(den.terms)
+            content = math.gcd(*den_int.values())
+            den_int = {mono: v // content for mono, v in den_int.items()}
+            den = Polynomial._wrap(ring, {mono: QQ(v) for mono, v in den_int.items()})
+            cofs = [
+                (sym, clear_den((c.num * den.divide_exact(c.den)).terms))
+                for sym, c in self.terms.items()
+            ]
+            scale = math.lcm(*(l for _, (_, l) in cofs))
+            parts = [(sym, K.p_mul_scalar(t, scale // l)) for sym, (t, l) in cofs]
+            self._common = (den, den_int, scale, parts)
+        return self._common
+
     def apply(self, f: Value) -> RationalFunction:
-        out = RationalFunction.from_any(self.ring, 0)
-        for sym, c in self.terms.items():
-            out = out + c * sym.act(RationalFunction.from_any(self.ring, f))
-        return out
+        """The image sum_t c_t * sym_t(f).
+
+        A polynomial f (or a quotient with denominator 1) is summed over
+        the common denominator D of the coefficients, with integer
+        coefficients throughout: N = sum_t n_t * (D/d_t) * sym_t(f) takes
+        no gcd.  When D divides N, the image is the quotient over 1, which
+        is reduced with a monic denominator and so canonical.  That is
+        exactly the case of a polynomial image, such as a generator's image
+        of an invariant; D is primitive, so by Gauss's lemma the quotient
+        of the integer numerator has integer coefficients and the exact
+        integer division finds it.  Otherwise (a non-invariant argument of
+        a ladder operator, say) N/D takes one ``normalize``.  An f with a
+        non-trivial denominator is summed term by term."""
+        ring = self.ring
+        f = RationalFunction.from_any(ring, f)
+        if not f.is_polynomial():
+            out = RationalFunction.from_any(ring, 0)
+            for sym, c in self.terms.items():
+                out = out + c * sym.act(f)
+            return out
+        den, den_int, scale, parts = self._over_common_denominator()
+        images = [(c, clear_den(sym.act_poly(f.num).terms)) for sym, c in parts]
+        lcm = math.lcm(*(l for _, (_, l) in images))
+        acc: dict = {}
+        get = acc.get
+        for c, (g, l) in images:
+            s = lcm // l
+            for mono, v in K.p_mul(c, g).items():
+                acc[mono] = get(mono, 0) + s * v
+        scale *= lcm
+        num = {mono: v for mono, v in acc.items() if v}
+        q = num if den.is_one() else divexact_int(num, den_int)
+        if q is not None:
+            return RationalFunction.from_poly(
+                Polynomial._wrap(ring, {mono: QQ(v, scale) for mono, v in q.items()})
+            )
+        num = Polynomial._wrap(ring, {mono: QQ(v, scale) for mono, v in num.items()})
+        return RationalFunction.normalize(num, den)
 
     def __eq__(self, other):
         if not isinstance(other, SkewOperator):

@@ -6,8 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ogzkit import QQ, Ring
-from ogzkit.cli import MAX_WALK_COORDS, MAX_WALK_VALUE, main, parse_expr, parse_op
+from ogzkit import QQ, ParseError, Ring
+from ogzkit.cli import (
+    MAX_DDIFF_DEGREE,
+    MAX_FUNCTION_EXPONENT,
+    MAX_OPERATOR_EXPONENT,
+    MAX_TOKEN_CHARS,
+    MAX_WALK_COORDS,
+    MAX_WALK_VALUE,
+    main,
+    parse_expr,
+    parse_op,
+)
 
 SPEC_R2 = {
     "lambda": [2, 1],
@@ -383,6 +393,26 @@ def test_walk_endpoint_over_the_cap_exits_2(capsys, start, target):
     assert "exceeds the cap" in error_payload(err)["message"]
 
 
+@pytest.mark.parametrize(
+    "start, target",
+    [
+        ("0,0", "1,0"),  # one arrow, splitting the equal-start class
+        ("0,0,1,1", "2,2,0,0"),
+        ("1,1,1,0", "0,2,2,2"),
+        ("2,0,2,0,1", "1,1,3,3,1"),
+        ("4,4,4", "4,4,4"),
+    ],
+)
+def test_walk_output_matches_the_classifying_render(capsys, start, target):
+    from ogzkit import find_path, render_walk
+
+    walk = find_path(tuple(map(int, start.split(","))), tuple(map(int, target.split(","))))
+    body = render_walk(walk) if len(walk) > 1 else "(empty walk)"
+    rc, out, _ = run(capsys, "walk", "--start", start, "--target", target)
+    assert rc == 0
+    assert out == body + f"\nsteps {len(walk) - 1} all_ok yes\n"
+
+
 def test_walk_validate_file(capsys, tmp_path):
     from ogzkit import render_walk
     from test_latwalk import REFERENCE_LABELS, REFERENCE_STATES
@@ -479,3 +509,71 @@ def test_parse_op_accepts_scalar_as_multiplication():
     ring = Ring((2, 1), 0)
     op = parse_op(ring, "x[1,1]+1")
     assert op.is_multiplication()
+
+
+# ---------------------------------------------------------------------------
+# resource caps: each guard at cap + 1 refuses before any computation
+
+
+@pytest.mark.parametrize(
+    "argv, phrase",
+    [
+        (
+            ["ddiff-compare", "--shape", "2,1", "--row", "1", "--mu", "1,1",
+             "--degree", str(MAX_DDIFF_DEGREE + 1)],
+            f"above the cap of {MAX_DDIFF_DEGREE}",
+        ),
+        (
+            ["apply", "--shape", "2,1", "--op", "E1",
+             f"--expr=x[1,1]^{MAX_FUNCTION_EXPONENT + 1}"],
+            f"power {MAX_FUNCTION_EXPONENT + 1}, above the cap",
+        ),
+        (
+            ["apply", "--shape", "2,1", "--op", "E1",
+             f"--expr=(x[1,1]^{MAX_FUNCTION_EXPONENT + 1})^1"],
+            f"power {MAX_FUNCTION_EXPONENT + 1}, above the cap",
+        ),
+        (
+            ["apply", "--shape", "2,1", "--op", f"E1^{MAX_OPERATOR_EXPONENT + 1}",
+             "--expr=x[1,1]"],
+            f"power {MAX_OPERATOR_EXPONENT + 1}, above the cap",
+        ),
+        (
+            ["apply", "--shape", "2,1", "--op", f"(E1*F1)^{MAX_OPERATOR_EXPONENT + 1}",
+             "--expr=x[1,1]"],
+            f"power {MAX_OPERATOR_EXPONENT + 1}, above the cap",
+        ),
+        (
+            ["apply", "--shape", "2,1", "--op", "E1", f"--expr={'9' * (MAX_TOKEN_CHARS + 1)}"],
+            f"above the cap of {MAX_TOKEN_CHARS}",
+        ),
+    ],
+)
+def test_input_over_a_resource_cap_exits_2(capsys, argv, phrase):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert phrase in error_payload(err)["message"]
+
+
+@pytest.mark.parametrize("expr", ["(" * 600 + "x[1,1]" + ")" * 600, "-" * 2000 + "x[1,1]"])
+def test_deeply_nested_expression_exits_2(capsys, expr):
+    rc, out, err = run(capsys, "apply", "--shape", "2,1", "--op", "E1", f"--expr={expr}")
+    assert rc == 2 and out == ""
+    assert error_payload(err)["message"] == "expression nested too deeply"
+
+
+def test_nested_and_chained_exponents_multiply():
+    ring = Ring((2, 1), 0)
+    n = MAX_FUNCTION_EXPONENT // 2 + 1  # under the cap, but 2 * n is over it
+    assert parse_expr(ring, "(x[1,1]^2)^3") == parse_expr(ring, "x[1,1]^6")
+    parse_expr(ring, f"(x[1,1]+1)^{n}")
+    for text in [f"(x[1,1]^2)^{n}", f"x[1,1]^2^{n}", f"((x[1,1]+1)^2*3)^{n}"]:
+        with pytest.raises(ParseError, match="above the cap"):
+            parse_expr(ring, text)
+    m = MAX_OPERATOR_EXPONENT // 2 + 1
+    assert parse_op(ring, "(E1^2)^2") == parse_op(ring, "E1*E1*E1*E1")
+    parse_op(ring, f"E1^{m}")
+    for text in [f"(E1^2)^{m}", f"E1^2^{m}", f"-(x[1,1]^2*E1)^{MAX_OPERATOR_EXPONENT + 1}"]:
+        with pytest.raises(ParseError, match="above the cap"):
+            parse_op(ring, text)

@@ -1,5 +1,6 @@
 """Shift-permutation symmetries, skew operators, ladder generators."""
 
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from ogzkit import (
     agree_on_invariants,
     apply_to_invariant,
     commutator,
+    generators_ddiff_form,
     invariant_family,
     is_row_symmetric,
     random_invariant,
@@ -222,3 +224,81 @@ def test_commutator_with_multiplier_nonzero():
     g = Generators.for_shape((2, 1))
     c = commutator(g.raising(1), g.multiplier(1, 1))
     assert not c.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# apply over one common denominator against the term-by-term sum
+
+
+def termwise_apply(op: SkewOperator, f) -> RationalFunction:
+    """The reference image: sum_t c_t * sym_t(f), one reduced add per term."""
+    out = RationalFunction.from_any(op.ring, 0)
+    for sym, c in op.terms.items():
+        out = out + c * sym.act(RationalFunction.from_any(op.ring, f))
+    return out
+
+
+def _compositions(n: int) -> list:
+    return [
+        mu
+        for k in range(1, n + 1)
+        for mu in itertools.product(range(1, n + 1), repeat=k)
+        if sum(mu) == n
+    ]
+
+
+def _differential_operators(ring: Ring) -> list:
+    g = Generators(ring)
+    ops = [op for _, op in g.all_named()]
+    for i in range(1, ring.rows):
+        for mu in _compositions(ring.shape[i - 1]):
+            for up in (True, False):
+                ops.append(generators_ddiff_form(ring, i, mu, up))
+    ops.append(commutator(g.raising(1), g.lowering(1)))
+    ops.append(commutator(g.raising(1), g.multiplier(1, 1)))
+    ops.append(g.shift_op((1, 1), -2))
+    x = ring.x(1, 1)
+    y = ring.x(ring.rows, 1)
+    ops.append(
+        SkewOperator(
+            ring,
+            {
+                AffineSymmetry.shift(ring.shape, {(1, 1): 1}): (x * QQ(1, 2) + QQ(1, 3))
+                / (x - y + QQ(1, 2)),
+                AffineSymmetry.identity(ring.shape): RationalFunction.normalize(
+                    ring.const(QQ(3, 4)), y * 3 - 2
+                ),
+            },
+        )
+    )
+    return ops
+
+
+def _differential_arguments(ring: Ring, degree: int) -> list:
+    rng = random.Random(36)
+    args = list(invariant_family(ring, degree))
+    args.append(random_invariant(ring, rng, degree) * QQ(2, 7))
+    args += [random_poly(ring, rng, max_degree=2) * QQ(1, 3) for _ in range(3)]
+    args.append(ring.x(1, 1))
+    x, y = ring.x(1, 1), ring.x(ring.rows, 1)
+    args.append((x * x - QQ(1, 2)) / (x - y + 1))
+    return args
+
+
+@pytest.mark.parametrize("shape,degree", [((2, 1), 3), ((3, 2), 3), ((1, 2, 3), 3)])
+def test_apply_matches_termwise_sum(shape, degree):
+    ring = Ring(shape, 0)
+    args = _differential_arguments(ring, degree)
+    exact = fallback = 0
+    for op in _differential_operators(ring):
+        for f in args:
+            want = termwise_apply(op, f)
+            got = op.apply(f)
+            assert got == want, (op, f)
+            assert str(got) == str(want)
+            if got.is_polynomial():
+                exact += 1
+            else:
+                fallback += 1
+    # both the exact-division path and the normalize fallback ran
+    assert exact and fallback
