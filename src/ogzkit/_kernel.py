@@ -1,34 +1,169 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""The polynomial kernel, in pure Python.
 
-Set ``OGZKIT_PURE=1`` to force the pure kernel (the benchmark suite uses
-this to compare the two).  ``KERNEL_NAME`` reports which one is active.
+A polynomial lives in a fixed variable universe of size ``nvars`` and is a
+dict mapping dense exponent tuples to nonzero coefficients.  Coefficients
+are exact rationals (``_ratio.QQ``) except where noted: the arithmetic
+helpers are coefficient-agnostic and are reused with plain ints by the gcd
+machinery.
 """
 
-import os
+KERNEL_NAME = "pure"
 
-if os.environ.get("OGZKIT_PURE"):
-    from . import _poly_py as _impl
 
-    KERNEL_NAME = "pure"
-else:
-    try:
-        from . import _poly_cy as _impl  # type: ignore[no-redef]
+def grlex_key(mono):
+    """Sort key for graded lexicographic term order."""
+    return (sum(mono), mono)
 
-        KERNEL_NAME = "compiled"
-    except ImportError:
-        from . import _poly_py as _impl  # type: ignore[no-redef]
 
-        KERNEL_NAME = "pure"
+def p_add(a, b):
+    if not a:
+        return dict(b)
+    if not b:
+        return dict(a)
+    r = dict(a)
+    for m, c in b.items():
+        s = r.get(m)
+        if s is None:
+            r[m] = c
+        else:
+            s = s + c
+            if s:
+                r[m] = s
+            else:
+                del r[m]
+    return r
 
-grlex_key = _impl.grlex_key
-p_add = _impl.p_add
-p_neg = _impl.p_neg
-p_sub = _impl.p_sub
-p_mul = _impl.p_mul
-p_mul_term = _impl.p_mul_term
-p_mul_scalar = _impl.p_mul_scalar
-p_lead = _impl.p_lead
-p_total_degree = _impl.p_total_degree
-p_deg_in = _impl.p_deg_in
-p_divmod = _impl.p_divmod
-p_eval_int = _impl.p_eval_int
+
+def p_neg(a):
+    return {m: -c for m, c in a.items()}
+
+
+def p_sub(a, b):
+    if not b:
+        return dict(a)
+    r = dict(a)
+    for m, c in b.items():
+        s = r.get(m)
+        if s is None:
+            r[m] = -c
+        else:
+            s = s - c
+            if s:
+                r[m] = s
+            else:
+                del r[m]
+    return r
+
+
+def p_mul(a, b):
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    r = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            c = r.get(m)
+            if c is None:
+                c = ca * cb
+            else:
+                c = c + ca * cb
+            if c:
+                r[m] = c
+            elif m in r:
+                del r[m]
+    return r
+
+
+def p_mul_term(a, mono, coeff):
+    """Multiply by a single term ``coeff * x^mono``."""
+    if not a or not coeff:
+        return {}
+    return {tuple(x + y for x, y in zip(m, mono)): c * coeff for m, c in a.items()}
+
+
+def p_mul_scalar(a, coeff):
+    if not coeff:
+        return {}
+    return {m: c * coeff for m, c in a.items()}
+
+
+def p_lead(a):
+    """Leading (mono, coeff) in graded-lex order.  ``a`` must be nonzero."""
+    best = None
+    bk = None
+    for m in a:
+        k = (sum(m), m)
+        if bk is None or k > bk:
+            bk = k
+            best = m
+    return best, a[best]
+
+
+def p_total_degree(a):
+    """Total degree; -1 for the zero polynomial."""
+    if not a:
+        return -1
+    return max(sum(m) for m in a)
+
+
+def p_deg_in(a, i):
+    """Degree in variable ``i``; -1 for the zero polynomial."""
+    if not a:
+        return -1
+    return max(m[i] for m in a)
+
+
+def p_divmod(a, b):
+    """Division with remainder by a single divisor, graded-lex leading terms.
+
+    Coefficient division uses ``/`` and therefore requires field (QQ)
+    coefficients.
+    """
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    mb, cb = p_lead(b)
+    q = {}
+    r = {}
+    f = dict(a)
+    while f:
+        mf, cf = p_lead(f)
+        d = tuple(x - y for x, y in zip(mf, mb))
+        if all(x >= 0 for x in d):
+            qc = cf / cb
+            q[d] = qc
+            f = p_sub(f, p_mul_term(b, d, qc))
+        else:
+            r[mf] = cf
+            del f[mf]
+    return q, r
+
+
+def p_eval_int(a, i, val):
+    """Substitute the integer ``val`` for variable ``i``.
+
+    Returns a dict whose monomials have a zero in slot ``i``.  Used with int
+    coefficients by the heuristic gcd.
+    """
+    if not a:
+        return {}
+    powers = {0: 1}
+    r = {}
+    for m, c in a.items():
+        e = m[i]
+        p = powers.get(e)
+        if p is None:
+            p = val**e
+            powers[e] = p
+        mm = m[:i] + (0,) + m[i + 1 :]
+        s = r.get(mm)
+        if s is None:
+            s = c * p
+        else:
+            s = s + c * p
+        if s:
+            r[mm] = s
+        elif mm in r:
+            del r[mm]
+    return r

@@ -31,7 +31,6 @@ from .gzmod import (
     EvalPoint,
     build_basis_B,
     component_graph,
-    gamma_eigenvalue,
     simplicity_probe,
     singularity_setup_check,
 )

@@ -152,12 +152,6 @@ def canonical_word(perm: RowPermutation) -> tuple:
     return tuple(letters)
 
 
-def render_word(word) -> str:
-    if not word:
-        return "e"
-    return "*".join(f"s[{i},{p}]" for i, p in word)
-
-
 @dataclass(frozen=True)
 class YoungSubgroup:
     """Partition of each row into blocks; the subgroup permuting within blocks."""

@@ -26,10 +26,10 @@ from typing import Iterable, Mapping
 
 from ._gcd import clear_den
 from ._ratio import QQ
-from .combinat import RowPermutation, canonical_word, check_shape, word_to_perm
+from .combinat import RowPermutation, canonical_word
 from .errors import InvalidComposition, InvalidPair
 from .exactalg import Polynomial, RationalFunction, Ring, merge_terms
-from .skewops import AffineSymmetry, SkewOperator
+from .skewops import AffineSymmetry, SkewOperator, ladder_coefficient
 
 
 def _pair_cells(ring: Ring, a, b):
@@ -191,19 +191,9 @@ def generators_ddiff_form(ring: Ring, i: int, mu, up: bool) -> SkewOperator:
     if not 1 <= i <= k - 1:
         raise ValueError(f"ladder row {i} must satisfy 1 <= i <= {k - 1}")
     blocks = _block_bounds(ring.shape[i - 1], mu)
-    other_row = i + 1 if up else i - 1
     total = SkewOperator.zero(ring)
     for start, end in blocks:
-        head = ring.x(i, start)
-        num = ring.one()
-        if other_row >= 1:
-            for a in ring.row_cells(other_row):
-                num = num * (head - ring.x(*a))
-        den = ring.one()
-        for b in ring.row_cells(i):
-            if not (start <= b[1] <= end):
-                den = den * (head - ring.x(*b))
-        coeff = RationalFunction.normalize(num, den)
+        coeff = ladder_coefficient(ring, i, start, end, up)
         shift = SkewOperator.of_symmetry(
             ring, AffineSymmetry.shift(ring.shape, {(i, start): 1 if up else -1})
         )

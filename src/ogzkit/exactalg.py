@@ -24,7 +24,7 @@ Coeff = Union[int, str]
 
 
 def _coerce_qq(c):
-    return c if type(c) is type(QQ(0)) else QQ(c)
+    return c if type(c) is QQ else QQ(c)
 
 
 class Ring:
@@ -193,7 +193,7 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, RationalFunction):
             return NotImplemented
-        if isinstance(other, (int, str)) or type(other) is type(QQ(0)):
+        if isinstance(other, (int, str)) or type(other) is QQ:
             return Polynomial._wrap(self.ring, K.p_mul_scalar(self.terms, _coerce_qq(other)))
         self._check(other)
         return Polynomial._wrap(self.ring, K.p_mul(self.terms, other.terms))
@@ -227,7 +227,7 @@ class Polynomial:
     def __eq__(self, other):
         if isinstance(other, Polynomial):
             return self.ring is other.ring and self.terms == other.terms
-        if isinstance(other, (int,)) or type(other) is type(QQ(0)):
+        if isinstance(other, (int,)) or type(other) is QQ:
             return self == self.ring.const(other)
         return NotImplemented
 
@@ -508,7 +508,7 @@ class RationalFunction:
             return val
         if isinstance(val, Polynomial):
             return RationalFunction.from_poly(val)
-        if not isinstance(val, (int, str)) and type(val) is not type(QQ(0)):
+        if not isinstance(val, (int, str)) and type(val) is not QQ:
             raise TypeError(f"cannot coerce {type(val).__name__} to RationalFunction")
         return RationalFunction.from_poly(ring.const(val))
 
@@ -604,7 +604,7 @@ class RationalFunction:
         return r
 
     def __eq__(self, other):
-        if isinstance(other, (Polynomial, int)) or type(other) is type(QQ(0)):
+        if isinstance(other, (Polynomial, int)) or type(other) is QQ:
             other = RationalFunction.from_any(self.ring, other)
         if not isinstance(other, RationalFunction):
             return NotImplemented

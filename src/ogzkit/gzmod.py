@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 from . import _linalg
 from ._ratio import QQ
@@ -60,10 +60,15 @@ from .exactalg import (
     RationalFunction,
     Ring,
     elementary_symmetric,
-    is_scalar,
     merge_terms,
 )
-from .skewops import AffineSymmetry, Generators, SkewOperator, invariant_family
+from .skewops import (
+    AffineSymmetry,
+    Generators,
+    SkewOperator,
+    invariant_family,
+    ladder_coefficient,
+)
 
 MAX_WINDOW_POINTS = 250_000
 
@@ -243,10 +248,6 @@ class Functional:
         if xi:
             bits.append(xi)
         return "o".join(bits)
-
-
-def eval_functional(ring: Ring, func: Functional, f: Polynomial) -> RationalFunction:
-    return func.evaluate(ring, f)
 
 
 # ---------------------------------------------------------------------------
@@ -611,22 +612,12 @@ class ModuleWindow:
         ring = self.ring
         xi = dict(zip(self.cells, orb.rep_offsets))
         word_w = canonical_word(w)
-        other_row = i + 1 if up else i - 1
         result: Dict[int, RationalFunction] = {}
         # blocks of the translate's stabilizer within row i give the
         # composition; each block contributes one chain term
         for block in orb.stab.blocks[i - 1]:
             start, end = block[0], block[-1]
-            head = ring.x(i, start)
-            num = ring.one()
-            if 1 <= other_row:
-                for a in ring.row_cells(other_row):
-                    num = num * (head - ring.x(*a))
-            den = ring.one()
-            for b in ring.row_cells(i):
-                if not (start <= b[1] <= end):
-                    den = den * (head - ring.x(*b))
-            coeff = RationalFunction.normalize(num, den).shift_cells(xi)
+            coeff = ladder_coefficient(ring, i, start, end, up).shift_cells(xi)
             combined = NilHecke.from_word(ring, word_w + chain_word(i, start, end))
             if not combined.terms:
                 continue
@@ -752,12 +743,6 @@ def build_basis_B(point: EvalPoint, radius: int, nparams: int = 0,
     win = ModuleWindow(point, radius, nparams=nparams)
     win.certify_rank(min_degree=min_degree)
     return win
-
-
-def canonical_representatives(point: EvalPoint, radius: int) -> list:
-    """Orbit data of the window without building the full basis machinery."""
-    win = ModuleWindow(point, radius)
-    return win.orbits
 
 
 def vanishing_check(window: ModuleWindow, orbit_idx: int) -> bool:

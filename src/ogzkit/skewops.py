@@ -15,7 +15,6 @@ shifts, and multiplication by row elementary symmetric polynomials.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Union
@@ -316,6 +315,27 @@ def commutator(a: SkewOperator, b: SkewOperator) -> SkewOperator:
     return (a @ b) - (b @ a)
 
 
+def ladder_coefficient(ring: Ring, i: int, start: int, end: int, up: bool) -> RationalFunction:
+    """Coefficient of the ladder term for the block [start..end] of row i.
+
+    With head = x[i,start]: the product of (head - x) over the cells x of the
+    adjacent row (row i+1 when raising, row i-1 when lowering, none below
+    row 1), divided by the product of (head - x) over the row-i cells outside
+    the block.
+    """
+    head = ring.x(i, start)
+    other_row = i + 1 if up else i - 1
+    num = ring.one()
+    if other_row >= 1:
+        for a in ring.row_cells(other_row):
+            num = num * (head - ring.x(*a))
+    den = ring.one()
+    for b in ring.row_cells(i):
+        if not start <= b[1] <= end:
+            den = den * (head - ring.x(*b))
+    return RationalFunction.normalize(num, den)
+
+
 class Generators:
     """The distinguished operator family for one shape.
 
@@ -353,20 +373,10 @@ class Generators:
     def _ladder(self, i: int, up: bool) -> SkewOperator:
         self._row_guard(i)
         ring = self.ring
-        other_row = i + 1 if up else i - 1
         terms = {}
-        for i_, j in ring.row_cells(i):
-            xj = ring.x(i_, j)
-            num = ring.one()
-            if other_row >= 1:
-                for a in ring.row_cells(other_row):
-                    num = num * (xj - ring.x(*a))
-            den = ring.one()
-            for b in ring.row_cells(i):
-                if b != (i_, j):
-                    den = den * (xj - ring.x(*b))
-            sym = AffineSymmetry.shift(ring.shape, {(i_, j): 1 if up else -1})
-            terms[sym] = RationalFunction.normalize(num, den)
+        for _, j in ring.row_cells(i):
+            sym = AffineSymmetry.shift(ring.shape, {(i, j): 1 if up else -1})
+            terms[sym] = ladder_coefficient(ring, i, j, j, up)
         return SkewOperator(ring, terms)
 
     def multiplier(self, i: int, d: int) -> SkewOperator:

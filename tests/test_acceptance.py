@@ -29,7 +29,6 @@ from ogzkit import (
     commutator,
     component_graph,
     conjugation_check,
-    eval_functional,
     find_path,
     generators_ddiff_form,
     invariant_family,
@@ -219,7 +218,7 @@ def test_criterion_5(singular_window):
     def column(b, t):
         key = (b, t)
         if key not in col_cache:
-            col_cache[key] = eval_functional(w.ring, w.basis[b], w.family[t])
+            col_cache[key] = w.basis[b].evaluate(w.ring, w.family[t])
         return col_cache[key]
 
     for gen in ladder_gens + mult_gens:
@@ -227,7 +226,7 @@ def test_criterion_5(singular_window):
             coeffs = w.act(gen, b)
             for t in range(len(w.family)):
                 img = w.gen_image(gen, t)
-                lhs = eval_functional(w.ring, w.basis[b], img)
+                lhs = w.basis[b].evaluate(w.ring, img)
                 rhs = None
                 for tgt, cval in coeffs.items():
                     term = cval * column(tgt, t)

@@ -1,5 +1,7 @@
 """Exact polynomial / rational-function arithmetic."""
 
+import fractions
+import inspect
 import math
 import random
 
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ogzkit import (
+    KERNEL_NAME,
     QQ,
     DivisionByZero,
     Polynomial,
@@ -17,6 +20,7 @@ from ogzkit import (
     elementary_symmetric,
     is_row_symmetric,
 )
+from ogzkit import _kernel
 from ogzkit._gcd import clear_den, gcd_qq
 
 
@@ -352,3 +356,23 @@ def test_sum_with_cancellation_against_the_common_factor():
     k = RationalFunction.normalize(QQ(-5, 2) * l2, l1 * l3 * l3)
     assert_sum_and_difference(h, k)
     assert_sum_and_difference(h, RationalFunction.from_any(ring, QQ(1, 3)))
+
+
+# ---------------------------------------------------------------------------
+# the kernel surface that the benchmark's tracer and provenance rely on
+
+KERNEL_OPS = (
+    "p_add", "p_neg", "p_sub", "p_mul", "p_mul_term", "p_mul_scalar",
+    "p_lead", "p_total_degree", "p_deg_in", "p_divmod", "p_eval_int",
+)
+
+
+def test_kernel_surface():
+    # the tracer wraps these by name in the kernel module itself
+    for name in KERNEL_OPS + ("grlex_key",):
+        fn = _kernel.__dict__.get(name)
+        assert inspect.isfunction(fn) and fn.__module__ == _kernel.__name__, name
+    # results record the kernel and the rational type, and are compared only
+    # when both match
+    assert KERNEL_NAME == _kernel.KERNEL_NAME == "pure"
+    assert QQ is fractions.Fraction

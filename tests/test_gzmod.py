@@ -22,7 +22,6 @@ from ogzkit import (
     canonical_word,
     component_graph,
     conjugation_check,
-    eval_functional,
     eval_rf_at,
     gamma_eigenvalue,
     ladder_point_expansion,
@@ -284,7 +283,7 @@ def test_functional_evaluations_distinguish_basis(singular_window):
     w = singular_window
     cols = []
     for b, func in enumerate(w.basis):
-        cols.append(tuple(str(eval_functional(w.ring, func, w.family[t])) for t in range(12)))
+        cols.append(tuple(str(func.evaluate(w.ring, w.family[t])) for t in range(12)))
     assert len(set(cols)) == len(cols)
 
 
