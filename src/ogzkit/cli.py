@@ -33,6 +33,7 @@ from .gzmod import (
     component_graph,
     simplicity_probe,
     singularity_setup_check,
+    value_text,
 )
 from .skewops import Generators, SkewOperator, commutator, invariant_family
 
@@ -363,7 +364,7 @@ def load_jobspec(path: str) -> Tuple[EvalPoint, int, int]:
             )
         keys[(i, j)] = key
         try:
-            off = QQ(entry["offset"]) if isinstance(entry["offset"], str) else QQ(entry["offset"])
+            off = QQ(entry["offset"])
         except (ValueError, ZeroDivisionError) as e:
             raise JobSpecError(f"bad offset for cell {key}: {e}") from None
         values[(i, j)] = (entry["tag"], off)
@@ -502,18 +503,7 @@ def _cmd_ddiff_compare(args) -> str:
 
 
 def _fmt_char(character) -> str:
-    rows = []
-    for row in character:
-        vals = []
-        for tag, off in row:
-            s = f"z[{tag}]"
-            if off > 0:
-                s += f"+{off}"
-            elif off < 0:
-                s += str(off)
-            vals.append(s)
-        rows.append("{" + ",".join(vals) + "}")
-    return ";".join(rows)
+    return ";".join("{" + ",".join(value_text(tag, off) for tag, off in row) + "}" for row in character)
 
 
 def _cmd_basis(args) -> str:
@@ -550,10 +540,9 @@ def _act_line(win, b: int, vec: dict) -> str:
 
 def _cmd_action(args) -> str:
     point, radius, params = load_jobspec(args.spec)
-    win = build_basis_B(point, radius, nparams=params)
-    ring = win.ring
     tok = args.op.strip()
-    gen = _generator_key(tok, ring)
+    gen = _generator_key(tok, point.ring(params))
+    win = build_basis_B(point, radius, nparams=params)
     lines = [f"point {point}", f"radius {radius}", f"op {tok}", f"routes {args.routes}"]
     for b in range(len(win.basis)):
         oi, _ = win.basis_meta[b]
@@ -603,13 +592,12 @@ def _cmd_blocks(args) -> str:
     point, radius, params = load_jobspec(args.spec)
     win = build_basis_B(point, radius, nparams=params)
     decomp = win.block_decompose()
-    socle = win.socle_dims()
     lines = [f"point {point}", f"radius {radius}"]
-    for entry, sd in zip(decomp, socle):
+    for entry in decomp:
         orb = win.orbits[entry["orbit"]]
         lines.append(
             f"orbit {orb.index} rep=({','.join(str(n) for n in orb.rep_offsets)}) "
-            f"size={len(orb.coset_reps)} socle={sd} "
+            f"size={len(orb.coset_reps)} socle={entry['socle']} "
             f"nilpotent={'ok' if entry['nilpotent_ok'] else 'FAIL'}"
         )
         for g in sorted(entry["matrices"]):
@@ -620,7 +608,7 @@ def _cmd_blocks(args) -> str:
                 lines.append(
                     f"  {name} row {r}: " + " ".join(f"({v})" for v in row)
                 )
-    lines.append(f"socle_dims {','.join(str(d) for d in socle)}")
+    lines.append(f"socle_dims {','.join(str(entry['socle']) for entry in decomp)}")
     return "\n".join(lines)
 
 

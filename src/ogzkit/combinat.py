@@ -192,10 +192,6 @@ class YoungSubgroup:
         return YoungSubgroup._canon(shape, raw)
 
     @staticmethod
-    def trivial(shape) -> "YoungSubgroup":
-        return YoungSubgroup.full_rows(shape, ())
-
-    @staticmethod
     def from_values(shape, values: Mapping, rows: Optional[Iterable] = None) -> "YoungSubgroup":
         """Stabilizer partition: group positions of each listed row by equal
         value (rows not listed become singletons)."""

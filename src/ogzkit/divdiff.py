@@ -342,6 +342,8 @@ class NilHecke:
         """tau ∘ self ∘ tau^{-1}: coefficients transported by tau, each word
         letter replaced by the transported (possibly non-adjacent, possibly
         reversed) pair expansion."""
+        if tau.is_identity():
+            return self
         out = NilHecke.zero(self.ring)
         cmap = tau.cell_map()
         for w, f in self.terms.items():

@@ -139,24 +139,8 @@ class Polynomial:
     def is_one(self) -> bool:
         return len(self.terms) == 1 and self.terms.get((0,) * self.ring.nvars) == 1
 
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return self.terms.get((0,) * self.ring.nvars, QQ(0))
-
     def total_degree(self) -> int:
         return K.p_total_degree(self.terms)
-
-    def degree_in(self, vid: VarId) -> int:
-        return K.p_deg_in(self.terms, self.ring.index[vid])
-
-    def variables(self) -> set:
-        live = set()
-        for m in self.terms:
-            for n, e in enumerate(m):
-                if e:
-                    live.add(self.ring.vars[n])
-        return live
 
     def uses_only_params(self) -> bool:
         np_ = self.ring.nparams
@@ -651,11 +635,6 @@ def merge_terms(acc: dict, pairs) -> dict:
         else:
             acc[k] = s
     return acc
-
-
-def is_scalar(rf: RationalFunction) -> bool:
-    """True when the value involves parameter variables only."""
-    return rf.num.uses_only_params() and rf.den.uses_only_params()
 
 
 def elementary_symmetric(ring: Ring, row: int, d: int) -> Polynomial:

@@ -17,16 +17,22 @@ full specialised rank is a lower bound, hence a sound certificate.
 Generator actions on this basis are computed two independent ways:
 
 * :meth:`ModuleWindow.act` — evaluate against an invariant test family and
-  solve exactly for the (theory-predicted, then fully verified) columns.
-  The solve picks independent rows modulo a prime at an integer point,
-  eliminates fraction-free (Bareiss) over Q[z] to numerators N_c and a
-  determinant D, and checks every family member with the identity
-  sum_c N_c * col_c = D * rhs, which needs no gcd;
+  solve exactly, once, for the columns of the theory-predicted target
+  blocks, fully verified; a right-hand side they do not span is a
+  :class:`WindowLeakage`.  The solve picks independent rows modulo a prime
+  at an integer point, eliminates fraction-free (Bareiss) over Q[z] to
+  numerators N_c and a determinant D, and checks every family member with
+  the identity sum_c N_c * col_c = D * rhs, which needs no gcd;
 * :meth:`ModuleWindow.act_structural` — push the generator through the
-  functional symbolically in the divided-difference basis, conjugate back
-  to canonical form, and evaluate coefficients at the point.
+  functional symbolically in the divided-difference basis, one term per
+  (coefficient, chain word, moved cell): a multiplier is a single term that
+  moves nothing, a ladder one term per stabilizer block.  A term that moves
+  a cell is conjugated back to canonical form; every term is evaluated at
+  the point.
 
 Both routes must agree coefficient for coefficient; tests enforce this.
+:meth:`ModuleWindow.block_decompose` gives, per orbit, the multiplier
+matrices, their nilpotency check and the socle in one pass.
 """
 
 from __future__ import annotations
@@ -65,16 +71,26 @@ from .exactalg import (
 from .skewops import (
     AffineSymmetry,
     Generators,
-    SkewOperator,
     invariant_family,
     ladder_coefficient,
 )
 
 MAX_WINDOW_POINTS = 250_000
+# degree steps the rank certificate may take past its start degree max(shape)
+MAX_EXTRA_DEGREES = 16
 
 
 # ---------------------------------------------------------------------------
 # evaluation points
+
+
+def value_text(tag: int, off) -> str:
+    """A cell value ``z_tag + offset`` as text: ``z[1]``, ``z[1]+1/2``, ``z[2]-1``."""
+    if off > 0:
+        return f"z[{tag}]+{off}"
+    if off < 0:
+        return f"z[{tag}]{off}"
+    return f"z[{tag}]"
 
 
 @dataclass(frozen=True)
@@ -111,12 +127,6 @@ class EvalPoint:
 
     def pair(self, cell) -> tuple:
         return self._map()[tuple(cell)]
-
-    def tag(self, cell) -> int:
-        return self.pair(cell)[0]
-
-    def offset(self, cell):
-        return self.pair(cell)[1]
 
     def max_tag(self) -> int:
         return max(t for _, (t, _) in self.entries)
@@ -183,15 +193,7 @@ class EvalPoint:
         return tuple(tuple(sorted(self.row_values(i))) for i in range(1, len(self.shape) + 1))
 
     def render(self) -> str:
-        bits = []
-        for (i, j), (tag, off) in self.entries:
-            s = f"z[{tag}]"
-            if off > 0:
-                s += f"+{off}"
-            elif off < 0:
-                s += f"{off}"
-            bits.append(f"x[{i},{j}]={s}")
-        return ";".join(bits)
+        return ";".join(f"x[{i},{j}]={value_text(tag, off)}" for (i, j), (tag, off) in self.entries)
 
     def __str__(self):
         return self.render()
@@ -317,9 +319,6 @@ class Orbit:
     interior: bool
     character: tuple
 
-    def rep_map(self, cells) -> dict:
-        return {c: n for c, n in zip(cells, self.rep_offsets) if n}
-
 
 class ModuleWindow:
     """The windowed basis with cached generator actions."""
@@ -428,9 +427,9 @@ class ModuleWindow:
         self.family.extend(new)
         self.family_degree = degree
 
-    def certify_rank(self, max_extra_degrees: int = 16, min_degree: Optional[int] = None):
-        """Escalate the family degree until the evaluation matrix certifies
-        full rank at two consecutive degrees.
+    def certify_rank(self):
+        """Escalate the family degree from max(shape) until the evaluation
+        matrix certifies full rank at two consecutive degrees.
 
         The rank is that of the family rows specialised at an integer point
         mod a prime (:class:`_linalg.ModEchelon`), a lower bound on their
@@ -439,8 +438,7 @@ class ModuleWindow:
         rows; when a point is unlucky (a denominator vanishes there mod p)
         the next point of the fixed list rebuilds it from all rows."""
         n = len(self.basis)
-        D = min_degree if min_degree is not None else max(self.ring.shape)
-        start = D
+        D = start = max(self.ring.shape)
         attempt = fed = 0
         echelon = _linalg.ModEchelon(attempt, self.ring.nvars)
         while True:
@@ -462,7 +460,7 @@ class ModuleWindow:
             self.rank_history.append(rk)
             if len(self.rank_history) >= 2 and self.rank_history[-1] == n and self.rank_history[-2] == n:
                 return
-            if D - start >= max_extra_degrees:
+            if D - start >= MAX_EXTRA_DEGREES:
                 raise WindowRankError(
                     f"rank stuck at {rk}/{n} after degree {D} (history {self.rank_history})"
                 )
@@ -470,21 +468,11 @@ class ModuleWindow:
 
     # -- generator plumbing -----------------------------------------------------
 
-    def _gen_op(self, gen: tuple) -> SkewOperator:
-        kind = gen[0]
-        if kind == "raising":
-            return self.gens.raising(gen[1])
-        if kind == "lowering":
-            return self.gens.lowering(gen[1])
-        if kind == "multiplier":
-            return self.gens.multiplier(gen[1], gen[2])
-        raise ValueError(f"unknown generator key {gen}")
-
     def gen_image(self, gen: tuple, t: int) -> Polynomial:
         key = (gen, t)
         img = self._gen_image_cache.get(key)
         if img is None:
-            out = self._gen_op(gen).apply(self.family[t])
+            out = self.gens.op(gen).apply(self.family[t])
             if not out.is_polynomial():
                 raise ValueError(f"generator image unexpectedly non-polynomial: {out}")
             img = out.polynomial_part()
@@ -535,9 +523,9 @@ class ModuleWindow:
         numerators N_c and one determinant D, verifies every family member
         with sum_c N_c * col_c = D * rhs, and normalises N_c / D once
         per column.  The rank certificate makes the window's columns
-        independent, so the solution is unique.  When the theory-predicted
-        target blocks do not solve, the full basis is tried before
-        :class:`WindowLeakage` is raised."""
+        independent, so the solution is unique.  The solve runs once, over
+        the blocks of the theory-predicted target orbits; when those do not
+        solve, :class:`WindowLeakage` is raised."""
         key = (gen, idx)
         hit = self._act_cache.get(key)
         if hit is not None:
@@ -559,13 +547,9 @@ class ModuleWindow:
         cand = [b for j in self.target_orbits(orbit_idx, gen) for b in self.block_indices(j)]
         x = _linalg.solve_columns([self.columns[b] for b in cand], rhs, self._zero())
         if x is None:
-            # fall back to the full basis before declaring leakage
-            cand = list(range(len(self.basis)))
-            x = _linalg.solve_columns([self.columns[b] for b in cand], rhs, self._zero())
-            if x is None:
-                raise WindowLeakage(
-                    f"action of {gen} on functional {idx} is not supported on the window basis"
-                )
+            raise WindowLeakage(
+                f"action of {gen} on functional {idx} is not supported on its target blocks"
+            )
         out = {cand[c]: v for c, v in enumerate(x) if not v.is_zero()}
         self._act_cache[key] = out
         return out
@@ -581,70 +565,52 @@ class ModuleWindow:
             return hit
         orbit_idx, w = self.basis_meta[idx]
         orb = self.orbits[orbit_idx]
-        if gen[0] == "multiplier":
-            # multiplication keeps the translate fixed: peel the shifted
-            # symmetric polynomial through the word and keep the minimal
-            # coset representatives of the same orbit
-            ring = self.ring
-            xi = dict(zip(self.cells, orb.rep_offsets))
-            g = elementary_symmetric(ring, gen[1], gen[2]).shift_cells(xi)
-            pushed = NilHecke.from_word(ring, canonical_word(w)).mul_right_fun(
-                RationalFunction.from_poly(g)
-            )
-            allowed = {wp.rows for wp in orb.coset_reps}
-            result: Dict[int, RationalFunction] = {}
-            for y, c in pushed.terms.items():
-                if y.rows not in allowed:
-                    continue
-                val = eval_rf_at(ring, c, self.point, err=HypothesisViolation)
-                if not val.is_zero():
-                    result[self.index_of(orbit_idx, y)] = val
-            self._act_structural_cache[key] = result
-            return result
-        if not orb.interior:
-            raise WindowLeakage(
-                f"functional {idx} sits on the window boundary; its {gen[0]} image "
-                "may involve translates outside the window"
-            )
-        i = gen[1]
-        up = gen[0] == "raising"
-        delta = 1 if up else -1
         ring = self.ring
+        # one term per (coefficient, chain word, moved head cell): a
+        # multiplier is the one-term case with no chain and no moved cell,
+        # a ladder has one chain term per stabilizer block of row i
+        if gen[0] == "multiplier":
+            terms = [(elementary_symmetric(ring, gen[1], gen[2]), (), None)]
+        else:
+            if not orb.interior:
+                raise WindowLeakage(
+                    f"functional {idx} sits on the window boundary; its {gen[0]} image "
+                    "may involve translates outside the window"
+                )
+            i, up = gen[1], gen[0] == "raising"
+            terms = [
+                (ladder_coefficient(ring, i, b[0], b[-1], up), chain_word(i, b[0], b[-1]), (i, b[0]))
+                for b in orb.stab.blocks[i - 1]
+            ]
         xi = dict(zip(self.cells, orb.rep_offsets))
         word_w = canonical_word(w)
         result: Dict[int, RationalFunction] = {}
-        # blocks of the translate's stabilizer within row i give the
-        # composition; each block contributes one chain term
-        for block in orb.stab.blocks[i - 1]:
-            start, end = block[0], block[-1]
-            coeff = ladder_coefficient(ring, i, start, end, up).shift_cells(xi)
-            combined = NilHecke.from_word(ring, word_w + chain_word(i, start, end))
-            if not combined.terms:
-                continue
-            pushed = combined.mul_right_fun(coeff)
+        for coeff, chain, head in terms:
+            pushed = NilHecke.from_word(ring, word_w + chain).mul_right_fun(coeff.shift_cells(xi))
             if not pushed.terms:
                 continue
-            xi_new = dict(xi)
-            xi_new[(i, start)] += delta
-            tau = stable_sorting_perm(self.point.shape, xi_new, self.stab)
-            moved = pushed.conjugated(tau)
-            xi_canon = tau.apply_to_cellmap(xi_new)
-            tgt_key = tuple(xi_canon[c] for c in self.cells)
-            tgt_idx = self._orbit_of_key.get(tgt_key)
-            if tgt_idx is None:
-                raise WindowLeakage(f"structural target {tgt_key} missing from window")
-            tgt = self.orbits[tgt_idx]
-            canon_check = self._canon_key(xi_new)
-            if canon_check != tgt_key:
-                raise HypothesisViolation(
-                    f"stable sort failed to canonicalize {xi_new} (got {tgt_key}, want {canon_check})"
-                )
+            tgt_idx = orbit_idx
+            if head is not None:
+                xi_new = dict(xi)
+                xi_new[head] += 1 if gen[0] == "raising" else -1
+                tau = stable_sorting_perm(self.point.shape, xi_new, self.stab)
+                pushed = pushed.conjugated(tau)
+                xi_canon = tau.apply_to_cellmap(xi_new)
+                tgt_key = tuple(xi_canon[c] for c in self.cells)
+                tgt_idx = self._orbit_of_key.get(tgt_key)
+                if tgt_idx is None:
+                    raise WindowLeakage(f"structural target {tgt_key} missing from window")
+                canon_check = self._canon_key(xi_new)
+                if canon_check != tgt_key:
+                    raise HypothesisViolation(
+                        f"stable sort failed to canonicalize {xi_new} (got {tgt_key}, want {canon_check})"
+                    )
             # a y that is not a minimal coset representative gives a
             # functional ev ∘ diff_y ∘ xi vanishing on invariants (vanishing rule)
-            allowed = {wp.rows for wp in tgt.coset_reps}
+            allowed = {wp.rows for wp in self.orbits[tgt_idx].coset_reps}
             merge_terms(result, (
                 (self.index_of(tgt_idx, y), eval_rf_at(ring, c, self.point, err=HypothesisViolation))
-                for y, c in moved.terms.items()
+                for y, c in pushed.terms.items()
                 if y.rows in allowed
             ))
         self._act_structural_cache[key] = result
@@ -674,17 +640,21 @@ class ModuleWindow:
         return mat
 
     def block_decompose(self) -> list:
+        """Per orbit: the block matrix and eigenvalue of every multiplier,
+        whether each (multiplier - eigenvalue) N is nilpotent on the block,
+        and the socle, the dimension of the joint kernel of all the N."""
         out = []
         for orb in self.orbits:
-            gens = self.multiplier_gens()
             mats = {}
             eigs = {}
             nilp = True
             n = len(orb.coset_reps)
-            for g in gens:
+            stacked = []
+            for g in self.multiplier_gens():
                 A = self.block_matrix(orb.index, g)
                 chi = gamma_eigenvalue(self.ring, orb.point, g[1], g[2])
                 N = [[A[r][c] - (chi if r == c else self._zero()) for c in range(n)] for r in range(n)]
+                stacked.extend(N)
                 # nilpotency of N: N^n must vanish
                 P = N
                 for _ in range(max(0, n - 1)):
@@ -701,25 +671,14 @@ class ModuleWindow:
                     "matrices": mats,
                     "eigenvalues": eigs,
                     "nilpotent_ok": nilp,
+                    "socle": n - _linalg.rank(stacked),
                 }
             )
         return out
 
     def socle_dims(self) -> list:
         """Dimension of the joint eigenspace of all multipliers per block."""
-        dims = []
-        for orb in self.orbits:
-            n = len(orb.coset_reps)
-            stacked = []
-            for g in self.multiplier_gens():
-                A = self.block_matrix(orb.index, g)
-                chi = gamma_eigenvalue(self.ring, orb.point, g[1], g[2])
-                for r in range(n):
-                    stacked.append(
-                        [A[r][c] - (chi if r == c else self._zero()) for c in range(n)]
-                    )
-            dims.append(n - _linalg.rank(stacked))
-        return dims
+        return [entry["socle"] for entry in self.block_decompose()]
 
 
 def _mat_mul(A, B, zero):
@@ -736,12 +695,11 @@ def _mat_mul(A, B, zero):
     return out
 
 
-def build_basis_B(point: EvalPoint, radius: int, nparams: int = 0,
-                  min_degree: Optional[int] = None) -> ModuleWindow:
+def build_basis_B(point: EvalPoint, radius: int, nparams: int = 0) -> ModuleWindow:
     """Construct the windowed basis and certify it spans: returns a ready
     :class:`ModuleWindow` with the rank certificate computed."""
     win = ModuleWindow(point, radius, nparams=nparams)
-    win.certify_rank(min_degree=min_degree)
+    win.certify_rank()
     return win
 
 

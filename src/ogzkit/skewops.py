@@ -391,6 +391,18 @@ class Generators:
             )
         return self._cache[key]
 
+    def op(self, key: tuple) -> SkewOperator:
+        """The generator named by a window key: ``("raising", i)``,
+        ``("lowering", i)`` or ``("multiplier", i, d)``."""
+        kind = key[0]
+        if kind == "raising":
+            return self.raising(key[1])
+        if kind == "lowering":
+            return self.lowering(key[1])
+        if kind == "multiplier":
+            return self.multiplier(key[1], key[2])
+        raise ValueError(f"unknown generator key {key}")
+
     def shift_op(self, cell, n: int = 1) -> SkewOperator:
         sym = AffineSymmetry.shift(self.ring.shape, {tuple(cell): n})
         return SkewOperator.of_symmetry(self.ring, sym)

@@ -10,28 +10,22 @@ import json
 import random
 import time
 
-import pytest
-
 from ogzkit import (
     QQ,
     EvalPoint,
     Generators,
-    NilHecke,
     RationalFunction,
     Ring,
     RowPermutation,
     _linalg,
     agree_on_invariants,
     apply_to_invariant,
-    build_basis_B,
-    canonical_word,
     classify_move,
     commutator,
     component_graph,
     conjugation_check,
     find_path,
     generators_ddiff_form,
-    invariant_family,
     is_row_symmetric,
     partial,
     partial_for_perm,

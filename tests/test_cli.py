@@ -322,9 +322,15 @@ def test_action_rerun_identical(capsys, spec_file):
     assert rc1 == rc2 == 0 and out1 == out2
 
 
-def test_action_bad_generator_token(capsys, spec_file):
-    rc, _, err = run(capsys, "action", "--spec", spec_file, "--op", "Q7")
-    assert rc == 2
+@pytest.mark.parametrize("tok", ["Q7", "E2", "gamma[1,3]"])
+def test_action_bad_generator_token(capsys, spec_file, monkeypatch, tok):
+    # the token is checked before the window is built
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_basis_B ran before the --op check")
+
+    monkeypatch.setattr("ogzkit.cli.build_basis_B", no_build)
+    rc, out, err = run(capsys, "action", "--spec", spec_file, "--op", tok)
+    assert rc == 2 and out == ""
     assert error_payload(err)["type"] == "ParseError"
 
 

@@ -18,17 +18,14 @@ from ogzkit import (
     SkewOperator,
     agree_on_invariants,
     apply_word,
-    canonical_word,
     chain_word,
     generators_ddiff_form,
-    invariant_family,
     leibniz_parts,
     partial,
     partial_apply_rf,
     partial_for_perm,
     partial_simple,
     partial_word,
-    word_to_perm,
 )
 
 

@@ -17,6 +17,7 @@ from ogzkit import (
     Ring,
     RowPermutation,
     WindowLeakage,
+    _linalg,
     apply_word,
     build_basis_B,
     canonical_word,
@@ -239,6 +240,25 @@ def test_boundary_raising_leaks(singular_window):
     corner = find_orbit(w, (3, 3))
     with pytest.raises(WindowLeakage):
         w.act(("raising", 1), w.block_indices(corner)[0])
+
+
+def test_act_solves_once_then_reports_leakage(singular_point, monkeypatch):
+    # with its target orbits cut down to the source orbit, the raising image
+    # of the center cannot be solved: act raises after one solve, with no
+    # second attempt over the whole basis
+    w = build_basis_B(singular_point, 1)
+    center = w.block_indices(find_orbit(w, (0, 0)))[0]
+    monkeypatch.setattr(w, "target_orbits", lambda orbit_idx, gen: [orbit_idx])
+    solve, calls = _linalg.solve_columns, []
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(_linalg, "solve_columns", counted)
+    with pytest.raises(WindowLeakage, match=r"\('raising', 1\) on functional"):
+        w.act(("raising", 1), center)
+    assert len(calls) == 1
 
 
 def test_multiplier_keeps_blocks(singular_window):

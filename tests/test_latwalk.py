@@ -1,7 +1,6 @@
 """Lattice walks: move classification, path search, walk validation."""
 
 import itertools
-import random
 
 import pytest
 from hypothesis import given, settings
