@@ -28,12 +28,14 @@ from .combinat import check_shape
 from .errors import JobSpecError, OgzError, ParseError
 from .exactalg import RationalFunction, Ring, is_row_symmetric
 from .gzmod import (
+    MAX_WINDOW_POINTS,
     EvalPoint,
     build_basis_B,
     component_graph,
     simplicity_probe,
     singularity_setup_check,
     value_text,
+    window_points,
 )
 from .skewops import Generators, SkewOperator, commutator, invariant_family
 
@@ -63,6 +65,13 @@ MAX_OPERATOR_EXPONENT = 4
 # Python's int() refuses more than 4300 digits with a ValueError.
 MAX_TOKEN_CHARS = 1000
 
+# Parameters z[1..n] come first among a ring's variables, so each one adds a
+# slot to every monomial and slows all arithmetic.  blocks on the radius-2
+# (2,1) window takes 2.1 s with none, 6.2 s at the cap and 41 s with 1000;
+# apply of E1 to z[100000] alone takes 0.6 s and 61 MB, and z[99999999] would
+# exhaust memory.
+MAX_PARAMS = 100
+
 # ---------------------------------------------------------------------------
 # expression parsing
 
@@ -78,6 +87,19 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+
+
+# a generator token and its window key: E<i>, F<i> or gamma[i,d]
+_GENERATOR_RE = re.compile(r"([EF])(\d+)|gamma\[(\d+),(\d+)\]")
+
+
+def _generator_key(tok: str) -> Optional[tuple]:
+    m = _GENERATOR_RE.fullmatch(tok)
+    if m is None:
+        return None
+    if m.group(1):
+        return ("raising" if m.group(1) == "E" else "lowering", int(m.group(2)))
+    return ("multiplier", int(m.group(3)), int(m.group(4)))
 
 
 def _tokenize(text: str) -> list:
@@ -266,27 +288,29 @@ class _Parser:
 
     def _op_token(self, tok: str) -> SkewOperator:
         try:
+            key = _generator_key(tok)
+            if key is not None:
+                return self.gens.op(key)
             if tok.startswith("phi"):
                 body, _, exp = tok.partition("^")
                 i, j = (int(t) for t in body[4:-1].split(","))
                 n = int(exp) if exp else 1
                 return self.gens.shift_op((i, j), n)
-            if tok.startswith("gamma"):
-                i, d = (int(t) for t in tok[6:-1].split(","))
-                return self.gens.multiplier(i, d)
-            if tok.startswith("partial"):
-                i, p = (int(t) for t in tok[8:-1].split(","))
-                return divdiff.partial(self.ring, (i, p), (i, p + 1))
-            i = int(tok[1:])
-            if tok[0] == "E":
-                return self.gens.raising(i)
-            return self.gens.lowering(i)
+            i, p = (int(t) for t in tok[8:-1].split(","))
+            return divdiff.partial(self.ring, (i, p), (i, p + 1))
         except (ValueError, OgzError) as e:
             raise NameError(f"unknown operator {tok}: {e}") from None
 
 
 def _max_param(text: str) -> int:
-    return max((int(m.group(1)) for m in re.finditer(r"z\[(\d+)\]", text)), default=0)
+    # a longer index, too long for int(), is refused by the token cap in parsing
+    found = re.findall(r"z\[(\d{1,%d})\]" % MAX_TOKEN_CHARS, text)
+    return max(map(int, found), default=0)
+
+
+def _check_params(n: int, what: str, error=ParseError):
+    if n > MAX_PARAMS:
+        raise error(f"{what} asks for {n} parameters, above the cap of {MAX_PARAMS}")
 
 
 def parse_expr(ring: Ring, text: str) -> RationalFunction:
@@ -373,7 +397,14 @@ def load_jobspec(path: str) -> Tuple[EvalPoint, int, int]:
         point = EvalPoint.make(shape, values)
     except ValueError as e:
         raise JobSpecError(str(e)) from None
-    return point, data["radius"], data.get("params", 0)
+    # JSON Schema counts an integral float such as 2.0 as an integer
+    radius, params = int(data["radius"]), int(data.get("params", 0))
+    _check_params(max(params, point.max_tag()), "the job spec", JobSpecError)
+    if window_points(shape, radius) > MAX_WINDOW_POINTS:
+        raise JobSpecError(
+            f"a radius-{radius} window has more points than the cap of {MAX_WINDOW_POINTS}"
+        )
+    return point, radius, params
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +423,7 @@ def _parse_shape(text: str) -> tuple:
 def _cmd_apply(args) -> str:
     shape = _parse_shape(args.shape)
     nparams = max(args.params, _max_param(args.op), _max_param(args.expr))
+    _check_params(nparams, "apply")
     ring = Ring(shape, nparams)
     op = parse_op(ring, args.op)
     val = parse_expr(ring, args.expr)
@@ -541,7 +573,13 @@ def _act_line(win, b: int, vec: dict) -> str:
 def _cmd_action(args) -> str:
     point, radius, params = load_jobspec(args.spec)
     tok = args.op.strip()
-    gen = _generator_key(tok, point.ring(params))
+    gen = _generator_key(tok)
+    if gen is None:
+        raise ParseError(f"operator {tok!r} is not a generator token (E<i>, F<i>, gamma[i,d])")
+    try:
+        Generators(point.ring(params)).op(gen)
+    except ValueError as e:
+        raise ParseError(f"generator {tok} out of range for the shape: {e}") from None
     win = build_basis_B(point, radius, nparams=params)
     lines = [f"point {point}", f"radius {radius}", f"op {tok}", f"routes {args.routes}"]
     for b in range(len(win.basis)):
@@ -562,30 +600,6 @@ def _cmd_action(args) -> str:
             )
             lines.append(_act_line(win, b, vec) + f" agree={'yes' if agree else 'NO'}")
     return "\n".join(lines)
-
-
-def _generator_key(tok: str, ring: Ring) -> tuple:
-    m = re.fullmatch(r"E(\d+)", tok)
-    if m:
-        i = int(m.group(1))
-        if not 1 <= i <= len(ring.shape) - 1:
-            raise ParseError(f"ladder row {i} out of range for the shape")
-        return ("raising", i)
-    m = re.fullmatch(r"F(\d+)", tok)
-    if m:
-        i = int(m.group(1))
-        if not 1 <= i <= len(ring.shape) - 1:
-            raise ParseError(f"ladder row {i} out of range for the shape")
-        return ("lowering", i)
-    m = re.fullmatch(r"gamma\[(\d+),(\d+)\]", tok)
-    if m:
-        i, d = int(m.group(1)), int(m.group(2))
-        if not (1 <= i <= len(ring.shape) and 1 <= d <= ring.shape[i - 1]):
-            raise ParseError(f"multiplier gamma[{i},{d}] out of range for the shape")
-        return ("multiplier", i, d)
-    raise ParseError(
-        f"operator {tok!r} is not a generator token (E<i>, F<i>, gamma[i,d])"
-    )
 
 
 def _cmd_blocks(args) -> str:
@@ -805,6 +819,9 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse reads "--opt=--" as an empty list, not as the text "--"
+        if [] in vars(args).values():
+            raise ParseError("an option value of '--' is not accepted")
     except ParseError as e:
         _emit_error(2, e)
         return 2

@@ -5,14 +5,15 @@ difference is ``diff_{a,b} = (id - t_{a,b}) / (x_a - x_b)`` as a skew
 operator.  Words of adjacent-pair differences compose by the nil rule: the
 product over a non-reduced word vanishes.
 
-Two representations are provided:
+Both forms are one combination type,
+:class:`~ogzkit.skewops.LinearCombination`, with two kinds of key:
 
-* plain :class:`~ogzkit.skewops.SkewOperator` normal forms (rational
-  coefficients on permutation symmetries), convenient for identity checks;
-* :class:`NilHecke` elements — left polynomial/rational coefficients on the
-  divided-difference basis ``sum_w f_w * diff_w`` — which stay evaluable at
-  points where individual skew terms would blow up.  This basis is what the
-  windowed module action uses.
+* :class:`~ogzkit.skewops.SkewOperator` keys it by permutation symmetries
+  (the normal form convenient for identity checks);
+* :class:`NilHecke` keys it by the divided-difference basis, ``sum_w f_w *
+  diff_w``, whose left coefficients stay evaluable at points where
+  individual skew terms would blow up.  This basis is what the windowed
+  module action uses.
 
 The ladder generators have an alternative form built from a composition of
 one row: a sum over blocks of (chain of divided differences) composed with
@@ -22,14 +23,14 @@ row-symmetric inputs it agrees with the classical form.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from ._gcd import clear_den
 from ._ratio import QQ
 from .combinat import RowPermutation, canonical_word
 from .errors import InvalidComposition, InvalidPair
 from .exactalg import Polynomial, RationalFunction, Ring, merge_terms
-from .skewops import AffineSymmetry, SkewOperator, ladder_coefficient
+from .skewops import AffineSymmetry, LinearCombination, SkewOperator, ladder_coefficient
 
 
 def _pair_cells(ring: Ring, a, b):
@@ -202,7 +203,7 @@ def generators_ddiff_form(ring: Ring, i: int, mu, up: bool) -> SkewOperator:
     return total
 
 
-class NilHecke:
+class NilHecke(LinearCombination):
     """Sum of left coefficients on divided-difference basis elements,
     ``sum_w f_w * diff_w`` over row permutations w.
 
@@ -212,20 +213,8 @@ class NilHecke:
     individual permutation-basis terms of the same operator have poles.
     """
 
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring: Ring, terms: Mapping):
-        self.ring = ring
-        clean = {}
-        for w, c in terms.items():
-            c = RationalFunction.from_any(ring, c)
-            if not c.is_zero():
-                clean[w] = c
-        self.terms = clean
-
-    @staticmethod
-    def zero(ring: Ring) -> "NilHecke":
-        return NilHecke(ring, {})
+    __slots__ = ()
+    _KEY_FORMAT = "d[{}]"
 
     @staticmethod
     def one(ring: Ring) -> "NilHecke":
@@ -244,19 +233,6 @@ class NilHecke:
             if not out.terms:
                 break
         return out
-
-    def __add__(self, other: "NilHecke") -> "NilHecke":
-        return NilHecke(self.ring, merge_terms(dict(self.terms), other.terms.items()))
-
-    def __neg__(self) -> "NilHecke":
-        return NilHecke(self.ring, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "NilHecke") -> "NilHecke":
-        return self + (-other)
-
-    def mul_left_fun(self, f) -> "NilHecke":
-        f = RationalFunction.from_any(self.ring, f)
-        return NilHecke(self.ring, {w: f * c for w, c in self.terms.items()})
 
     def mul_right_gen(self, i: int, p: int) -> "NilHecke":
         """Right multiplication by one divided-difference generator; products
@@ -374,25 +350,3 @@ class NilHecke:
         for w, f in self.terms.items():
             out = out + f * partial_for_perm(self.ring, w)
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, NilHecke):
-            return NotImplemented
-        return self.ring is other.ring and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.ring._key, frozenset(self.terms.items())))
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in sorted(self.terms, key=RowPermutation.sort_key):
-            bits.append(f"({self.terms[w]})*d[{w.render()}]")
-        return " + ".join(bits)
-
-    def __str__(self):
-        return self.render()
-
-    def __repr__(self):
-        return f"NilHecke({self})"

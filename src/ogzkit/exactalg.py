@@ -175,10 +175,10 @@ class Polynomial:
         return Polynomial._wrap(self.ring, K.p_neg(self.terms))
 
     def __mul__(self, other):
-        if isinstance(other, RationalFunction):
-            return NotImplemented
         if isinstance(other, (int, str)) or type(other) is QQ:
             return Polynomial._wrap(self.ring, K.p_mul_scalar(self.terms, _coerce_qq(other)))
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         self._check(other)
         return Polynomial._wrap(self.ring, K.p_mul(self.terms, other.terms))
 
@@ -198,7 +198,9 @@ class Polynomial:
         return r
 
     def __truediv__(self, other):
-        return RationalFunction.normalize(self, other)
+        if isinstance(other, RationalFunction):
+            return NotImplemented
+        return RationalFunction.normalize(self, self._coerce(other))
 
     def __rtruediv__(self, other):
         return RationalFunction.normalize(self._coerce(other), self)
@@ -434,21 +436,10 @@ class RationalFunction:
         self._hash = None
 
     @staticmethod
-    def normalize(num, den) -> "RationalFunction":
-        """Canonical quotient: reduced, monic denominator."""
-        if isinstance(num, RationalFunction) or isinstance(den, RationalFunction):
-            n = num if isinstance(num, RationalFunction) else None
-            d = den if isinstance(den, RationalFunction) else None
-            ring = (n or d).num.ring
-            n = n if n is not None else RationalFunction.from_any(ring, num)
-            d = d if d is not None else RationalFunction.from_any(ring, den)
-            return n / d
-        ring = num.ring if isinstance(num, Polynomial) else den.ring
-        if not isinstance(num, Polynomial):
-            num = ring.const(num)
-        if not isinstance(den, Polynomial):
-            den = ring.const(den)
-        if num.ring is not den.ring:
+    def normalize(num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """Canonical quotient of two polynomials: reduced, monic denominator."""
+        ring = num.ring
+        if den.ring is not ring:
             raise ValueError("numerator and denominator from different rings")
         if den.is_zero():
             raise DivisionByZero("zero denominator")
@@ -569,23 +560,21 @@ class RationalFunction:
         other = RationalFunction.from_any(self.ring, other)
         if other.is_zero():
             raise DivisionByZero("division by zero rational function")
-        return self * RationalFunction.normalize(other.den, other.num)
+        # the reciprocal of a reduced quotient is reduced: only the unit moves
+        return self * RationalFunction._monic(other.den, other.num)
 
     def __rtruediv__(self, other):
         return RationalFunction.from_any(self.ring, other) / self
 
     def __pow__(self, n: int):
-        if n < 0:
-            return RationalFunction.from_poly(self.ring.one()) / (self ** (-n))
-        r = RationalFunction.from_poly(self.ring.one())
-        base = self
-        while n:
-            if n & 1:
-                r = r * base
-            n >>= 1
-            if n:
-                base = base * base
-        return r
+        """Powers of a coprime pair stay coprime and a power of a monic
+        polynomial stays monic, so no gcd is taken; a negative power is the
+        power of the reciprocal, whose unit is moved once."""
+        if n >= 0:
+            return RationalFunction(self.num ** n, self.den ** n)
+        if self.is_zero():
+            raise DivisionByZero("division by zero rational function")
+        return RationalFunction._monic(self.den ** -n, self.num ** -n)
 
     def __eq__(self, other):
         if isinstance(other, (Polynomial, int)) or type(other) is QQ:

@@ -38,7 +38,7 @@ matrices, their nilpotency check and the socle in one pass.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional
 
@@ -103,11 +103,16 @@ class EvalPoint:
     @staticmethod
     def make(shape, values: Mapping) -> "EvalPoint":
         shape = check_shape(shape)
-        cells = [(i, j) for i, s in enumerate(shape, start=1) for j in range(1, s + 1)]
+        given = {tuple(c) for c in values}
+        # stop at the first missing cell, so that a shape far larger than the
+        # values is refused without listing its cells
+        cells = set()
+        for i, s in enumerate(shape, start=1):
+            for j in range(1, s + 1):
+                if (i, j) not in given:
+                    raise ValueError(f"missing value for cell {(i, j)}")
+                cells.add((i, j))
         entries = []
-        for cell in cells:
-            if tuple(cell) not in {tuple(c) for c in values}:
-                raise ValueError(f"missing value for cell {cell}")
         for cell, pair in values.items():
             cell = tuple(cell)
             if cell not in cells:
@@ -301,8 +306,14 @@ def singularity_setup_check(point: EvalPoint, radius: int) -> SetupReport:
             d = point.integer_diff(a, b)
             if d is not None and d != 0 and abs(d) <= 2 * radius:
                 violations.append((a, b, d))
-    size = (2 * radius + 1) ** sum(shape[:-1])
+    size = window_points(shape, radius)
     return SetupReport(point, radius, stab, violations, stab.blocks_contiguous(), size)
+
+
+def window_points(shape: tuple, radius: int) -> int:
+    """The number of translates in a window: each cell below the top row
+    moves over 2*radius + 1 offsets."""
+    return (2 * radius + 1) ** sum(shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +366,6 @@ class ModuleWindow:
         self.rank_history: List[int] = []
         self._gen_image_cache: Dict[tuple, Polynomial] = {}
         self._act_cache: Dict[tuple, dict] = {}
-        self._act_structural_cache: Dict[tuple, dict] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -559,10 +569,6 @@ class ModuleWindow:
     def act_structural(self, gen: tuple, idx: int) -> dict:
         """Independent computation of :meth:`act` by symbolic manipulation in
         the divided-difference basis (no linear solve)."""
-        key = (gen, idx)
-        hit = self._act_structural_cache.get(key)
-        if hit is not None:
-            return hit
         orbit_idx, w = self.basis_meta[idx]
         orb = self.orbits[orbit_idx]
         ring = self.ring
@@ -613,7 +619,6 @@ class ModuleWindow:
                 for y, c in pushed.terms.items()
                 if y.rows in allowed
             ))
-        self._act_structural_cache[key] = result
         return result
 
     # -- blocks, socle -----------------------------------------------------------
@@ -827,7 +832,7 @@ def component_graph(point: EvalPoint, radius: int, edge_rule: str = "both") -> C
     k = len(shape)
     ring = point.ring()
     cells = ring.shiftable_cells()
-    if (2 * radius + 1) ** len(cells) > MAX_WINDOW_POINTS:
+    if window_points(shape, radius) > MAX_WINDOW_POINTS:
         raise ValueError("window too large")
 
     def values_at(p: tuple) -> dict:

@@ -8,6 +8,11 @@ coeff_t * sym_t`` with the coefficient acting as a left multiplier:
 (f*pi(g)) * (pi rho)``, which keeps every operator in this normal form; two
 operators are equal exactly when their normal forms match.
 
+Operators are one combination type, :class:`LinearCombination` (sums of
+keys with reduced rational-function coefficients, and their container
+algebra), with two kinds of key: affine symmetries for :class:`SkewOperator`
+and the divided-difference basis for :class:`~ogzkit.divdiff.NilHecke`.
+
 The distinguished generators of the operator algebra live here too: the
 raising/lowering operators built from cell-difference coefficients and unit
 shifts, and multiplication by row elementary symmetric polynomials.
@@ -138,28 +143,80 @@ class AffineSymmetry:
         return self.render()
 
 
-class SkewOperator:
-    """Normal-form sum of (rational coefficient) x (affine symmetry) terms."""
+class LinearCombination:
+    """A finite sum ``sum_k c_k * k`` of keys with nonzero reduced
+    coefficients.  Keys sort by ``sort_key`` and render through
+    ``_KEY_FORMAT``; each subclass adds the products of its kind of key."""
 
-    __slots__ = ("ring", "terms", "_common")
+    __slots__ = ("ring", "terms")
+    _KEY_FORMAT = "{}"
 
     def __init__(self, ring: Ring, terms: Mapping):
         self.ring = ring
-        self._common = None
         clean = {}
-        for sym, coeff in terms.items():
+        for key, coeff in terms.items():
             coeff = RationalFunction.from_any(ring, coeff)
             if not coeff.is_zero():
-                if sym.shape != ring.shape:
-                    raise ValueError("symmetry shape mismatch")
-                clean[sym] = coeff
+                clean[key] = coeff
         self.terms = clean
 
-    # -- constructors ---------------------------------------------------------
+    @classmethod
+    def zero(cls, ring: Ring):
+        return cls(ring, {})
 
-    @staticmethod
-    def zero(ring: Ring) -> "SkewOperator":
-        return SkewOperator(ring, {})
+    def __add__(self, other):
+        if self.ring is not other.ring:
+            raise ValueError("ring mismatch")
+        return type(self)(self.ring, merge_terms(dict(self.terms), other.terms.items()))
+
+    def __neg__(self):
+        return type(self)(self.ring, {key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def mul_left_fun(self, f):
+        """Left multiplication by a function: f*(g*k) = (f g)*k."""
+        f = RationalFunction.from_any(self.ring, f)
+        return type(self)(self.ring, {key: f * c for key, c in self.terms.items()})
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.ring is other.ring and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.ring._key, frozenset(self.terms.items())))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def render(self) -> str:
+        if not self.terms:
+            return "0"
+        return " + ".join(
+            f"({self.terms[key]})*" + self._KEY_FORMAT.format(key.render())
+            for key in sorted(self.terms, key=lambda key: key.sort_key())
+        )
+
+    __str__ = render
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class SkewOperator(LinearCombination):
+    """Normal-form sum of (rational coefficient) x (affine symmetry) terms."""
+
+    __slots__ = ("_common",)
+
+    def __init__(self, ring: Ring, terms: Mapping):
+        super().__init__(ring, terms)
+        self._common = None
+        if any(sym.shape != ring.shape for sym in self.terms):
+            raise ValueError("symmetry shape mismatch")
+
+    # -- constructors ---------------------------------------------------------
 
     @staticmethod
     def identity(ring: Ring) -> "SkewOperator":
@@ -175,24 +232,8 @@ class SkewOperator:
 
     # -- algebra --------------------------------------------------------------
 
-    def __add__(self, other: "SkewOperator") -> "SkewOperator":
-        if self.ring is not other.ring:
-            raise ValueError("ring mismatch")
-        return SkewOperator(self.ring, merge_terms(dict(self.terms), other.terms.items()))
-
-    def __neg__(self) -> "SkewOperator":
-        return SkewOperator(self.ring, {sym: -c for sym, c in self.terms.items()})
-
-    def __sub__(self, other: "SkewOperator") -> "SkewOperator":
-        return self + (-other)
-
-    def __mul__(self, f) -> "SkewOperator":
-        """Left multiplication by a function: f*(g*pi) = (f g)*pi — and the
-        same on the right since coefficients multiply commutatively."""
-        f = RationalFunction.from_any(self.ring, f)
-        return SkewOperator(self.ring, {sym: f * c for sym, c in self.terms.items()})
-
-    __rmul__ = __mul__
+    # f*op scales the coefficients, and so does op*f: they commute
+    __mul__ = __rmul__ = LinearCombination.mul_left_fun
 
     def __matmul__(self, other: "SkewOperator") -> "SkewOperator":
         """Operator composition (self applied after other)."""
@@ -269,25 +310,9 @@ class SkewOperator:
         num = Polynomial._wrap(ring, {mono: QQ(v, scale) for mono, v in num.items()})
         return RationalFunction.normalize(num, den)
 
-    def __eq__(self, other):
-        if not isinstance(other, SkewOperator):
-            return NotImplemented
-        return self.ring is other.ring and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.ring._key, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_multiplication(self) -> bool:
         """True when the operator is multiplication by a single function."""
-        if not self.terms:
-            return True
-        if len(self.terms) != 1:
-            return False
-        (sym,) = self.terms
-        return sym.is_identity()
+        return len(self.terms) <= 1 and all(sym.is_identity() for sym in self.terms)
 
     def multiplier_value(self) -> RationalFunction:
         if not self.is_multiplication():
@@ -295,20 +320,6 @@ class SkewOperator:
         if not self.terms:
             return RationalFunction.from_any(self.ring, 0)
         return next(iter(self.terms.values()))
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for sym in sorted(self.terms, key=AffineSymmetry.sort_key):
-            bits.append(f"({self.terms[sym]})*{sym.render()}")
-        return " + ".join(bits)
-
-    def __str__(self):
-        return self.render()
-
-    def __repr__(self):
-        return f"SkewOperator({self})"
 
 
 def commutator(a: SkewOperator, b: SkewOperator) -> SkewOperator:
@@ -337,7 +348,7 @@ def ladder_coefficient(ring: Ring, i: int, start: int, end: int, up: bool) -> Ra
 
 
 class Generators:
-    """The distinguished operator family for one shape.
+    """The distinguished operator family for one shape, built by ``op(key)``.
 
     ``raising(i)`` / ``lowering(i)`` move cells of row i up/down by one with
     the cell-difference rational coefficients; ``multiplier(i, d)`` is
@@ -353,55 +364,43 @@ class Generators:
     def for_shape(shape, nparams: int = 0) -> "Generators":
         return Generators(Ring(check_shape(shape), nparams))
 
-    def _row_guard(self, i: int):
-        k = len(self.ring.shape)
-        if not 1 <= i <= k - 1:
-            raise ValueError(f"ladder row {i} must satisfy 1 <= i <= {k - 1}")
-
-    def raising(self, i: int) -> SkewOperator:
-        key = ("raising", i)
-        if key not in self._cache:
-            self._cache[key] = self._ladder(i, up=True)
-        return self._cache[key]
-
-    def lowering(self, i: int) -> SkewOperator:
-        key = ("lowering", i)
-        if key not in self._cache:
-            self._cache[key] = self._ladder(i, up=False)
-        return self._cache[key]
-
-    def _ladder(self, i: int, up: bool) -> SkewOperator:
-        self._row_guard(i)
-        ring = self.ring
-        terms = {}
-        for _, j in ring.row_cells(i):
-            sym = AffineSymmetry.shift(ring.shape, {(i, j): 1 if up else -1})
-            terms[sym] = ladder_coefficient(ring, i, j, j, up)
-        return SkewOperator(ring, terms)
-
-    def multiplier(self, i: int, d: int) -> SkewOperator:
-        key = ("multiplier", i, d)
-        if key not in self._cache:
-            if not 1 <= i <= len(self.ring.shape):
-                raise ValueError(f"row {i} outside shape {self.ring.shape}")
-            if not 1 <= d <= self.ring.shape[i - 1]:
-                raise ValueError(f"multiplier degree {d} outside row {i}")
-            self._cache[key] = SkewOperator.multiplication(
-                self.ring, elementary_symmetric(self.ring, i, d)
-            )
-        return self._cache[key]
-
     def op(self, key: tuple) -> SkewOperator:
         """The generator named by a window key: ``("raising", i)``,
-        ``("lowering", i)`` or ``("multiplier", i, d)``."""
-        kind = key[0]
-        if kind == "raising":
-            return self.raising(key[1])
-        if kind == "lowering":
-            return self.lowering(key[1])
+        ``("lowering", i)`` or ``("multiplier", i, d)``, checked and built on
+        first use and cached."""
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
+        ring, kind, i = self.ring, key[0], key[1]
         if kind == "multiplier":
-            return self.multiplier(key[1], key[2])
-        raise ValueError(f"unknown generator key {key}")
+            d = key[2]
+            if not 1 <= i <= ring.rows:
+                raise ValueError(f"row {i} outside shape {ring.shape}")
+            if not 1 <= d <= ring.shape[i - 1]:
+                raise ValueError(f"multiplier degree {d} outside row {i}")
+            out = SkewOperator.multiplication(ring, elementary_symmetric(ring, i, d))
+        elif kind in ("raising", "lowering"):
+            if not 1 <= i < ring.rows:
+                raise ValueError(f"ladder row {i} must satisfy 1 <= i <= {ring.rows - 1}")
+            up = kind == "raising"
+            out = SkewOperator(ring, {
+                AffineSymmetry.shift(ring.shape, {(i, j): 1 if up else -1}):
+                    ladder_coefficient(ring, i, j, j, up)
+                for _, j in ring.row_cells(i)
+            })
+        else:
+            raise ValueError(f"unknown generator key {key}")
+        self._cache[key] = out
+        return out
+
+    def raising(self, i: int) -> SkewOperator:
+        return self.op(("raising", i))
+
+    def lowering(self, i: int) -> SkewOperator:
+        return self.op(("lowering", i))
+
+    def multiplier(self, i: int, d: int) -> SkewOperator:
+        return self.op(("multiplier", i, d))
 
     def shift_op(self, cell, n: int = 1) -> SkewOperator:
         sym = AffineSymmetry.shift(self.ring.shape, {tuple(cell): n})

@@ -1,9 +1,12 @@
 """Command-line interface: determinism, exit codes, validation order."""
 
+import contextlib
+import io
 import json
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ogzkit import QQ, ParseError, Ring
@@ -11,6 +14,7 @@ from ogzkit.cli import (
     MAX_DDIFF_DEGREE,
     MAX_FUNCTION_EXPONENT,
     MAX_OPERATOR_EXPONENT,
+    MAX_PARAMS,
     MAX_TOKEN_CHARS,
     MAX_WALK_COORDS,
     MAX_WALK_VALUE,
@@ -184,6 +188,15 @@ def test_usage_error_is_one_json_line(capsys):
     assert rc == 2 and out == ""
     assert len(err.splitlines()) == 1
     assert error_payload(err)["type"] == "ParseError"
+
+
+@pytest.mark.parametrize("opt", ["--expr", "--params", "--shape", "--out"])
+def test_option_value_of_double_dash_exits_2(capsys, opt):
+    # argparse reads "--opt=--" as an empty list, not as the text "--"
+    argv = {"--shape": "2,1", "--op": "E1", "--expr": "x[1,1]", opt: "--"}
+    rc, out, err = run(capsys, "apply", *(f"{k}={v}" for k, v in argv.items()))
+    assert rc == 2 and out == ""
+    assert error_payload(err)["message"] == "an option value of '--' is not accepted"
 
 
 @pytest.mark.parametrize(
@@ -583,3 +596,170 @@ def test_nested_and_chained_exponents_multiply():
     for text in [f"(E1^2)^{m}", f"E1^2^{m}", f"-(x[1,1]^2*E1)^{MAX_OPERATOR_EXPONENT + 1}"]:
         with pytest.raises(ParseError, match="above the cap"):
             parse_op(ring, text)
+
+
+# ---------------------------------------------------------------------------
+# job-spec values that used to end in a traceback with exit 1
+
+
+@pytest.mark.parametrize("cmd", ["basis", "graph"])
+@pytest.mark.parametrize("field, value", [("radius", 1), ("params", 6)])
+def test_jobspec_integral_floats_read_as_integers(capsys, tmp_path, cmd, field, value):
+    # JSON Schema counts 1.0 as an integer, so the spec must read it as one
+    # (the float spec runs first: a ring built for the integer would be
+    # found again under the equal float key)
+    spec = dict(SPEC_R2, radius=1)
+    spec[field] = float(value)
+    got = run(capsys, cmd, "--spec", write_spec(tmp_path, spec, "float.json"))
+    spec[field] = value
+    want = run(capsys, cmd, "--spec", write_spec(tmp_path, spec))
+    assert want[0] == 0 and got == want
+
+
+@pytest.mark.parametrize(
+    "argv", [["basis"], ["action", "--op", "E1"], ["blocks"], ["probe"], ["graph", "--dot"]]
+)
+def test_jobspec_window_over_the_cap_exits_2(capsys, tmp_path, argv):
+    spec = write_spec(tmp_path, dict(SPEC_R2, radius=400))
+    rc, out, err = run(capsys, argv[0], "--spec", spec, *argv[1:])
+    assert rc == 2 and out == ""
+    e = error_payload(err)
+    assert e["type"] == "JobSpecError" and "more points than the cap" in e["message"]
+
+
+def test_jobspec_huge_row_is_refused_without_listing_its_cells(capsys, tmp_path):
+    spec = json.loads(json.dumps(SPEC_R2))
+    spec["lambda"] = [2, 10**6]
+    path = write_spec(tmp_path, spec)
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, "basis", "--spec", path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2 and out == ""
+    assert error_payload(err)["message"] == "missing value for cell (2, 2)"
+    assert peak < 4 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the parameter count: every parameter is a slot of every monomial
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--params", str(MAX_PARAMS + 1), "--op", "E1", "--expr=1"],
+        ["--op", "E1", f"--expr=z[{MAX_PARAMS + 1}]"],
+        ["--op", f"z[{MAX_PARAMS + 1}]*E1", "--expr=1"],
+        ["--op", "E1", "--expr=z[99999999]"],
+    ],
+)
+def test_apply_parameter_count_over_the_cap_exits_2(capsys, argv):
+    rc, out, err = run(capsys, "apply", "--shape", "2,1", *argv)
+    assert rc == 2 and out == ""
+    e = error_payload(err)
+    assert e["type"] == "ParseError" and f"above the cap of {MAX_PARAMS}" in e["message"]
+
+
+def test_apply_parameter_index_too_long_for_int_exits_2(capsys):
+    # int() refuses more than 4300 digits; the token cap comes first
+    rc, out, err = run(capsys, "apply", "--shape", "2,1", "--op", "E1", f"--expr=z[{'9' * 5000}]")
+    assert rc == 2 and out == ""
+    assert f"above the cap of {MAX_TOKEN_CHARS}" in error_payload(err)["message"]
+
+
+def test_apply_parameter_count_at_the_cap(capsys):
+    rc, out, _ = run(
+        capsys, "apply", "--shape", "2,1", "--op", "gamma[2,1]", f"--expr=z[{MAX_PARAMS}]"
+    )
+    assert rc == 0 and out == f"z[{MAX_PARAMS}]*x[2,1]\n"
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda s: s.update({"params": MAX_PARAMS + 1}),
+        lambda s: s["point"]["2,1"].update({"tag": MAX_PARAMS + 1}),
+        lambda s: s["point"]["2,1"].update({"tag": 10**8}),
+    ],
+)
+def test_jobspec_parameter_count_over_the_cap_exits_2(capsys, tmp_path, mutate):
+    spec = json.loads(json.dumps(SPEC_R2))
+    mutate(spec)
+    rc, out, err = run(capsys, "basis", "--spec", write_spec(tmp_path, spec))
+    assert rc == 2 and out == ""
+    e = error_payload(err)
+    assert e["type"] == "JobSpecError" and f"above the cap of {MAX_PARAMS}" in e["message"]
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract under fuzzing: exit 0, 2 or 3, and on an error an empty
+# stdout and exactly one JSON line on stderr whose code is the exit code
+
+
+def run_quiet(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    return rc, out.getvalue(), err.getvalue()
+
+
+def assert_contract(rc, out, err):
+    assert rc in (0, 2, 3)
+    if rc:
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["code"] == rc
+
+
+# any JSON value; the integers stay at or below 2 (or far over every cap), so
+# that no valid radius above 2 is kept
+ANY_JSON = st.one_of(
+    st.integers(min_value=-2, max_value=2),
+    st.just(10**6),
+    st.sampled_from([0.0, 1.0, 2.0, 0.5, -1.0, 1e300]),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["", "1", "1/2", "-3", "1/0", "x", "2.5"]),
+    st.lists(st.integers(min_value=0, max_value=2), max_size=2),
+    st.dictionaries(st.just("tag"), st.integers(min_value=0, max_value=2), max_size=1),
+)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    field=st.sampled_from(["radius", "params", "lambda", "tag", "offset"]),
+    where=st.sampled_from(["1,1", "1,2", "2,1"]),
+    value=ANY_JSON,
+)
+def test_jobspec_fuzz_keeps_the_cli_contract(tmp_path, field, where, value):
+    spec = json.loads(json.dumps(dict(SPEC_R2, radius=1)))
+    if field in ("radius", "params"):
+        spec[field] = value
+    elif field == "lambda":
+        spec["lambda"][int(where[0]) - 1] = value
+    else:
+        spec["point"][where][field] = value
+    path = write_spec(tmp_path, spec)
+    for argv in (["graph", "--dot"], ["basis"]):
+        assert_contract(*run_quiet(*argv, "--spec", path))
+
+
+APPLY_TOKENS = [
+    "x[1,1]", "x[1,2]", "x[2,1]", "x[3,1]", "z[1]", "z[2]", "E1", "F1", "E2",
+    "gamma[1,2]", "gamma[2,1]", "phi[1,1]", "phi[1,1]^-1", "partial[1,1]",
+    "0", "1", "2", "+", "-", "*", "/", "^", "(", ")", " ",
+]
+APPLY_TEXT = st.lists(st.sampled_from(APPLY_TOKENS), max_size=8).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.sampled_from(["2,1", "1,1", "1,2"]), op=APPLY_TEXT, expr=APPLY_TEXT)
+def test_apply_fuzz_keeps_the_cli_contract(shape, op, expr):
+    assert_contract(*run_quiet("apply", "--shape", shape, f"--op={op}", f"--expr={expr}"))

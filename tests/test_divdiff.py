@@ -376,3 +376,18 @@ def test_ddiff_form_rejects_bad_composition():
         generators_ddiff_form(ring, 1, (3,), True)
     with pytest.raises(InvalidComposition):
         generators_ddiff_form(ring, 1, (1,), True)
+
+
+def test_nil_hecke_and_skew_share_the_combination_algebra():
+    # one container algebra for both kinds of key; equal only within a kind
+    ring = Ring((3, 1), 0)
+    d1, d2 = NilHecke.generator(ring, 1, 1), NilHecke.generator(ring, 1, 2)
+    x = ring.x(1, 1)
+    total = d1.mul_left_fun(x) + d2 - d1
+    assert str(total) == "(1)*d[p[1,3,2;1]] + (x[1,1]-1)*d[p[2,1,3;1]]"
+    assert repr(-d2) == "NilHecke((-1)*d[p[1,3,2;1]])"
+    assert (total - total).is_zero() and total - total == NilHecke.zero(ring)
+    assert hash(total + d1) == hash(d1.mul_left_fun(x) + d2)
+    skew = partial_simple(ring, 1, 1)
+    assert skew == d1.to_skew() and skew != d1
+    assert repr(x * SkewOperator.identity(ring)) == "SkewOperator((x[1,1])*id)"

@@ -358,6 +358,34 @@ def test_sum_with_cancellation_against_the_common_factor():
     assert_sum_and_difference(h, RationalFunction.from_any(ring, QQ(1, 3)))
 
 
+def test_powers_and_quotients_match_the_product_reference():
+    # f**n and f/g take no gcd of their own: a power of a reduced quotient
+    # is reduced, and so is its reciprocal once the unit is moved
+    rng = random.Random(181026)
+    ring = Ring((2, 1), 1)
+    pool = linear_factors(ring, rng, 5)
+    for _ in range(30):
+        f, g = (
+            RationalFunction.normalize(
+                random_poly2(ring, rng, 3),
+                rng.randint(2, 5) * product(ring, rng.choices(pool, k=rng.randint(0, 2))),
+            )
+            for _ in range(2)
+        )
+        if f.is_zero() or g.is_zero():
+            continue
+        for n in range(-3, 4):
+            k = abs(n)
+            num, den = (f.num ** k, f.den ** k) if n >= 0 else (f.den ** k, f.num ** k)
+            want = RationalFunction.normalize(num, den)
+            assert f ** n == want and str(f ** n) == str(want)
+        want = RationalFunction.normalize(f.num * g.den, f.den * g.num)
+        assert f / g == want and str(f / g) == str(want)
+        assert f.num / g == RationalFunction.normalize(f.num * g.den, g.num)
+    with pytest.raises(DivisionByZero):
+        RationalFunction.from_any(ring, 0) ** -1
+
+
 # ---------------------------------------------------------------------------
 # the kernel surface that the benchmark's tracer and provenance rely on
 

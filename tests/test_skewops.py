@@ -302,3 +302,28 @@ def test_apply_matches_termwise_sum(shape, degree):
                 fallback += 1
     # both the exact-division path and the normalize fallback ran
     assert exact and fallback
+
+
+@pytest.mark.parametrize(
+    "key, phrase",
+    [
+        (("raising", 2), "ladder row 2 must satisfy"),
+        (("lowering", 0), "ladder row 0 must satisfy"),
+        (("multiplier", 3, 1), "row 3 outside shape"),
+        (("multiplier", 2, 2), "multiplier degree 2 outside row 2"),
+        (("shift", 1), "unknown generator key"),
+    ],
+)
+def test_generator_keys_out_of_range_raise(key, phrase):
+    with pytest.raises(ValueError, match=phrase):
+        Generators.for_shape((2, 1)).op(key)
+
+
+def test_generators_are_built_once_per_key():
+    g = Generators.for_shape((2, 1))
+    assert g.op(("raising", 1)) is g.raising(1)
+    assert g.op(("lowering", 1)) is g.lowering(1)
+    assert g.op(("multiplier", 1, 2)) is g.multiplier(1, 2)
+    assert [tok for tok, _ in g.all_named()] == [
+        "E1", "F1", "gamma[1,1]", "gamma[1,2]", "gamma[2,1]"
+    ]
