@@ -1,26 +1,21 @@
-"""Small exact linear algebra.
+"""Exact linear algebra over one row format.
 
-``rank`` works generically over any value type with field semantics exposed
-as ``+ - * /`` plus an ``is_zero()``-or-falsy test; it is the exact
-reference, used with rational functions in the parameters.
+Every row is scaled once, by a nonzero factor, to integer polynomials in the
+parameters (:func:`integer_row`), which changes neither its rank nor the
+solutions of its equation.  :class:`ModEchelon` takes integer rows at an
+integer point of the parameters modulo a prime and reduces them
+incrementally.  For any prime and point that rank is a lower bound on the
+rank over Q(z), so a full rank certifies independence; a point where the
+rows lose rank (probability at most deg/p, Schwartz-Zippel) costs
+completeness only.  :func:`prime_to` picks a prime that divides no
+coefficient denominator of the data, so the scaled rows keep their rank.
 
-:class:`ModEchelon` is the one rank certificate: rows of rational functions
-are specialised at an integer point of the parameters modulo a prime and
-reduced incrementally.  Its rank is a lower bound on the rank over Q(z)
-(Schwartz-Zippel: a point loses rank with probability at most deg/p), so a
-full rank certifies independence.  A window's rank certificate and the row
-choice of ``solve_columns`` both use it.
-
-``solve_columns`` solves overdetermined systems over rational functions
-without a gcd per operation.  Its columns must be independent over Q(z),
-which a window's rank certificate guarantees.  It chooses k independent
-rows with a :class:`ModEchelon`, solves those k rows over Q[z] by
-fraction-free (Bareiss) Gauss-Jordan elimination, which gives numerators
-N_c and one determinant D, verifies every row with the gcd-free identity
-sum_c N_c * col_c[r] = D * rhs[r], and normalises x_c = N_c / D once per
-column.
-
-Everything is deterministic: pivots are chosen first-come in row order and
+One fraction-free (Bareiss) Gauss-Jordan elimination over Z[z],
+:func:`_eliminate`, gives :func:`rank` (its pivot count) and
+:func:`solve_columns`: k rows chosen by a :class:`ModEchelon` are eliminated
+to numerators N_c and one determinant D, every row is verified with the
+gcd-free identity sum_c N_c * col_c[r] = D * rhs[r], and x_c = N_c / D is
+normalised once per column.  Pivots are chosen first-come in row order and
 the specialisation points come from a fixed list.
 """
 
@@ -32,96 +27,87 @@ from ._gcd import clear_den, divexact_int
 from ._ratio import QQ
 from .exactalg import Polynomial, RationalFunction
 
-
-def _is_zero(x) -> bool:
-    z = getattr(x, "is_zero", None)
-    if z is not None:
-        return z()
-    return not x
-
-
-def rank(rows: List[list]) -> int:
-    """Exact rank by Gaussian elimination (destructive on a copy)."""
-    if not rows:
-        return 0
-    m = [list(r) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    rk = 0
-    for c in range(ncols):
-        piv = None
-        for r in range(rk, nrows):
-            if not _is_zero(m[r][c]):
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rk], m[piv] = m[piv], m[rk]
-        pv = m[rk][c]
-        for r in range(rk + 1, nrows):
-            if _is_zero(m[r][c]):
-                continue
-            factor = m[r][c] / pv
-            row = m[r]
-            prow = m[rk]
-            for cc in range(c, ncols):
-                row[cc] = row[cc] - factor * prow[cc]
-        rk += 1
-        if rk == nrows:
-            break
-    return rk
-
-
-# Attempt a specialises the parameters at _spec_point(a) and works modulo
-# _PRIMES[a % 2]; alternating the prime means a coefficient denominator
-# divisible by one of them makes only every other attempt unlucky.
-_PRIMES = (2**61 - 1, 2**89 - 1)
+# the row choice of a solve walks over the first _ATTEMPTS integer points
+# until the rows keep their rank at one
 _ATTEMPTS = 8
 
+# Miller-Rabin with the first 13 prime bases is exact below 3.3 * 10^24
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-def _spec_point(attempt: int, nvars: int) -> list:
-    return [1009 + 7919 * attempt + 104729 * slot for slot in range(nvars)]
+
+def _is_prime(n: int) -> bool:
+    if n < 2 or any(n % a == 0 for a in _WITNESSES):
+        return n in _WITNESSES
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
 
 
-class _UnluckyPoint(Exception):
-    pass
+def prime_to(n: int) -> int:
+    """The largest prime up to 2^61 - 1 that does not divide ``n`` (n > 0)."""
+    p = 2**61 - 1
+    while n % p == 0 or not _is_prime(p):
+        p -= 2
+    return p
+
+
+def _terms(v) -> tuple:
+    """(numerator, denominator or None) of an entry as coefficient dicts; a
+    rational number is a constant over the empty monomial."""
+    if isinstance(v, RationalFunction):
+        return v.num.terms, None if v.den.is_one() else v.den.terms
+    return ({(): v} if v else {}), None
+
+
+def integer_row(entries: list) -> tuple:
+    """``entries`` scaled by one nonzero factor to integer polynomials: by
+    the product of their distinct denominators, then by the lcm L of the
+    coefficient denominators.  Returns the integer dicts and L."""
+    parts = [_terms(v) for v in entries]
+    dens: list = []
+    for _, den in parts:
+        if den is not None and den not in dens:
+            dens.append(den)
+    cleared = []
+    for t, den in parts:
+        for d in dens:
+            if t and d != den:
+                t = K.p_mul(t, d)
+        cleared.append(clear_den(t))
+    lcm = math.lcm(*(s for _, s in cleared))
+    return [{m: v * (lcm // s) for m, v in t.items()} for t, s in cleared], lcm
 
 
 def _mod_eval(terms: dict, zv: list, p: int) -> int:
-    """Value mod p of a QQ-coefficient dict at the integer point ``zv``."""
+    """Value mod p of an integer dict at the integer point ``zv``."""
     acc = 0
     for m, c in terms.items():
-        den = c.denominator % p
-        if not den:
-            raise _UnluckyPoint
-        t = c.numerator * pow(den, -1, p)
         for slot, e in enumerate(m):
             if e:
-                t = t * pow(zv[slot], e, p) % p
-        acc += t
+                c = c * pow(zv[slot], e, p) % p
+        acc += c
     return acc % p
 
 
-def _mod_value(rf, zv: list, p: int) -> int:
-    num = _mod_eval(rf.num.terms, zv, p)
-    if rf.den.is_one():
-        return num
-    den = _mod_eval(rf.den.terms, zv, p)
-    if not den:
-        raise _UnluckyPoint
-    return num * pow(den, -1, p) % p
-
-
 class ModEchelon:
-    """Incremental row echelon form of rows of rational functions, taken at
-    the integer point of one attempt modulo that attempt's prime.
+    """Incremental row echelon form of integer rows, taken at the integer
+    point of ``attempt`` modulo ``prime``.  ``len`` is the rank of the rows
+    added so far, a lower bound on their rank over Q(z)."""
 
-    ``add`` raises :class:`_UnluckyPoint` when a coefficient denominator or
-    a denominator vanishes there mod p; the caller then starts again with
-    the next attempt.  ``len`` is the rank of the rows added so far."""
-
-    def __init__(self, attempt: int, nvars: int):
-        self.prime = _PRIMES[attempt % 2]
-        self.point = _spec_point(attempt, nvars)
+    def __init__(self, prime: int, nvars: int, attempt: int = 0):
+        self.prime = prime
+        self.point = [1009 + 7919 * attempt + 104729 * slot for slot in range(nvars)]
         self._rows: list = []  # (pivot column, row scaled to 1 there)
 
     def __len__(self) -> int:
@@ -130,7 +116,7 @@ class ModEchelon:
     def add(self, row: list) -> bool:
         """Specialise and reduce ``row``; True when it raised the rank."""
         p = self.prime
-        vals = [_mod_value(v, self.point, p) for v in row]
+        vals = [_mod_eval(t, self.point, p) for t in row]
         for pc, prow in self._rows:
             f = vals[pc]
             if f:
@@ -143,43 +129,19 @@ class ModEchelon:
         return True
 
 
-def _independent_rows(columns: List[list], nrows: int, nvars: int) -> Optional[list]:
-    """Indices of len(columns) rows whose square minor is nonsingular, found
-    with a :class:`ModEchelon` at the first lucky attempt; None when no
-    attempt certifies them."""
-    k = len(columns)
+def _independent_rows(rows: list, k: int, nvars: int, prime: int) -> Optional[list]:
+    """Indices of k integer ``rows``, read in their first k entries, whose
+    square minor is nonsingular: found by a :class:`ModEchelon` at the first
+    point where the rows keep rank k; None when no point of the list does."""
     for attempt in range(_ATTEMPTS):
-        echelon = ModEchelon(attempt, nvars)
+        echelon = ModEchelon(prime, nvars, attempt)
         chosen: list = []
-        try:
-            for r in range(nrows):
-                if echelon.add([col[r] for col in columns]):
-                    chosen.append(r)
-                    if len(chosen) == k:
-                        return chosen
-        except _UnluckyPoint:
-            continue
+        for r, row in enumerate(rows):
+            if echelon.add(row[:k]):
+                chosen.append(r)
+                if len(chosen) == k:
+                    return chosen
     return None
-
-
-def _integer_row(entries: list) -> list:
-    """One equation scaled by a nonzero factor to integer polynomials: by the
-    product of its distinct denominators, then by the lcm of the coefficient
-    denominators (the solution set is unchanged)."""
-    dens: list = []
-    for v in entries:
-        if not v.den.is_one() and v.den not in dens:
-            dens.append(v.den)
-    polys = []
-    for v in entries:
-        t = v.num.terms
-        for d in dens:
-            if t and d != v.den:
-                t = K.p_mul(t, d.terms)
-        polys.append(t)
-    cleared = [clear_den(t) for t in polys]
-    lcm = math.lcm(*(s for _, s in cleared))
-    return [{m: v * (lcm // s) for m, v in t.items()} for t, s in cleared]
 
 
 def _exact_quotient(a: dict, b: dict) -> dict:
@@ -189,17 +151,79 @@ def _exact_quotient(a: dict, b: dict) -> dict:
     return q
 
 
+def _dot(a: list, b: list) -> dict:
+    acc: dict = {}
+    for x, y in zip(a, b):
+        if x and y:
+            acc = K.p_add(acc, K.p_mul(x, y))
+    return acc
+
+
+def _eliminate(m: list, ncols: int) -> list:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination, in place, of the
+    integer rows ``m`` in their first ``ncols`` columns; later columns are
+    carried along.  A column's pivot is its first nonzero entry at or below
+    the current row, and a column with none is skipped.  Every division by
+    the previous pivot is exact (Sylvester's identity), and every pivot
+    entry ends equal to the last pivot.  Returns the pivot columns."""
+    pivots: list = []
+    prev: dict = {}
+    for c in range(ncols):
+        rk = len(pivots)
+        piv = next((r for r in range(rk, len(m)) if m[r][c]), None)
+        if piv is None:
+            continue
+        m[rk], m[piv] = m[piv], m[rk]
+        prow = m[rk]
+        p = prow[c]
+        for r, row in enumerate(m):
+            if r == rk:
+                continue
+            a = row[c]
+            for j in range(c + 1, len(row)):
+                t = K.p_mul(p, row[j])
+                if a and prow[j]:
+                    t = K.p_sub(t, K.p_mul(a, prow[j]))
+                row[j] = _exact_quotient(t, prev) if prev else t
+            row[c] = {}
+        for r, pc in enumerate(pivots):
+            m[r][pc] = p
+        pivots.append(c)
+        prev = p
+    return pivots
+
+
+def rank(rows: List[list]) -> int:
+    """Rank over Q(z) of rows of rational functions, or over Q of rows of
+    rationals: the pivot count of the fraction-free elimination."""
+    if not rows:
+        return 0
+    m = [integer_row(row)[0] for row in rows]
+    return len(_eliminate(m, len(m[0])))
+
+
+def is_nilpotent(matrix: List[list]) -> bool:
+    """Whether the square matrix N of rational functions has N^n = 0,
+    tested as (L*N)^n = 0 for one common nonzero scalar L that makes L*N
+    integer polynomials."""
+    n = len(matrix)
+    flat, _ = integer_row([v for row in matrix for v in row])
+    LN = [flat[r * n : (r + 1) * n] for r in range(n)]
+    cols = list(zip(*LN))
+    power = LN
+    for _ in range(n - 1):
+        power = [[_dot(row, col) for col in cols] for row in power]
+    return not any(v for row in power for v in row)
+
+
 def solve_columns(columns: List[list], rhs: list, zero) -> Optional[list]:
     """Solve sum_c x_c * columns[c] = rhs exactly over rational functions.
 
-    The columns must be linearly independent over Q(z), which the window's
-    rank certificate guarantees; the system may be (heavily) overdetermined.
-    Rows are chosen mod p (a point where a denominator vanishes mod p, or
-    where the rows found are dependent, is unlucky: the next point of the
-    fixed list is tried), solved fraction-free over Q[z], and *every*
-    equation is verified (see the module docstring).  Returns None when no
-    point certifies k rows or an equation fails.  ``zero`` fixes the ring.
-    """
+    The columns must be independent over Q(z), which the window's rank
+    certificate guarantees; the system may be (heavily) overdetermined.
+    The rows are chosen modulo a prime to the scales of the integer rows
+    (see the module docstring).  Returns None when no point of the list
+    certifies k rows or an equation fails.  ``zero`` fixes the ring."""
     ncols = len(columns)
     nrows = len(rhs)
     if any(len(col) != nrows for col in columns):
@@ -207,39 +231,17 @@ def solve_columns(columns: List[list], rhs: list, zero) -> Optional[list]:
     ring = zero.ring
     if not ncols:
         return [] if all(v.is_zero() for v in rhs) else None
-    rows = _independent_rows(columns, nrows, ring.nvars)
+    scaled = [integer_row([col[r] for col in columns] + [rhs[r]]) for r in range(nrows)]
+    eqs = [row for row, _ in scaled]
+    rows = _independent_rows(eqs, ncols, ring.nvars, prime_to(math.lcm(*(s for _, s in scaled))))
     if rows is None:
         return None
-    eqs = [_integer_row([col[r] for col in columns] + [rhs[r]]) for r in range(nrows)]
     m = [list(eqs[r]) for r in rows]
-    prev: dict = {}
-    for c in range(ncols):
-        # the certified minor is nonsingular, so a pivot exists
-        piv = next(r for r in range(c, ncols) if m[r][c])
-        m[c], m[piv] = m[piv], m[c]
-        p = m[c][c]
-        for r in range(ncols):
-            if r == c:
-                continue
-            row = m[r]
-            a = row[c]
-            for j in range(c + 1, ncols + 1):
-                t = K.p_mul(p, row[j])
-                if a and m[c][j]:
-                    t = K.p_sub(t, K.p_mul(a, m[c][j]))
-                row[j] = _exact_quotient(t, prev) if c else t
-            row[c] = {}
-            if r < c:
-                row[r] = p
-        prev = p
-    det = prev
-    nums = [m[c][ncols] for c in range(ncols)]
+    _eliminate(m, ncols)
+    det = m[0][0]
+    nums = [row[ncols] for row in m]
     for eq in eqs:
-        acc: dict = {}
-        for n, a in zip(nums, eq):
-            if n and a:
-                acc = K.p_add(acc, K.p_mul(n, a))
-        if acc != K.p_mul(det, eq[ncols]):
+        if _dot(nums, eq) != K.p_mul(det, eq[ncols]):
             return None
     den = Polynomial._wrap(ring, {mo: QQ(v) for mo, v in det.items()})
     return [

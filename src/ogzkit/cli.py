@@ -57,7 +57,10 @@ MAX_DDIFF_DEGREE = 8
 # The largest power of one atom that the exponents of an expression may ask
 # for.  Functions: (x[1,1]+x[1,2]+x[2,1]+1)^24 takes 3.6 s and 1 MB (^32:
 # 20 s).  Operators, where E1^n composes n times: E1^4 takes 0.16 s on
-# (2,1) and 11 s on (3,2) (E1^8 on (2,1): 1.6 s).
+# (2,1) and 11 s on (3,2) (E1^8 on (2,1): 1.6 s).  The composition order of
+# an operator value (1 for an operator token, the sum over a product, n
+# times the base's for a power, the largest over a sum) has the operator
+# cap too, so E1^2*E1^2*E1, which ran past 100 s on (3,2), is refused.
 MAX_FUNCTION_EXPONENT = 24
 MAX_OPERATOR_EXPONENT = 4
 
@@ -71,6 +74,14 @@ MAX_TOKEN_CHARS = 1000
 # apply of E1 to z[100000] alone takes 0.6 s and 61 MB, and z[99999999] would
 # exhaust memory.
 MAX_PARAMS = 100
+
+# A certified window has one functional per point, and building it costs
+# far more than its points: basis takes 3.2 s on (2,1) at radius 3 (49
+# points), 14.3 s on (2,2,1) at radius 1 and 19.1 s on (2,1) at radius 4
+# (81 points each), and 452 s on (3,1) at radius 2 (125 points).  basis,
+# action, blocks and probe refuse larger windows; graph, which certifies
+# nothing, keeps gzmod.MAX_WINDOW_POINTS.
+MAX_CERTIFIED_POINTS = 81
 
 # ---------------------------------------------------------------------------
 # expression parsing
@@ -176,7 +187,8 @@ class _Parser:
         if kind != "sym" or val != s:
             raise ParseError(f"expected {s!r}, found {val!r}")
 
-    # values are ("s", RationalFunction) or ("o", SkewOperator)
+    # values are ("s", RationalFunction) or ("o", SkewOperator, order),
+    # where order counts the operator tokens composed (see the caps above)
 
     def _scalar(self, rf) -> tuple:
         return ("s", RationalFunction.from_any(self.ring, rf))
@@ -186,16 +198,30 @@ class _Parser:
             return v[1]
         return SkewOperator.multiplication(self.ring, v[1])
 
+    @staticmethod
+    def _order(v) -> int:
+        return v[2] if v[0] == "o" else 0
+
+    @staticmethod
+    def _capped(order: int) -> int:
+        if order > MAX_OPERATOR_EXPONENT:
+            raise ParseError(
+                f"the operator is a composition of {order} factors, "
+                f"above the cap of {MAX_OPERATOR_EXPONENT}"
+            )
+        return order
+
     def _add(self, a, b, sign: int):
         if a[0] == "s" and b[0] == "s":
             return ("s", a[1] + b[1] if sign > 0 else a[1] - b[1])
         x, y = self._to_op(a), self._to_op(b)
-        return ("o", x + y if sign > 0 else x - y)
+        return ("o", x + y if sign > 0 else x - y, max(self._order(a), self._order(b)))
 
     def _mul(self, a, b):
         if a[0] == "s" and b[0] == "s":
             return ("s", a[1] * b[1])
-        return ("o", self._to_op(a) @ self._to_op(b))
+        order = self._capped(self._order(a) + self._order(b))
+        return ("o", self._to_op(a) @ self._to_op(b), order)
 
     def _div(self, a, b):
         if a[0] == "s" and b[0] == "s":
@@ -208,17 +234,18 @@ class _Parser:
         if a[0] == "s":
             return ("s", -a[1])
         minus = RationalFunction.from_any(self.ring, -1)
-        return ("o", minus * a[1])
+        return ("o", minus * a[1], a[2])
 
     def _pow(self, a, n: int):
         if a[0] == "s":
             return ("s", a[1] ** n)
+        order = self._capped(a[2] * n)
         if n == 0:
-            return ("o", SkewOperator.identity(self.ring))
+            return ("o", SkewOperator.identity(self.ring), 0)
         out = a[1]
         for _ in range(n - 1):
             out = out @ a[1]
-        return ("o", out)
+        return ("o", out, order)
 
     def parse(self):
         try:
@@ -283,7 +310,7 @@ class _Parser:
         if kind in ("shift", "opname"):
             if not self.allow_ops:
                 raise ParseError(f"operator token {val!r} in a function expression")
-            return ("o", self._op_token(val))
+            return ("o", self._op_token(val), 1)
         raise ParseError(f"unexpected {val!r}" if val else "unexpected end of expression")
 
     def _op_token(self, tok: str) -> SkewOperator:
@@ -363,9 +390,10 @@ JOBSPEC_SCHEMA = {
 }
 
 
-def load_jobspec(path: str) -> Tuple[EvalPoint, int, int]:
+def load_jobspec(path: str, certified: bool = False) -> Tuple[EvalPoint, int, int]:
     """Read and validate a window job specification file; everything is
-    checked before any computation starts."""
+    checked before any computation starts.  A window to be ``certified``
+    has the smaller point cap :data:`MAX_CERTIFIED_POINTS`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -400,10 +428,9 @@ def load_jobspec(path: str) -> Tuple[EvalPoint, int, int]:
     # JSON Schema counts an integral float such as 2.0 as an integer
     radius, params = int(data["radius"]), int(data.get("params", 0))
     _check_params(max(params, point.max_tag()), "the job spec", JobSpecError)
-    if window_points(shape, radius) > MAX_WINDOW_POINTS:
-        raise JobSpecError(
-            f"a radius-{radius} window has more points than the cap of {MAX_WINDOW_POINTS}"
-        )
+    cap = MAX_CERTIFIED_POINTS if certified else MAX_WINDOW_POINTS
+    if window_points(shape, radius) > cap:
+        raise JobSpecError(f"a radius-{radius} window has more points than the cap of {cap}")
     return point, radius, params
 
 
@@ -433,47 +460,33 @@ def _cmd_apply(args) -> str:
 
 def _cmd_check_relations(args) -> str:
     shape = _parse_shape(args.shape)
-    ring = Ring(shape, 0)
-    gens = Generators(ring)
-    k = len(shape)
-    lines = [f"shape=({','.join(str(s) for s in shape)})"]
+    gens = Generators(Ring(shape, 0))
+    E, F, gamma = gens.raising, gens.lowering, gens.multiplier
+    ladder = range(1, len(shape))
+    pairs = [(i, j) for i in ladder for j in ladder]
+    mults = [(i, d) for i in range(1, len(shape) + 1) for d in range(1, shape[i - 1] + 1)]
     checks = []
-    ladder = list(range(1, k))
-    mults = [(i, d) for i in range(1, k + 1) for d in range(1, shape[i - 1] + 1)]
+
+    def commute(label: str, a, b):
+        checks.append((f"[{label}]=0", commutator(a, b).is_zero()))
+
     for pos, (i, d) in enumerate(mults):
         for i2, d2 in mults[pos + 1:]:
-            checks.append(
-                (f"[gamma[{i},{d}],gamma[{i2},{d2}]]=0",
-                 commutator(gens.multiplier(i, d), gens.multiplier(i2, d2)).is_zero())
-            )
-    for i in ladder:
-        for j in ladder:
-            if i != j:
-                checks.append(
-                    (f"[E{i},F{j}]=0", commutator(gens.raising(i), gens.lowering(j)).is_zero())
-                )
+            commute(f"gamma[{i},{d}],gamma[{i2},{d2}]", gamma(i, d), gamma(i2, d2))
+    for i, j in pairs:
+        if i != j:
+            commute(f"E{i},F{j}", E(i), F(j))
     for i in ladder:
         for i2, d in mults:
             if i2 != i:
-                checks.append(
-                    (f"[E{i},gamma[{i2},{d}]]=0",
-                     commutator(gens.raising(i), gens.multiplier(i2, d)).is_zero())
-                )
-                checks.append(
-                    (f"[F{i},gamma[{i2},{d}]]=0",
-                     commutator(gens.lowering(i), gens.multiplier(i2, d)).is_zero())
-                )
+                commute(f"E{i},gamma[{i2},{d}]", E(i), gamma(i2, d))
+                commute(f"F{i},gamma[{i2},{d}]", F(i), gamma(i2, d))
+    for i, j in pairs:
+        if j - i >= 2:
+            commute(f"E{i},E{j}", E(i), E(j))
+            commute(f"F{i},F{j}", F(i), F(j))
     for i in ladder:
-        for j in ladder:
-            if abs(i - j) >= 2 and i < j:
-                checks.append(
-                    (f"[E{i},E{j}]=0", commutator(gens.raising(i), gens.raising(j)).is_zero())
-                )
-                checks.append(
-                    (f"[F{i},F{j}]=0", commutator(gens.lowering(i), gens.lowering(j)).is_zero())
-                )
-    for i in ladder:
-        c = commutator(gens.raising(i), gens.lowering(i))
+        c = commutator(E(i), F(i))
         ok = c.is_multiplication()
         label = f"[E{i},F{i}] is a multiplication"
         if ok:
@@ -481,18 +494,12 @@ def _cmd_check_relations(args) -> str:
             ok = val.is_polynomial() and is_row_symmetric(val.polynomial_part())
             label = f"[E{i},F{i}] is multiplication by an invariant polynomial"
         checks.append((label, ok))
-    for i in ladder:
-        for j in ladder:
-            if abs(i - j) == 1:
-                inner = commutator(gens.raising(i), gens.raising(j))
-                checks.append(
-                    (f"[E{i},[E{i},E{j}]]=0",
-                     commutator(gens.raising(i), inner).is_zero())
-                )
-    for name, ok in checks:
-        lines.append(f"{name}: {'ok' if ok else 'FAIL'}")
-    nbad = sum(1 for _, ok in checks if not ok)
-    lines.append(f"checked={len(checks)} failed={nbad}")
+    for i, j in pairs:
+        if abs(i - j) == 1:
+            commute(f"E{i},[E{i},E{j}]", E(i), commutator(E(i), E(j)))
+    lines = [f"shape=({','.join(str(s) for s in shape)})"]
+    lines += [f"{name}: {'ok' if ok else 'FAIL'}" for name, ok in checks]
+    lines.append(f"checked={len(checks)} failed={sum(not ok for _, ok in checks)}")
     return "\n".join(lines)
 
 
@@ -539,7 +546,7 @@ def _fmt_char(character) -> str:
 
 
 def _cmd_basis(args) -> str:
-    point, radius, params = load_jobspec(args.spec)
+    point, radius, params = load_jobspec(args.spec, certified=True)
     report = singularity_setup_check(point, radius)
     lines = [f"point {point}", f"radius {radius}"]
     if not report.ok:
@@ -571,7 +578,7 @@ def _act_line(win, b: int, vec: dict) -> str:
 
 
 def _cmd_action(args) -> str:
-    point, radius, params = load_jobspec(args.spec)
+    point, radius, params = load_jobspec(args.spec, certified=True)
     tok = args.op.strip()
     gen = _generator_key(tok)
     if gen is None:
@@ -595,15 +602,13 @@ def _cmd_action(args) -> str:
         else:
             vec = win.act(gen, b)
             svec = win.act_structural(gen, b)
-            agree = set(vec) == set(svec) and all(
-                (vec[t] - svec[t]).is_zero() for t in vec
-            )
-            lines.append(_act_line(win, b, vec) + f" agree={'yes' if agree else 'NO'}")
+            # rational functions are canonical, so == is exact equality
+            lines.append(_act_line(win, b, vec) + f" agree={'yes' if vec == svec else 'NO'}")
     return "\n".join(lines)
 
 
 def _cmd_blocks(args) -> str:
-    point, radius, params = load_jobspec(args.spec)
+    point, radius, params = load_jobspec(args.spec, certified=True)
     win = build_basis_B(point, radius, nparams=params)
     decomp = win.block_decompose()
     lines = [f"point {point}", f"radius {radius}"]
@@ -693,7 +698,7 @@ def _cmd_walk(args) -> str:
 
 
 def _cmd_probe(args) -> str:
-    point, radius, params = load_jobspec(args.spec)
+    point, radius, params = load_jobspec(args.spec, certified=True)
     win = build_basis_B(point, radius, nparams=params)
     rep = simplicity_probe(win, max_visited=args.max_visited)
     lines = [f"point {point}", f"radius {radius}"]

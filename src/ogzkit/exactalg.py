@@ -12,6 +12,7 @@ equality is mathematical equality.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Mapping, Union
 
 from . import _kernel as K
@@ -37,6 +38,7 @@ class Ring:
         shape = tuple(int(s) for s in shape)
         if not shape or any(s < 1 for s in shape):
             raise ValueError(f"shape must be positive integers, got {shape}")
+        nparams = operator.index(nparams)  # 3.0 would share the key of 3
         if nparams < 0:
             raise ValueError("nparams must be >= 0")
         key = (shape, nparams)

@@ -10,8 +10,9 @@ For a point whose stabilizer is maximal inside its window (checked by
 of functionals ``ev_v ∘ diff_w ∘ xi_j``: one orbit of translates per
 stabilizer-sorted canonical representative ``xi_j``, one functional per
 minimal coset representative ``w``.  The basis is certified by the rank of
-its evaluation matrix on an invariant test family, taken at an integer point
-of the parameters modulo a prime by one incremental echelon
+its evaluation matrix on an invariant test family: the rows are scaled to
+integer polynomials and taken at an integer point of the parameters modulo a
+prime that divides no offset denominator, by one incremental echelon
 (:class:`_linalg.ModEchelon`, which also picks the solve's rows below); a
 full specialised rank is a lower bound, hence a sound certificate.
 Generator actions on this basis are computed two independent ways:
@@ -19,10 +20,8 @@ Generator actions on this basis are computed two independent ways:
 * :meth:`ModuleWindow.act` — evaluate against an invariant test family and
   solve exactly, once, for the columns of the theory-predicted target
   blocks, fully verified; a right-hand side they do not span is a
-  :class:`WindowLeakage`.  The solve picks independent rows modulo a prime
-  at an integer point, eliminates fraction-free (Bareiss) over Q[z] to
-  numerators N_c and a determinant D, and checks every family member with
-  the identity sum_c N_c * col_c = D * rhs, which needs no gcd;
+  :class:`WindowLeakage`.  The solve (:func:`_linalg.solve_columns`) is
+  fraction-free and checks every family member without a gcd;
 * :meth:`ModuleWindow.act_structural` — push the generator through the
   functional symbolically in the divided-difference basis, one term per
   (coefficient, chain word, moved cell): a multiplier is a single term that
@@ -38,6 +37,7 @@ matrices, their nilpotency check and the socle in one pass.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional
@@ -441,30 +441,21 @@ class ModuleWindow:
         """Escalate the family degree from max(shape) until the evaluation
         matrix certifies full rank at two consecutive degrees.
 
-        The rank is that of the family rows specialised at an integer point
-        mod a prime (:class:`_linalg.ModEchelon`), a lower bound on their
-        rank over Q(z), so a full specialised rank is a sound certificate.
-        One echelon is kept across the degree steps and fed only the new
-        rows; when a point is unlucky (a denominator vanishes there mod p)
-        the next point of the fixed list rebuilds it from all rows."""
+        Each family row is scaled to integer polynomials and taken at an
+        integer point modulo a prime (:class:`_linalg.ModEchelon`); that
+        rank is a lower bound on the rank over Q(z), so a full specialised
+        rank is a sound certificate.  The prime divides no offset
+        denominator, hence no coefficient denominator of a row.  One echelon
+        is kept across the degree steps and fed only the new rows."""
         n = len(self.basis)
         D = start = max(self.ring.shape)
-        attempt = fed = 0
-        echelon = _linalg.ModEchelon(attempt, self.ring.nvars)
+        avoid = math.prod(off.denominator for _, (_, off) in self.point.entries)
+        echelon = _linalg.ModEchelon(_linalg.prime_to(avoid), self.ring.nvars)
+        fed = 0
         while True:
             self.extend_family(D)
             while fed < len(self.family) and len(echelon) < n:
-                try:
-                    echelon.add([col[fed] for col in self.columns])
-                except _linalg._UnluckyPoint:
-                    attempt += 1
-                    if attempt == _linalg._ATTEMPTS:
-                        raise WindowRankError(
-                            f"no specialisation point is lucky (history {self.rank_history})"
-                        ) from None
-                    echelon = _linalg.ModEchelon(attempt, self.ring.nvars)
-                    fed = 0
-                    continue
+                echelon.add(_linalg.integer_row([col[fed] for col in self.columns])[0])
                 fed += 1
             rk = len(echelon)
             self.rank_history.append(rk)
@@ -527,13 +518,9 @@ class ModuleWindow:
         family member.
 
         The right-hand side evaluates the generator images through the
-        point's memoised map x_c -> z_tag + offset.  The solve
-        (:func:`_linalg.solve_columns`) chooses independent rows modulo a
-        prime at an integer point, eliminates fraction-free over Q[z] to
-        numerators N_c and one determinant D, verifies every family member
-        with sum_c N_c * col_c = D * rhs, and normalises N_c / D once
-        per column.  The rank certificate makes the window's columns
-        independent, so the solution is unique.  The solve runs once, over
+        point's memoised map x_c -> z_tag + offset.  The rank certificate
+        makes the window's columns independent, so the solution of
+        :func:`_linalg.solve_columns` is unique.  The solve runs once, over
         the blocks of the theory-predicted target orbits; when those do not
         solve, :class:`WindowLeakage` is raised."""
         key = (gen, idx)
@@ -650,24 +637,13 @@ class ModuleWindow:
         and the socle, the dimension of the joint kernel of all the N."""
         out = []
         for orb in self.orbits:
-            mats = {}
-            eigs = {}
-            nilp = True
-            n = len(orb.coset_reps)
-            stacked = []
+            mats, eigs, stacked, nilp = {}, {}, [], True
             for g in self.multiplier_gens():
-                A = self.block_matrix(orb.index, g)
-                chi = gamma_eigenvalue(self.ring, orb.point, g[1], g[2])
-                N = [[A[r][c] - (chi if r == c else self._zero()) for c in range(n)] for r in range(n)]
+                mats[g] = A = self.block_matrix(orb.index, g)
+                eigs[g] = chi = gamma_eigenvalue(self.ring, orb.point, g[1], g[2])
+                N = [[v - chi if r == c else v for c, v in enumerate(row)] for r, row in enumerate(A)]
                 stacked.extend(N)
-                # nilpotency of N: N^n must vanish
-                P = N
-                for _ in range(max(0, n - 1)):
-                    P = _mat_mul(P, N, self._zero())
-                if any(not v.is_zero() for row in P for v in row):
-                    nilp = False
-                mats[g] = A
-                eigs[g] = chi
+                nilp = nilp and _linalg.is_nilpotent(N)
             out.append(
                 {
                     "orbit": orb.index,
@@ -676,7 +652,7 @@ class ModuleWindow:
                     "matrices": mats,
                     "eigenvalues": eigs,
                     "nilpotent_ok": nilp,
-                    "socle": n - _linalg.rank(stacked),
+                    "socle": len(orb.coset_reps) - _linalg.rank(stacked),
                 }
             )
         return out
@@ -684,20 +660,6 @@ class ModuleWindow:
     def socle_dims(self) -> list:
         """Dimension of the joint eigenspace of all multipliers per block."""
         return [entry["socle"] for entry in self.block_decompose()]
-
-
-def _mat_mul(A, B, zero):
-    n = len(A)
-    m = len(B[0]) if B else 0
-    out = [[zero for _ in range(m)] for _ in range(n)]
-    for r in range(n):
-        for c in range(m):
-            acc = zero
-            for t in range(len(B)):
-                if not A[r][t].is_zero() and not B[t][c].is_zero():
-                    acc = acc + A[r][t] * B[t][c]
-            out[r][c] = acc
-    return out
 
 
 def build_basis_B(point: EvalPoint, radius: int, nparams: int = 0) -> ModuleWindow:

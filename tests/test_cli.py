@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ogzkit import QQ, ParseError, Ring
 from ogzkit.cli import (
+    MAX_CERTIFIED_POINTS,
     MAX_DDIFF_DEGREE,
     MAX_FUNCTION_EXPONENT,
     MAX_OPERATOR_EXPONENT,
@@ -296,11 +297,12 @@ def test_basis_output(capsys, spec_file, tmp_path):
         assert "rank_history 4,6,9,12,16,20,25,25" in lines
 
 
-def test_offset_denominator_divisible_by_a_certificate_prime(capsys, tmp_path):
-    # 2^61 - 1 divides a coefficient denominator, so every specialisation
-    # attempt modulo that prime is unlucky; the other prime must take over
+@pytest.mark.parametrize("den", [2**61 - 1, (2**61 - 1) * (2**89 - 1)], ids=["m61", "m61_m89"])
+def test_offset_denominator_divisible_by_a_certificate_prime(capsys, tmp_path, den):
+    # 2^61 - 1 divides a coefficient denominator, so the certificate and the
+    # solve work modulo the next prime below it, with the generic rank history
     spec = json.loads(json.dumps(SPEC_R2))
-    spec["point"]["2,1"]["offset"] = "1/2305843009213693951"
+    spec["point"]["2,1"]["offset"] = f"1/{den}"
     spec["radius"] = 1
     path = write_spec(tmp_path, spec)
     rc, out, _ = run(capsys, "basis", "--spec", path)
@@ -566,6 +568,15 @@ def test_parse_op_accepts_scalar_as_multiplication():
             ["apply", "--shape", "2,1", "--op", "E1", f"--expr={'9' * (MAX_TOKEN_CHARS + 1)}"],
             f"above the cap of {MAX_TOKEN_CHARS}",
         ),
+        (
+            ["apply", "--shape", "2,1", "--op", "E1^2*E1^2*E1", "--expr=x[1,1]"],
+            f"composition of {MAX_OPERATOR_EXPONENT + 1} factors, above the cap",
+        ),
+        (
+            ["apply", "--shape", "2,1", "--op", "x[1,1]*(E1+F1)^2*E1*(F1-1)*E1",
+             "--expr=x[1,1]"],
+            f"composition of {MAX_OPERATOR_EXPONENT + 1} factors, above the cap",
+        ),
     ],
 )
 def test_input_over_a_resource_cap_exits_2(capsys, argv, phrase):
@@ -625,6 +636,22 @@ def test_jobspec_window_over_the_cap_exits_2(capsys, tmp_path, argv):
     assert rc == 2 and out == ""
     e = error_payload(err)
     assert e["type"] == "JobSpecError" and "more points than the cap" in e["message"]
+
+
+@pytest.mark.parametrize("argv", [["basis"], ["action", "--op", "E1"], ["blocks"], ["probe"]])
+def test_certified_window_over_its_cap_exits_2(capsys, tmp_path, monkeypatch, argv):
+    # radius 5 on (2,1) has 121 points: under MAX_WINDOW_POINTS but over the
+    # cap of a certified window, so it is refused before any window is built
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_basis_B ran on a window over the certified cap")
+
+    monkeypatch.setattr("ogzkit.cli.build_basis_B", no_build)
+    spec = write_spec(tmp_path, dict(SPEC_R2, radius=5))
+    rc, out, err = run(capsys, argv[0], "--spec", spec, *argv[1:])
+    assert rc == 2 and out == ""
+    e = error_payload(err)
+    assert e["type"] == "JobSpecError"
+    assert f"more points than the cap of {MAX_CERTIFIED_POINTS}" in e["message"]
 
 
 def test_jobspec_huge_row_is_refused_without_listing_its_cells(capsys, tmp_path):

@@ -35,6 +35,13 @@ def random_poly2(ring: Ring, rng: random.Random, max_degree: int = 4) -> Polynom
     return out
 
 
+def test_ring_refuses_a_float_parameter_count():
+    # 3.0 hashes and compares equal to 3, so it must not reach the ring cache
+    assert Ring((2, 1), 3) is Ring((2, 1), 3)
+    with pytest.raises(TypeError):
+        Ring((2, 1), 3.0)
+
+
 # ---------------------------------------------------------------------------
 # ring axioms on seeded random samples
 

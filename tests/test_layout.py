@@ -1,0 +1,68 @@
+"""Layout guards read from the source text alone (no import): modules keep
+to each other's public names, and no file imports a name it never uses."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ogzkit"
+MODULES = sorted(PACKAGE.glob("*.py"))
+# these modules import names in order to re-export them
+RE_EXPORTS = {"__init__.py", "_ratio.py"}
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_reads(tree: ast.Module) -> list:
+    """Underscore names this module takes from other ogzkit modules, by
+    ``from .m import _x`` or by ``m._x`` on a module it imported."""
+    found, modules = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("ogzkit")):
+            for alias in node.names:
+                if node.module in (None, "ogzkit"):  # a module: from . import _linalg
+                    modules[alias.asname or alias.name] = alias.name
+                elif is_private(alias.name):
+                    found.append(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and is_private(node.attr)
+        ):
+            found.append(f"{modules[node.value.id]}.{node.attr}")
+    return found
+
+
+def unused_imports(tree: ast.Module) -> list:
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_modules_read_no_private_name_of_another_module(path):
+    assert private_reads(parse(path)) == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in MODULES if p.name not in RE_EXPORTS] + sorted((ROOT / "tests").glob("*.py")),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_no_unused_imports(path):
+    assert unused_imports(parse(path)) == []
