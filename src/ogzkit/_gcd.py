@@ -1,8 +1,9 @@
 """Exact multivariate polynomial gcd.
 
-Works on the kernel's raw dict representation with *integer* coefficients:
-the public entry point ``gcd_qq`` clears rational denominators first and
-returns a primitive integer gcd (as a QQ-coefficient dict).
+Works on the kernel's raw dict representation with integer coefficients,
+the numerators of the library's polynomials: the gcd in Q[x] of two
+polynomials is that of their numerators up to an integer, and
+:func:`gcd_qq` returns the gcd in Z[x] of the numerators.
 
 Strategy: a constant argument reduces to an integer gcd with the other
 side's content.  Otherwise strip monomial and integer content, align
@@ -14,8 +15,7 @@ makes the heuristic sound; the fallback makes it total.
 
 import math
 
-from ._kernel import p_deg_in, p_eval_int, p_lead, p_mul, p_mul_term, p_sub
-from ._ratio import QQ
+from ._kernel import p_deg_in, p_divmod, p_eval_int, p_lead, p_mul, p_mul_term, p_sub
 
 _HEU_ATTEMPTS = 6
 
@@ -38,15 +38,6 @@ def _vars_of(a, nvars):
             if e:
                 live[i] = True
     return frozenset(i for i in range(nvars) if live[i])
-
-
-def _int_content(a):
-    g = 0
-    for c in a.values():
-        g = math.gcd(g, abs(c))
-        if g == 1:
-            return 1
-    return g
 
 
 def _divexact_scalar(a, c):
@@ -77,24 +68,10 @@ def _pos(a):
     return a
 
 
-def divexact_int(a, b):
+def _divexact(a, b):
     """Exact quotient of integer dicts, or None when b does not divide a."""
-    if not a:
-        return {}
-    mb, cb = p_lead(b)
-    q = {}
-    f = dict(a)
-    while f:
-        mf, cf = p_lead(f)
-        d = tuple(x - y for x, y in zip(mf, mb))
-        if any(x < 0 for x in d):
-            return None
-        qc, rem = divmod(cf, cb)
-        if rem:
-            return None
-        q[d] = qc
-        f = p_sub(f, p_mul_term(b, d, qc))
-    return q
+    q, r = p_divmod(a, b)
+    return None if r else q
 
 
 def _coeff_wrt(a, v, e):
@@ -102,25 +79,24 @@ def _coeff_wrt(a, v, e):
     return {m[:v] + (0,) + m[v + 1 :]: c for m, c in a.items() if m[v] == e}
 
 
-def _content_primitive_wrt(a, v, nvars):
-    """Split ``a = content * primitive`` with respect to variable v."""
-    d = p_deg_in(a, v)
-    if d <= 0:
-        return dict(a), _one(nvars)
+def _content_wrt(a, v, nvars):
+    """The gcd of the coefficient polynomials of ``a`` in x_v."""
     content = None
-    for e in range(d + 1):
+    for e in range(p_deg_in(a, v) + 1):
         ce = _coeff_wrt(a, v, e)
         if ce:
-            content = ce if content is None else _gcd_int(content, ce, nvars)
+            content = ce if content is None else gcd_qq(content, ce, nvars)
             if _is_one(content):
-                return _one(nvars), dict(a)
-    prim = divexact_int(a, content)
-    return content, prim
-
-
-def _content_wrt(a, v, nvars):
-    content, _ = _content_primitive_wrt(a, v, nvars)
+                break
     return content
+
+
+def _content_primitive_wrt(a, v, nvars):
+    """Split ``a = content * primitive`` with respect to variable v."""
+    if p_deg_in(a, v) <= 0:
+        return dict(a), _one(nvars)
+    content = _content_wrt(a, v, nvars)
+    return content, dict(a) if _is_one(content) else _divexact(a, content)
 
 
 def _pow(a, n, nvars):
@@ -172,12 +148,12 @@ def _heu_gcd(a, b, v, nvars):
         ff = p_eval_int(a, v, x)
         gg = p_eval_int(b, v, x)
         if ff and gg:
-            h = _interp_wrt(_gcd_int(ff, gg, nvars), v, x)
+            h = _interp_wrt(gcd_qq(ff, gg, nvars), v, x)
             if h:
-                ch = _int_content(h)
+                ch = math.gcd(*h.values())
                 if ch > 1:
                     h = _divexact_scalar(h, ch)
-                if divexact_int(a, h) is not None and divexact_int(b, h) is not None:
+                if _divexact(a, h) is not None and _divexact(b, h) is not None:
                     return h
         x = 73794 * x * math.isqrt(math.isqrt(x)) // 27011 + 1
     return None
@@ -209,7 +185,7 @@ def _prs_gcd(a, b, v, nvars):
     """Primitive pseudo-remainder sequence gcd (total fallback)."""
     ca, f = _content_primitive_wrt(a, v, nvars)
     cb, g = _content_primitive_wrt(b, v, nvars)
-    c = _gcd_int(ca, cb, nvars)
+    c = gcd_qq(ca, cb, nvars)
     if p_deg_in(f, v) < p_deg_in(g, v):
         f, g = g, f
     while p_deg_in(g, v) > 0:
@@ -223,8 +199,12 @@ def _prs_gcd(a, b, v, nvars):
     return _pos(c)
 
 
-def _gcd_int(a, b, nvars):
-    """Gcd of integer-coefficient dicts, sign-normalized positive."""
+def gcd_qq(a, b, nvars):
+    """Gcd in Z[x] of integer dicts, with a positive graded-lex leading
+    coefficient; ``{(0,) * nvars: 1}`` when it is trivial.
+
+    Given the numerators of two polynomials over Q, this is their gcd up to
+    a rational unit, and this normalization of it is canonical."""
     if not a:
         return _pos(dict(b))
     if not b:
@@ -235,14 +215,14 @@ def _gcd_int(a, b, nvars):
         if len(x) == 1:
             ((m, c),) = x.items()
             if not any(m):
-                return {m: math.gcd(c, _int_content(y))}
+                return {m: math.gcd(c, *y.values())}
     ma, mb = _mono_min(a), _mono_min(b)
     mg = tuple(min(x, y) for x, y in zip(ma, mb))
     if any(ma):
         a = _shift_down(a, ma)
     if any(mb):
         b = _shift_down(b, mb)
-    ca, cb = _int_content(a), _int_content(b)
+    ca, cb = math.gcd(*a.values()), math.gcd(*b.values())
     c = math.gcd(ca, cb)
     if ca > 1:
         a = _divexact_scalar(a, ca)
@@ -269,25 +249,3 @@ def _gcd_int(a, b, nvars):
         if g is None:
             g = _prs_gcd(a, b, v, nvars)
     return _pos(p_mul_term(g, mg, c))
-
-
-def gcd_qq(a, b, nvars):
-    """Gcd of QQ-coefficient dicts: primitive integer gcd as a QQ dict.
-
-    The result is defined up to a rational unit; this normalization
-    (integer-primitive, positive leading coefficient) is canonical.
-    """
-    if not a:
-        return {m: QQ(c) for m, c in _pos(clear_den(b)[0]).items()}
-    if not b:
-        return {m: QQ(c) for m, c in _pos(clear_den(a)[0]).items()}
-    ia, _ = clear_den(a)
-    ib, _ = clear_den(b)
-    g = _gcd_int(ia, ib, nvars)
-    return {m: QQ(c) for m, c in g.items()}
-
-
-def clear_den(a):
-    """Scale a QQ dict to integer coefficients; returns (int dict, scale)."""
-    lcm = math.lcm(*(c.denominator for c in a.values()))
-    return {m: c.numerator * (lcm // c.denominator) for m, c in a.items()}, lcm

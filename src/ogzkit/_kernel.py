@@ -1,10 +1,11 @@
 """The polynomial kernel, in pure Python.
 
 A polynomial lives in a fixed variable universe of size ``nvars`` and is a
-dict mapping dense exponent tuples to nonzero coefficients.  Coefficients
-are exact rationals (``_ratio.QQ``) except where noted: the arithmetic
-helpers are coefficient-agnostic and are reused with plain ints by the gcd
-machinery.
+dict mapping dense exponent tuples to nonzero coefficients.  The library
+passes integer coefficients, the numerators of a polynomial over its one
+denominator (see :class:`~ogzkit.exactalg.Polynomial`).  Every helper but
+:func:`p_divmod` is coefficient-agnostic and works on any exact ring of
+coefficients.
 """
 
 KERNEL_NAME = "pure"
@@ -116,10 +117,14 @@ def p_deg_in(a, i):
 
 
 def p_divmod(a, b):
-    """Division with remainder by a single divisor, graded-lex leading terms.
+    """Division with remainder of integer dicts by a single divisor, by
+    graded-lex leading terms.
 
-    Coefficient division uses ``/`` and therefore requires field (QQ)
-    coefficients.
+    A leading term of the running dividend goes to the quotient when both
+    its monomial and its coefficient are divisible by those of b's leading
+    term, and to the remainder otherwise.  The remainder is empty exactly
+    when b divides a in Z[x]; for a primitive b that is division in Q[x]
+    (Gauss's lemma).
     """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -130,13 +135,13 @@ def p_divmod(a, b):
     while f:
         mf, cf = p_lead(f)
         d = tuple(x - y for x, y in zip(mf, mb))
-        if all(x >= 0 for x in d):
-            qc = cf / cb
-            q[d] = qc
-            f = p_sub(f, p_mul_term(b, d, qc))
-        else:
+        qc, rc = divmod(cf, cb)
+        if rc or min(d, default=0) < 0:
             r[mf] = cf
             del f[mf]
+        else:
+            q[d] = qc
+            f = p_sub(f, p_mul_term(b, d, qc))
     return q, r
 
 

@@ -2,7 +2,8 @@
 
 Every row is scaled once, by a nonzero factor, to integer polynomials in the
 parameters (:func:`integer_row`), which changes neither its rank nor the
-solutions of its equation.  :class:`ModEchelon` takes integer rows at an
+solutions of its equation; a polynomial's integer numerators are read as
+they are stored.  :class:`ModEchelon` takes integer rows at an
 integer point of the parameters modulo a prime and reduces them
 incrementally.  For any prime and point that rank is a lower bound on the
 rank over Q(z), so a full rank certifies independence; a point where the
@@ -23,8 +24,6 @@ import math
 from typing import List, Optional
 
 from . import _kernel as K
-from ._gcd import clear_den, divexact_int
-from ._ratio import QQ
 from .exactalg import Polynomial, RationalFunction
 
 # the row choice of a solve walks over the first _ATTEMPTS integer points
@@ -62,31 +61,43 @@ def prime_to(n: int) -> int:
     return p
 
 
-def _terms(v) -> tuple:
-    """(numerator, denominator or None) of an entry as coefficient dicts; a
-    rational number is a constant over the empty monomial."""
+def _terms(v, nvars: int) -> tuple:
+    """An entry as (N, s, D) with value N/(s*D): N and D integer dicts (D
+    None for 1) and s a positive integer.  A rational number is a constant
+    at the zero monomial of width ``nvars``."""
     if isinstance(v, RationalFunction):
-        return v.num.terms, None if v.den.is_one() else v.den.terms
-    return ({(): v} if v else {}), None
+        num, den = v.num, v.den
+        if den.is_one():
+            return num.terms, num.den, None
+        return K.p_mul_scalar(num.terms, den.den), num.den, den.terms
+    return ({(0,) * nvars: v.numerator} if v else {}), v.denominator, None
 
 
-def integer_row(entries: list) -> tuple:
-    """``entries`` scaled by one nonzero factor to integer polynomials: by
-    the product of their distinct denominators, then by the lcm L of the
-    coefficient denominators.  Returns the integer dicts and L."""
-    parts = [_terms(v) for v in entries]
+def integer_row(entries: list, nvars: int) -> tuple:
+    """``entries`` (rational functions in ``nvars`` variables, or rational
+    numbers) scaled by one nonzero factor to integer polynomials: by the
+    product of their distinct polynomial denominators and by the lcm L of
+    their integer denominators.  Returns the integer dicts and L."""
+    parts = [_terms(v, nvars) for v in entries]
     dens: list = []
-    for _, den in parts:
+    for _, _, den in parts:
         if den is not None and den not in dens:
             dens.append(den)
-    cleared = []
-    for t, den in parts:
+    lcm = math.lcm(*(s for _, s, _ in parts))
+    row = []
+    for t, s, den in parts:
+        if t and s != lcm:
+            t = K.p_mul_scalar(t, lcm // s)
         for d in dens:
             if t and d != den:
                 t = K.p_mul(t, d)
-        cleared.append(clear_den(t))
-    lcm = math.lcm(*(s for _, s in cleared))
-    return [{m: v * (lcm // s) for m, v in t.items()} for t, s in cleared], lcm
+        row.append(t)
+    return row, lcm
+
+
+def _width(rows) -> int:
+    """The number of variables of the rational functions among ``rows``."""
+    return next((v.ring.nvars for row in rows for v in row if isinstance(v, RationalFunction)), 0)
 
 
 def _mod_eval(terms: dict, zv: list, p: int) -> int:
@@ -145,8 +156,8 @@ def _independent_rows(rows: list, k: int, nvars: int, prime: int) -> Optional[li
 
 
 def _exact_quotient(a: dict, b: dict) -> dict:
-    q = divexact_int(a, b)
-    if q is None:
+    q, r = K.p_divmod(a, b)
+    if r:
         raise ArithmeticError("fraction-free elimination step was expected to be exact")
     return q
 
@@ -194,11 +205,13 @@ def _eliminate(m: list, ncols: int) -> list:
 
 
 def rank(rows: List[list]) -> int:
-    """Rank over Q(z) of rows of rational functions, or over Q of rows of
-    rationals: the pivot count of the fraction-free elimination."""
+    """Rank over Q(z) of rows of rational functions and rationals (over Q
+    when all are rationals): the pivot count of the fraction-free
+    elimination."""
     if not rows:
         return 0
-    m = [integer_row(row)[0] for row in rows]
+    nvars = _width(rows)
+    m = [integer_row(row, nvars)[0] for row in rows]
     return len(_eliminate(m, len(m[0])))
 
 
@@ -207,7 +220,7 @@ def is_nilpotent(matrix: List[list]) -> bool:
     tested as (L*N)^n = 0 for one common nonzero scalar L that makes L*N
     integer polynomials."""
     n = len(matrix)
-    flat, _ = integer_row([v for row in matrix for v in row])
+    flat, _ = integer_row([v for row in matrix for v in row], _width(matrix))
     LN = [flat[r * n : (r + 1) * n] for r in range(n)]
     cols = list(zip(*LN))
     power = LN
@@ -231,7 +244,7 @@ def solve_columns(columns: List[list], rhs: list, zero) -> Optional[list]:
     ring = zero.ring
     if not ncols:
         return [] if all(v.is_zero() for v in rhs) else None
-    scaled = [integer_row([col[r] for col in columns] + [rhs[r]]) for r in range(nrows)]
+    scaled = [integer_row([col[r] for col in columns] + [rhs[r]], ring.nvars) for r in range(nrows)]
     eqs = [row for row, _ in scaled]
     rows = _independent_rows(eqs, ncols, ring.nvars, prime_to(math.lcm(*(s for _, s in scaled))))
     if rows is None:
@@ -243,8 +256,5 @@ def solve_columns(columns: List[list], rhs: list, zero) -> Optional[list]:
     for eq in eqs:
         if _dot(nums, eq) != K.p_mul(det, eq[ncols]):
             return None
-    den = Polynomial._wrap(ring, {mo: QQ(v) for mo, v in det.items()})
-    return [
-        RationalFunction.normalize(Polynomial._wrap(ring, {mo: QQ(v) for mo, v in n.items()}), den)
-        for n in nums
-    ]
+    den = Polynomial._wrap(ring, det)
+    return [RationalFunction.normalize(Polynomial._wrap(ring, n), den) for n in nums]

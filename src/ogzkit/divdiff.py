@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ._gcd import clear_den
-from ._ratio import QQ
 from .combinat import RowPermutation, canonical_word
 from .errors import InvalidComposition, InvalidPair
 from .exactalg import Polynomial, RationalFunction, Ring, merge_terms
@@ -131,19 +129,18 @@ def _ddiff_int(terms: dict, sa: int, sb: int) -> dict:
 
 
 def _ddiff(f: Polynomial, sa: int, sb: int) -> Polynomial:
-    terms, lcm = clear_den(f.terms)
-    return Polynomial._wrap(f.ring, {m: QQ(c, lcm) for m, c in _ddiff_int(terms, sa, sb).items()})
+    return Polynomial._reduced(f.ring, _ddiff_int(f.terms, sa, sb), f.den)
 
 
 def apply_word(ring: Ring, word: Iterable, f: Polynomial) -> Polynomial:
     """Apply a word of adjacent divided differences to a polynomial, rightmost
     letter first, monomial by monomial in closed form (:func:`_ddiff_int`)
-    on integers over one denominator."""
-    terms, lcm = clear_den(f.terms)
+    on its integer numerators over its one denominator."""
+    terms = f.terms
     for i, p in reversed(list(word)):
         a, b = _pair_cells(ring, (i, p), (i, p + 1))
         terms = _ddiff_int(terms, ring.index[("x",) + a], ring.index[("x",) + b])
-    return Polynomial._wrap(ring, {m: QQ(c, lcm) for m, c in terms.items()})
+    return Polynomial._reduced(ring, terms, f.den)
 
 
 def leibniz_parts(ring: Ring, a, b, f, gamma: AffineSymmetry):

@@ -3,29 +3,28 @@ and reduced rational functions.
 
 A :class:`Ring` fixes the variable universe for a row shape: parameter
 variables ``z[1..nparams]`` first, then one cell variable ``x[i,j]`` per
-cell of the shape, row-major.  All polynomial values are canonical (no zero
-coefficients, graded-lex term order for rendering) and all rational
-functions are stored fully reduced with a monic denominator, so structural
-equality is mathematical equality.
+cell of the shape, row-major.  A polynomial is stored in one coefficient
+format, integer numerators over one positive denominator with no common
+factor (the layout of FLINT's ``fmpq_poly``), so shifts, divided
+differences, evaluation at points and the gcd all run on integers; a
+rational ``QQ`` appears only at the boundary (constants, rendering).  All
+polynomial values are canonical (no zero coefficients, graded-lex term order
+for rendering) and all rational functions are stored fully reduced with a
+monic denominator, so structural equality is mathematical equality.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from . import _kernel as K
-from ._gcd import clear_den, gcd_qq
+from ._gcd import gcd_qq
 from ._ratio import QQ
 from .errors import DivisionByZero, SingularSubstitution
 
 VarId = tuple
-Coeff = Union[int, str]
-
-
-def _coerce_qq(c):
-    return c if type(c) is QQ else QQ(c)
 
 
 class Ring:
@@ -77,10 +76,10 @@ class Ring:
         return [(i, j) for i, s in enumerate(self.shape[:-1], start=1) for j in range(1, s + 1)]
 
     def x(self, i: int, j: int) -> "Polynomial":
-        return Polynomial._wrap(self, {self._unit_mono(("x", i, j)): QQ(1)})
+        return Polynomial._wrap(self, {self._unit_mono(("x", i, j)): 1})
 
     def z(self, t: int) -> "Polynomial":
-        return Polynomial._wrap(self, {self._unit_mono(("z", t)): QQ(1)})
+        return Polynomial._wrap(self, {self._unit_mono(("z", t)): 1})
 
     def _unit_mono(self, vid: VarId) -> tuple:
         slot = self.index.get(vid)
@@ -91,8 +90,9 @@ class Ring:
         return tuple(m)
 
     def const(self, c) -> "Polynomial":
-        c = _coerce_qq(c)
-        return Polynomial._wrap(self, {(0,) * self.nvars: c} if c else {})
+        """The constant c: an int, a QQ or the text of a QQ."""
+        q = c if isinstance(c, int) else QQ(c)
+        return Polynomial._wrap(self, {(0,) * self.nvars: q.numerator} if q else {}, q.denominator)
 
     def zero(self) -> "Polynomial":
         return Polynomial._wrap(self, {})
@@ -108,27 +108,47 @@ def _var_name(vid: VarId) -> str:
 
 
 class Polynomial:
-    """Immutable sparse polynomial over QQ in a fixed :class:`Ring`."""
+    """Immutable sparse polynomial over QQ in a fixed :class:`Ring`.
 
-    __slots__ = ("ring", "terms", "_hash")
+    ``terms`` maps monomials to nonzero integer numerators and ``den`` is
+    one positive integer denominator; the coefficient of m is
+    ``QQ(terms[m], den)``.  The form is canonical: gcd(content(terms), den)
+    is 1, and den is 1 for the zero polynomial."""
+
+    __slots__ = ("ring", "terms", "den", "_hash")
 
     def __init__(self, ring: Ring, terms: Mapping):
+        """Build from coefficients given as ints, QQs or their text."""
+        coeffs = {tuple(m): QQ(c) for m, c in terms.items()}
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
         self.ring = ring
-        clean = {}
-        for m, c in terms.items():
-            c = _coerce_qq(c)
-            if c:
-                clean[tuple(m)] = c
-        self.terms = clean
+        self.terms = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items() if c}
+        self.den = den
         self._hash = None
 
     @classmethod
-    def _wrap(cls, ring: Ring, terms: dict) -> "Polynomial":
+    def _wrap(cls, ring: Ring, terms: dict, den: int = 1) -> "Polynomial":
+        """Trusted constructor from numerators and denominator already in
+        canonical form."""
         self = object.__new__(cls)
         self.ring = ring
         self.terms = terms
+        self.den = den
         self._hash = None
         return self
+
+    @classmethod
+    def _reduced(cls, ring: Ring, terms: dict, den: int) -> "Polynomial":
+        """The polynomial terms/den for integer numerators without zeros and
+        a nonzero integer den, put in canonical form."""
+        if den != 1:
+            g = math.gcd(den, *terms.values())
+            if den < 0:
+                g = -g
+            if g != 1:
+                terms = {m: c // g for m, c in terms.items()}
+                den //= g
+        return cls._wrap(ring, terms, den)
 
     # -- predicates ---------------------------------------------------------
 
@@ -139,7 +159,7 @@ class Polynomial:
         return not self.terms or (len(self.terms) == 1 and (0,) * self.ring.nvars in self.terms)
 
     def is_one(self) -> bool:
-        return len(self.terms) == 1 and self.terms.get((0,) * self.ring.nvars) == 1
+        return self.den == 1 and len(self.terms) == 1 and self.terms.get((0,) * self.ring.nvars) == 1
 
     def total_degree(self) -> int:
         return K.p_total_degree(self.terms)
@@ -154,35 +174,40 @@ class Polynomial:
         if self.ring is not other.ring:
             raise ValueError("polynomials from different rings")
 
-    def __add__(self, other):
+    def _combine(self, other, op) -> "Polynomial":
+        """self + other or self - other (``op`` is p_add or p_sub) over the
+        lcm of the two denominators."""
         if isinstance(other, RationalFunction):
             return NotImplemented
         other = self._coerce(other)
         self._check(other)
-        return Polynomial._wrap(self.ring, K.p_add(self.terms, other.terms))
+        a, b, da, db = self.terms, other.terms, self.den, other.den
+        if da != db:
+            g = math.gcd(da, db)
+            a, b, da = K.p_mul_scalar(a, db // g), K.p_mul_scalar(b, da // g), da // g * db
+        return Polynomial._reduced(self.ring, op(a, b), da)
+
+    def __add__(self, other):
+        return self._combine(other, K.p_add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, RationalFunction):
-            return NotImplemented
-        other = self._coerce(other)
-        self._check(other)
-        return Polynomial._wrap(self.ring, K.p_sub(self.terms, other.terms))
+        return self._combine(other, K.p_sub)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return Polynomial._wrap(self.ring, K.p_neg(self.terms))
+        return Polynomial._wrap(self.ring, K.p_neg(self.terms), self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, str)) or type(other) is QQ:
-            return Polynomial._wrap(self.ring, K.p_mul_scalar(self.terms, _coerce_qq(other)))
-        if not isinstance(other, Polynomial):
+            other = self.ring.const(other)
+        elif not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        return Polynomial._wrap(self.ring, K.p_mul(self.terms, other.terms))
+        return Polynomial._reduced(self.ring, K.p_mul(self.terms, other.terms), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -214,27 +239,29 @@ class Polynomial:
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self.ring is other.ring and self.terms == other.terms
+            return self.ring is other.ring and self.den == other.den and self.terms == other.terms
         if isinstance(other, (int,)) or type(other) is QQ:
             return self == self.ring.const(other)
         return NotImplemented
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.ring._key, frozenset(self.terms.items())))
+            self._hash = hash((self.ring._key, frozenset(self.terms.items()), self.den))
         return self._hash
 
     # -- substitution --------------------------------------------------------
 
     def shift_cells(self, offsets: Mapping) -> "Polynomial":
-        """Substitute x[a] -> x[a] + n_a for integer offsets keyed by cell."""
+        """Substitute x[a] -> x[a] + n_a for integer offsets keyed by cell.
+        An integer shift is invertible over Z, so it keeps the content of
+        the numerators and the denominator stays as it is."""
         shifts = [(self.ring.index[("x",) + tuple(cell)], int(n)) for cell, n in offsets.items() if n]
         if not shifts:
             return self
-        terms, lcm = clear_den(self.terms)
+        terms = self.terms
         for slot, n in shifts:
             terms = _shift_slot(terms, slot, n)
-        return Polynomial._wrap(self.ring, {m: QQ(v, lcm) for m, v in terms.items()})
+        return Polynomial._wrap(self.ring, terms, self.den)
 
     def permute_cells(self, mapping: Mapping) -> "Polynomial":
         """Substitute x[a] -> x[mapping(a)] for a cell bijection."""
@@ -255,7 +282,7 @@ class Polynomial:
             for s, d in slot_map.items():
                 mm[d] = m[s]
             out[tuple(mm)] = c
-        return Polynomial._wrap(self.ring, out)
+        return Polynomial._wrap(self.ring, out, self.den)
 
     def substitute(self, images: Mapping) -> "RationalFunction":
         """General substitution; images may be rational, so the result is a
@@ -271,7 +298,7 @@ class Polynomial:
         out = RationalFunction.from_any(ring, 0)
         pow_cache: dict = {}
         for m, c in self.terms.items():
-            factor = RationalFunction.from_poly(ring.const(c))
+            factor = RationalFunction.from_poly(ring.const(QQ(c, self.den)))
             for slot, e in enumerate(m):
                 if not e:
                     continue
@@ -285,7 +312,7 @@ class Polynomial:
                 else:
                     mono = [0] * ring.nvars
                     mono[slot] = e
-                    factor = factor * Polynomial._wrap(ring, {tuple(mono): QQ(1)})
+                    factor = factor * Polynomial._wrap(ring, {tuple(mono): 1})
             out = out + factor
         return out
 
@@ -299,20 +326,29 @@ class Polynomial:
         return images(self)
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Integer-primitive gcd with a positive leading coefficient."""
+        """The gcd of the numerators in Z[x], with a positive leading
+        coefficient."""
         self._check(other)
         return Polynomial._wrap(self.ring, gcd_qq(self.terms, other.terms, self.ring.nvars))
 
     def divide_exact(self, other: "Polynomial") -> "Polynomial":
         """Exact quotient; raises ArithmeticError when division leaves a
-        remainder (internal misuse, not user error)."""
+        remainder (internal misuse, not user error).
+
+        With other = c * P / d for its content c and primitive part P, the
+        integer division of the numerators by P is exact (Gauss's lemma),
+        and the quotient is that times d / (den * c)."""
         self._check(other)
         if other.is_zero():
             raise DivisionByZero("exact division by zero polynomial")
-        q, r = K.p_divmod(self.terms, other.terms)
+        c = math.gcd(*other.terms.values())
+        prim = other.terms if c == 1 else {m: v // c for m, v in other.terms.items()}
+        q, r = K.p_divmod(self.terms, prim)
         if r:
             raise ArithmeticError("division was expected to be exact")
-        return Polynomial._wrap(self.ring, q)
+        if other.den != 1:
+            q = K.p_mul_scalar(q, other.den)
+        return Polynomial._reduced(self.ring, q, self.den * c)
 
     # -- rendering -----------------------------------------------------------
 
@@ -349,7 +385,7 @@ def render_poly(p: Polynomial) -> str:
     ring = p.ring
     bits = []
     for m in sorted(p.terms, key=K.grlex_key, reverse=True):
-        c = p.terms[m]
+        c = QQ(p.terms[m], p.den)
         neg = c < 0
         mag = -c if neg else c
         factors = []
@@ -375,15 +411,13 @@ class PointMap:
     so evaluating many polynomials at one point multiplies out each distinct
     monomial once; after that a polynomial costs one scaled sum of memoised
     images.  Images are kept as integer dicts over one denominator, so the
-    sum runs on integers and each output coefficient is reduced once."""
+    sum runs on integers and the output is reduced once."""
 
     __slots__ = ("ring", "_images", "_powers", "_monos")
 
     def __init__(self, ring: Ring, images: Mapping):
         self.ring = ring
-        self._images = {
-            ring.index[("x",) + tuple(cell)]: clear_den(p.terms) for cell, p in images.items()
-        }
+        self._images = {ring.index[("x",) + tuple(cell)]: (p.terms, p.den) for cell, p in images.items()}
         self._powers: dict = {}
         self._monos: dict = {}
 
@@ -416,14 +450,14 @@ class PointMap:
         if p.ring is not self.ring:
             raise ValueError("polynomial from a different ring")
         parts = [(c, self._monomial(m)) for m, c in p.terms.items()]
-        lcm = math.lcm(*(d * c.denominator for c, (_, d) in parts))
+        lcm = math.lcm(*(d for _, (_, d) in parts))
         acc: dict = {}
         get = acc.get
         for c, (terms, d) in parts:
-            s = c.numerator * (lcm // (d * c.denominator))
+            s = c * (lcm // d)
             for mm, v in terms.items():
                 acc[mm] = get(mm, 0) + s * v
-        return Polynomial._wrap(self.ring, {mm: QQ(v, lcm) for mm, v in acc.items() if v})
+        return Polynomial._reduced(self.ring, {mm: v for mm, v in acc.items() if v}, lcm * p.den)
 
 
 class RationalFunction:
@@ -439,7 +473,8 @@ class RationalFunction:
 
     @staticmethod
     def normalize(num: Polynomial, den: Polynomial) -> "RationalFunction":
-        """Canonical quotient of two polynomials: reduced, monic denominator."""
+        """Canonical quotient of two polynomials: reduced, monic denominator.
+        A constant denominator is a unit, so it takes no gcd."""
         ring = num.ring
         if den.ring is not ring:
             raise ValueError("numerator and denominator from different rings")
@@ -447,20 +482,22 @@ class RationalFunction:
             raise DivisionByZero("zero denominator")
         if num.is_zero():
             return RationalFunction(ring.zero(), ring.one())
-        g = num.gcd(den)
-        if not g.is_one():
-            num = num.divide_exact(g)
-            den = den.divide_exact(g)
+        if not den.is_constant():
+            g = num.gcd(den)
+            if not g.is_one():
+                num = num.divide_exact(g)
+                den = den.divide_exact(g)
         return RationalFunction._monic(num, den)
 
     @staticmethod
     def _monic(num: Polynomial, den: Polynomial) -> "RationalFunction":
-        """num/den with the unit moved so that den is monic (no gcd)."""
+        """num/den with the unit moved so that den is monic (no gcd): den's
+        leading coefficient is lc/d for its leading numerator lc."""
         _, lc = K.p_lead(den.terms)
-        if lc != 1:
-            inv = QQ(1) / lc
-            num = Polynomial._wrap(num.ring, K.p_mul_scalar(num.terms, inv))
-            den = Polynomial._wrap(den.ring, K.p_mul_scalar(den.terms, inv))
+        if lc != den.den:
+            ring = num.ring
+            num = Polynomial._reduced(ring, K.p_mul_scalar(num.terms, den.den), num.den * lc)
+            den = Polynomial._reduced(ring, den.terms, lc)
         return RationalFunction(num, den)
 
     @staticmethod

@@ -455,7 +455,7 @@ class ModuleWindow:
         while True:
             self.extend_family(D)
             while fed < len(self.family) and len(echelon) < n:
-                echelon.add(_linalg.integer_row([col[fed] for col in self.columns])[0])
+                echelon.add(_linalg.integer_row([col[fed] for col in self.columns], self.ring.nvars)[0])
                 fed += 1
             rk = len(echelon)
             self.rank_history.append(rk)

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from . import _kernel as K
-from ._gcd import clear_den, divexact_int
-from ._ratio import QQ
 from .combinat import RowPermutation, check_shape
 from .errors import NotInvariantInput
 from .exactalg import (
@@ -247,27 +245,23 @@ class SkewOperator(LinearCombination):
         return SkewOperator(self.ring, merge_terms({}, products))
 
     def _over_common_denominator(self) -> tuple:
-        """(D, D_int, M, [(sym, C_t)]) for the coefficients c_t = n_t/d_t:
-        D is the lcm of the d_t with primitive integer coefficients (D_int
-        as an integer dict), and C_t = M * n_t * D/d_t are the numerators'
-        integer cofactors over one integer M.  Computed on the first call."""
+        """(D, M, [(sym, C_t)]) for the coefficients c_t = n_t/d_t: D is the
+        lcm of the d_t with primitive integer coefficients, and C_t are the
+        integer numerators of n_t * D/d_t over one integer M.  Computed on
+        the first call.  Each factor of the lcm is monic, or monic over a
+        positive integer, so its leading numerator divides its denominator,
+        and the content of its numerators, dividing both, is 1: they are D."""
         if self._common is None:
             ring = self.ring
             den = ring.one()
             for c in self.terms.values():
                 if not c.den.is_one():
                     den = c.den if den.is_one() else den * c.den.divide_exact(den.gcd(c.den))
-            den_int, _ = clear_den(den.terms)
-            content = math.gcd(*den_int.values())
-            den_int = {mono: v // content for mono, v in den_int.items()}
-            den = Polynomial._wrap(ring, {mono: QQ(v) for mono, v in den_int.items()})
-            cofs = [
-                (sym, clear_den((c.num * den.divide_exact(c.den)).terms))
-                for sym, c in self.terms.items()
-            ]
-            scale = math.lcm(*(l for _, (_, l) in cofs))
-            parts = [(sym, K.p_mul_scalar(t, scale // l)) for sym, (t, l) in cofs]
-            self._common = (den, den_int, scale, parts)
+            den = Polynomial._wrap(ring, den.terms)
+            cofs = [(sym, c.num * den.divide_exact(c.den)) for sym, c in self.terms.items()]
+            scale = math.lcm(*(p.den for _, p in cofs))
+            parts = [(sym, K.p_mul_scalar(p.terms, scale // p.den)) for sym, p in cofs]
+            self._common = (den, scale, parts)
         return self._common
 
     def apply(self, f: Value) -> RationalFunction:
@@ -275,15 +269,16 @@ class SkewOperator(LinearCombination):
 
         A polynomial f (or a quotient with denominator 1) is summed over
         the common denominator D of the coefficients, with integer
-        coefficients throughout: N = sum_t n_t * (D/d_t) * sym_t(f) takes
-        no gcd.  When D divides N, the image is the quotient over 1, which
-        is reduced with a monic denominator and so canonical.  That is
-        exactly the case of a polynomial image, such as a generator's image
-        of an invariant; D is primitive, so by Gauss's lemma the quotient
-        of the integer numerator has integer coefficients and the exact
-        integer division finds it.  Otherwise (a non-invariant argument of
-        a ladder operator, say) N/D takes one ``normalize``.  An f with a
-        non-trivial denominator is summed term by term."""
+        coefficients throughout: every sym_t(f) keeps the denominator of f,
+        so N = sum_t n_t * (D/d_t) * sym_t(f) is a sum of integer numerators
+        and takes no gcd.  When D divides N, the image is the quotient over
+        1, which is reduced with a monic denominator and so canonical.  That
+        is exactly the case of a polynomial image, such as a generator's
+        image of an invariant; D is primitive, so by Gauss's lemma the
+        quotient of the integer numerator has integer coefficients and the
+        exact integer division finds it.  Otherwise (a non-invariant
+        argument of a ladder operator, say) N/D takes one ``normalize``.
+        An f with a non-trivial denominator is summed term by term."""
         ring = self.ring
         f = RationalFunction.from_any(ring, f)
         if not f.is_polynomial():
@@ -291,24 +286,18 @@ class SkewOperator(LinearCombination):
             for sym, c in self.terms.items():
                 out = out + c * sym.act(f)
             return out
-        den, den_int, scale, parts = self._over_common_denominator()
-        images = [(c, clear_den(sym.act_poly(f.num).terms)) for sym, c in parts]
-        lcm = math.lcm(*(l for _, (_, l) in images))
+        den, scale, parts = self._over_common_denominator()
         acc: dict = {}
         get = acc.get
-        for c, (g, l) in images:
-            s = lcm // l
-            for mono, v in K.p_mul(c, g).items():
-                acc[mono] = get(mono, 0) + s * v
-        scale *= lcm
+        for sym, c in parts:
+            for mono, v in K.p_mul(c, sym.act_poly(f.num).terms).items():
+                acc[mono] = get(mono, 0) + v
+        scale *= f.num.den
         num = {mono: v for mono, v in acc.items() if v}
-        q = num if den.is_one() else divexact_int(num, den_int)
-        if q is not None:
-            return RationalFunction.from_poly(
-                Polynomial._wrap(ring, {mono: QQ(v, scale) for mono, v in q.items()})
-            )
-        num = Polynomial._wrap(ring, {mono: QQ(v, scale) for mono, v in num.items()})
-        return RationalFunction.normalize(num, den)
+        q, r = (num, None) if den.is_one() else K.p_divmod(num, den.terms)
+        if not r:
+            return RationalFunction.from_poly(Polynomial._reduced(ring, q, scale))
+        return RationalFunction.normalize(Polynomial._reduced(ring, num, scale), den)
 
     def is_multiplication(self) -> bool:
         """True when the operator is multiplication by a single function."""

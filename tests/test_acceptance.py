@@ -104,7 +104,7 @@ def test_criterion_1():
         for r, op in enumerate(ops):
             img = op.apply(m).polynomial_part()
             for mono, coeff in img.terms.items():
-                rows[r][(t, mono)] = coeff
+                rows[r][(t, mono)] = QQ(coeff, img.den)
         for row in rows:
             for k in row:
                 colkeys.setdefault(k, len(colkeys))

@@ -33,7 +33,7 @@ shift = st.dictionaries(st.sampled_from(CELLS), st.integers(min_value=-3, max_va
 
 def as_qq(p: Polynomial) -> dict:
     """The coefficients of ``p`` as exact rationals, keyed by monomial."""
-    return dict(p.terms)
+    return {m: QQ(c, p.den) for m, c in p.terms.items()}
 
 
 def poly(d: dict) -> Polynomial:

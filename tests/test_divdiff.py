@@ -194,7 +194,7 @@ def test_linear_independence_small():
         for t, m in enumerate(monos):
             img = op.apply(rf(m)).polynomial_part()
             for mono, coeff in img.terms.items():
-                entries[(t, mono)] = coeff
+                entries[(t, mono)] = QQ(coeff, img.den)
         for k in entries:
             colkeys.setdefault(k, len(colkeys))
         rows.append(entries)

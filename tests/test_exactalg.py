@@ -21,7 +21,7 @@ from ogzkit import (
     is_row_symmetric,
 )
 from ogzkit import _kernel
-from ogzkit._gcd import clear_den, gcd_qq
+from ogzkit._gcd import gcd_qq
 
 
 def random_poly2(ring: Ring, rng: random.Random, max_degree: int = 4) -> Polynomial:
@@ -278,13 +278,18 @@ qq_dict = st.dictionaries(
 @settings(max_examples=200, deadline=None)
 @given(qq_coeff, qq_dict)
 def test_gcd_with_constant_is_integer_content_gcd(c, b):
+    # the numerators of b over their least common denominator
     zero = (0,) * NV
+    den = math.lcm(*(v.denominator for v in b.values()))
+    num = {m: int(v * den) for m, v in b.items()}
     content = 0
-    for v in clear_den(b)[0].values():
+    for v in num.values():
         content = math.gcd(content, v)
-    want = {zero: QQ(math.gcd(clear_den({zero: c})[0][zero], content))}
-    assert gcd_qq({zero: c}, b, NV) == want
-    assert gcd_qq(b, {zero: c}, NV) == want
+    want = {zero: QQ(math.gcd(c.numerator, content))}
+    assert gcd_qq({zero: c.numerator}, num, NV) == want
+    assert gcd_qq(num, {zero: c.numerator}, NV) == want
+    ring = Ring((NV,), 0)
+    assert ring.const(c).gcd(Polynomial(ring, b)).terms == want
 
 
 # ---------------------------------------------------------------------------

@@ -66,3 +66,43 @@ def test_modules_read_no_private_name_of_another_module(path):
 )
 def test_no_unused_imports(path):
     assert unused_imports(parse(path)) == []
+
+
+# one coefficient format: these layers work on integer numerators and never
+# build a rational, and no module converts between the two formats
+INTEGER_LAYERS = ("_kernel.py", "_gcd.py", "_linalg.py", "skewops.py", "divdiff.py")
+
+
+def imported(tree: ast.Module) -> set:
+    """Every module and name this module imports, by its own name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            out.add(node.module or "")
+            out.update(a.name for a in node.names)
+    return out
+
+
+def defined(tree: ast.Module) -> set:
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+    return out
+
+
+@pytest.mark.parametrize("name", INTEGER_LAYERS)
+def test_integer_layers_import_no_rational_type(name):
+    assert imported(parse(PACKAGE / name)) & {"QQ", "Fraction", "fractions", "_ratio"} == set()
+
+
+@pytest.mark.parametrize(
+    "path", MODULES + sorted((ROOT / "tests").glob("*.py")), ids=lambda p: f"{p.parent.name}/{p.name}"
+)
+def test_no_module_defines_or_imports_clear_den(path):
+    tree = parse(path)
+    assert "clear_den" not in imported(tree) | defined(tree)

@@ -42,7 +42,7 @@ def solve(columns, rhs):
 
 
 def integer(row):
-    return _linalg.integer_row(row)[0]
+    return _linalg.integer_row(row, RING.nvars)[0]
 
 
 def integer_rows(columns):
@@ -203,6 +203,11 @@ def test_rank_matches_the_reference_elimination():
         assert _linalg.rank(qq) == reference_rank(qq)
     pole = [rf(z2) / rf(z1 - 1009), rf(1)]
     assert _linalg.rank([pole, [rf(z2) * v for v in pole]]) == 1
+    # a rational scalar in a row of rational functions is a constant of the
+    # row's width, not a monomial that truncates its products
+    x = rf(RING.x(1, 1))
+    mixed = [[QQ(1), x], [x, x * x]]
+    assert _linalg.rank(mixed) == reference_rank(mixed) == 1
     # every pivot sits below the current row, so each step swaps rows
     flip = [[QQ(0)] * 3] + [[QQ(int(i + j == 2)) for j in range(3)] for i in range(3)]
     assert _linalg.rank(flip) == reference_rank(flip) == 3
@@ -217,7 +222,7 @@ M61 = 2**61 - 1
 def echelon(rows):
     """A ModEchelon fed ``rows`` scaled to integer rows, at the first point
     modulo the prime to their scales (the way a solve picks its rows)."""
-    scaled, scales = zip(*(_linalg.integer_row(row) for row in rows))
+    scaled, scales = zip(*(_linalg.integer_row(row, RING.nvars) for row in rows))
     out = _linalg.ModEchelon(_linalg.prime_to(math.lcm(*scales)), RING.nvars)
     for row in scaled:
         out.add(row)
