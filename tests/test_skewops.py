@@ -121,6 +121,48 @@ def test_composition_matches_application():
         assert (a @ b).apply(f) == a.apply(b.apply(f))
 
 
+def reference_product(a: SkewOperator, b: SkewOperator) -> dict:
+    """(f*pi)(g*rho) = f*pi(g)*(pi rho), summed term by term with one
+    reduced add per term; zero coefficients dropped."""
+    out: dict = {}
+    for pi, f in a.terms.items():
+        for rho, g in b.terms.items():
+            key = pi.compose(rho)
+            term = f * pi.act(g)
+            out[key] = out[key] + term if key in out else term
+    return {key: c for key, c in out.items() if not c.is_zero()}
+
+
+def random_terms_op(ring: Ring, rng: random.Random, nterms: int) -> SkewOperator:
+    """An operator with ``nterms`` symmetry terms (fewer if two symmetries
+    coincide), built directly, with quotient coefficients."""
+    x, y = ring.x(1, 1), ring.x(ring.rows, 1)
+    terms = {}
+    for _ in range(nterms):
+        num = random_poly(ring, rng, max_degree=2)
+        den = x - y + QQ(rng.randint(1, 3), rng.randint(1, 2)) if rng.random() < 0.5 else 1
+        terms[random_sym(ring.shape, rng)] = rf(num) / den
+    return SkewOperator(ring, terms)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 1)])
+def test_matmul_matches_termwise_product(shape):
+    rng = random.Random(37)
+    ring = Ring(shape, 0)
+    for _ in range(12):
+        a = random_terms_op(ring, rng, rng.choice((2, 3)))
+        b = random_terms_op(ring, rng, rng.choice((2, 3)))
+        got = a @ b
+        assert got.terms == reference_product(a, b)
+        assert str(got) == str(SkewOperator(ring, reference_product(a, b)))
+
+
+def test_matmul_matches_termwise_product_on_generators():
+    named = Generators.for_shape((3, 2)).all_named()
+    for (ta, a), (tb, b) in itertools.product(named, repeat=2):
+        assert (a @ b).terms == reference_product(a, b), (ta, tb)
+
+
 def test_normal_form_collects_symmetries():
     ring = Ring((1, 1), 0)
     s = AffineSymmetry.shift((1, 1), {(1, 1): 1})
