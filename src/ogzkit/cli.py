@@ -698,6 +698,8 @@ def _cmd_walk(args) -> str:
 
 
 def _cmd_probe(args) -> str:
+    if args.max_visited < 2:
+        raise ParseError(f"--max-visited must be at least 2, got {args.max_visited}")
     point, radius, params = load_jobspec(args.spec, certified=True)
     win = build_basis_B(point, radius, nparams=params)
     rep = simplicity_probe(win, max_visited=args.max_visited)

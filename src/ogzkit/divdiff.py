@@ -15,6 +15,12 @@ Both forms are one combination type,
   individual skew terms would blow up.  This basis is what the windowed
   module action uses.
 
+Both share one product, ``LinearCombination.__matmul__``.  A nil-Hecke key
+supplies its two rules: a function passes through ``diff_w`` by the
+coefficient-passing rule, letter by letter (``NilHecke._word_times_fun``),
+and ``diff_v diff_u`` is ``diff_{vu}`` when ``l(vu) = l(v) + l(u)``, else 0
+(the nil rule, ``NilHecke._key_product``, which the passing rule uses too).
+
 The ladder generators have an alternative form built from a composition of
 one row: a sum over blocks of (chain of divided differences) composed with
 (block coefficient) and a unit shift of the block's first cell.  On
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .combinat import RowPermutation, canonical_word
+from .combinat import RowPermutation, canonical_word, word_to_perm
 from .errors import InvalidComposition, InvalidPair
 from .exactalg import Polynomial, RationalFunction, Ring, merge_terms
 from .skewops import AffineSymmetry, LinearCombination, SkewOperator, ladder_coefficient
@@ -224,24 +230,22 @@ class NilHecke(LinearCombination):
 
     @staticmethod
     def from_word(ring: Ring, word: Iterable) -> "NilHecke":
-        out = NilHecke.one(ring)
-        for i, p in word:
-            out = out.mul_right_gen(i, p)
-            if not out.terms:
-                break
-        return out
+        """diff_word: its permutation when the word is reduced, else zero."""
+        word = tuple(word)
+        perm = word_to_perm(ring.shape, word)
+        return NilHecke(ring, {perm: 1} if perm.length() == len(word) else {})
 
-    def mul_right_gen(self, i: int, p: int) -> "NilHecke":
-        """Right multiplication by one divided-difference generator; products
-        that would shorten the word vanish (nil rule)."""
-        s = RowPermutation.simple(self.ring.shape, i, p)
-        out: dict = {}
-        for w, c in self.terms.items():
-            ws = w * s
-            if ws.length() == w.length() + 1:
-                prev = out.get(ws)
-                out[ws] = c if prev is None else prev + c
-        return NilHecke(self.ring, out)
+    @staticmethod
+    def _key_product(v: RowPermutation, u: RowPermutation):
+        """The nil rule: diff_v diff_u = diff_{vu} when l(vu) = l(v) + l(u),
+        else 0 (None)."""
+        if u.is_identity():
+            return v
+        vu = v * u
+        return vu if vu.length() == v.length() + u.length() else None
+
+    def _key_times_fun(self, w: RowPermutation, g: RationalFunction) -> Iterable:
+        return self._word_times_fun(canonical_word(w), g).items()
 
     def _word_times_fun(self, word: tuple, g: RationalFunction) -> dict:
         """Expansion of diff_word ∘ g as {perm: coeff} via the
@@ -260,31 +264,13 @@ class NilHecke(LinearCombination):
             sperm = RowPermutation.simple(self.ring.shape, i, p)
             expanded = self._word_times_fun(head, gs).items()
             merge_terms(out, ((ws, c) for w, c in expanded
-                              if (ws := w * sperm).length() == w.length() + 1))
+                              if (ws := self._key_product(w, sperm)) is not None))
         return out
 
     def mul_right_fun(self, g) -> "NilHecke":
         """Right multiplication by a function, moved to the left through
         every divided-difference word."""
-        g = RationalFunction.from_any(self.ring, g)
-        if g.is_zero():
-            return NilHecke.zero(self.ring)
-        out = NilHecke.zero(self.ring)
-        for w, f in self.terms.items():
-            expanded = self._word_times_fun(canonical_word(w), g)
-            out = out + NilHecke(
-                self.ring, {v: f * c for v, c in expanded.items()}
-            )
-        return out
-
-    def mul(self, other: "NilHecke") -> "NilHecke":
-        out = NilHecke.zero(self.ring)
-        for u, g in other.terms.items():
-            ulen = u.length()
-            merged = merge_terms({}, ((vu, c) for v, c in self.mul_right_fun(g).terms.items()
-                                      if (vu := v * u).length() == v.length() + ulen))
-            out = out + NilHecke(self.ring, merged)
-        return out
+        return self @ NilHecke(self.ring, {RowPermutation.identity(self.ring.shape): g})
 
     _PAIR_CACHE: dict = {}
 
@@ -307,7 +293,7 @@ class NilHecke(LinearCombination):
             s_mid = cls.generator(ring, i, q - 1)
             S = cls.one(ring) - s_mid.mul_left_fun(lin)
             inner = cls.pair_expand(ring, i, p, q - 1)
-            out = S.mul(inner).mul(S)
+            out = S @ inner @ S
         cls._PAIR_CACHE[key] = out
         return out
 
@@ -330,7 +316,7 @@ class NilHecke(LinearCombination):
                 else:
                     piece = NilHecke.pair_expand(self.ring, i, qb, qa)
                     sign = -sign
-                factor = factor.mul(piece)
+                factor = factor @ piece
                 if not factor.terms:
                     break
             coeff = f.permute_cells(cmap)

@@ -725,28 +725,13 @@ def conjugation_check(window: ModuleWindow, orbit_idx: int, rho: RowPermutation)
 def ladder_point_expansion(ring: Ring, point: EvalPoint, i: int, up: bool) -> list:
     """ev_point ∘ ladder operator as a combination of evaluations at
     translates: [(target point, coefficient)], zero terms dropped.  Needs the
-    row values pairwise distinct (else the coefficients have poles)."""
-    k = len(point.shape)
-    if not 1 <= i <= k - 1:
+    row values pairwise distinct (else the coefficients have poles, and
+    :func:`eval_rf_at` raises :class:`RegularityError`)."""
+    if not 1 <= i <= len(point.shape) - 1:
         raise ValueError(f"ladder row {i} out of range")
-    other = i + 1 if up else i - 1
     out = []
-    other_cells = ring.row_cells(other) if 1 <= other <= k else []
-    for j in range(1, point.shape[i - 1] + 1):
-        cell = (i, j)
-        num = RationalFunction.from_poly(ring.one())
-        for a in other_cells:
-            num = num * (point.value_poly(ring, cell) - point.value_poly(ring, a))
-        den = RationalFunction.from_poly(ring.one())
-        for b in ring.row_cells(i):
-            if b != cell:
-                d = point.value_poly(ring, cell) - point.value_poly(ring, b)
-                if d.is_zero():
-                    raise RegularityError(
-                        f"coincident values at {cell} and {b}: point is not regular in row {i}"
-                    )
-                den = den * d
-        coeff = num / den
+    for cell in ring.row_cells(i):
+        coeff = eval_rf_at(ring, ladder_coefficient(ring, i, cell[1], cell[1], up), point)
         if not coeff.is_zero():
             out.append((point.translated({cell: 1 if up else -1}), coeff))
     return out
@@ -871,7 +856,11 @@ def simplicity_probe(window: ModuleWindow, max_visited: int = 4000) -> ProbeRepo
     """Three-part evidence that the window sits inside a single simple layer:
     the separation hypothesis on the point, nonzero ladder projections onto
     every neighbouring block, and reachability of the center evaluation from
-    every interior functional by generator application."""
+    every interior functional by generator application.  The search for
+    each start keeps at most ``max_visited`` vectors, the start included, so
+    it needs at least 2 to expand the start."""
+    if max_visited < 2:
+        raise ValueError(f"max_visited must be at least 2, got {max_visited}")
     v = window.point
     shape = v.shape
     k = len(shape)

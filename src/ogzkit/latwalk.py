@@ -42,20 +42,10 @@ def _check_state(state) -> tuple:
 
 def state_partition(state) -> tuple:
     """Coordinate indices grouped by equal value, blocks sorted by minimum."""
-    return _partition(_check_state(state))
-
-
-def _partition(state: tuple) -> tuple:
     groups: dict = {}
-    for idx, v in enumerate(state):
+    for idx, v in enumerate(_check_state(state)):
         groups.setdefault(v, []).append(idx)
     return tuple(sorted(tuple(g) for g in groups.values()))
-
-
-def partition_refines(p: tuple, q: tuple) -> bool:
-    """True when every block of p lies inside a block of q."""
-    pos = {i: bi for bi, b in enumerate(q) for i in b}
-    return all(len({pos[i] for i in b}) == 1 for b in p)
 
 
 def classify_move(src, dst) -> str:
@@ -76,11 +66,14 @@ def _classify(src: tuple, dst: tuple) -> str:
         raise InvalidMove(
             "a move changes exactly one coordinate by exactly 1"
         )
-    p_src = _partition(src)
-    p_dst = _partition(dst)
-    if partition_refines(p_dst, p_src):
+    # coordinate c moves from a to b: the partition after refines the one
+    # before when no other coordinate holds b (c ends alone), and the one
+    # before refines the one after when no other coordinate holds a
+    c = diffs[0][0]
+    others = src[:c] + src[c + 1:]
+    if dst[c] not in others:
         return REDUCTION_SPLIT
-    if partition_refines(p_src, p_dst):
+    if src[c] not in others:
         return REDUCTION_MERGE
     raise InvalidMove(
         "the move leaves one value class and joins another in a single step"

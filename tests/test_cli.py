@@ -349,6 +349,19 @@ def test_action_bad_generator_token(capsys, spec_file, monkeypatch, tok):
     assert error_payload(err)["type"] == "ParseError"
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-1"])
+def test_probe_max_visited_below_two_exits_2(capsys, spec_file, monkeypatch, n):
+    # the bound is checked before the window is built
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_basis_B ran before the --max-visited check")
+
+    monkeypatch.setattr("ogzkit.cli.build_basis_B", no_build)
+    rc, out, err = run(capsys, "probe", "--spec", spec_file, f"--max-visited={n}")
+    assert rc == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert error_payload(err)["type"] == "ParseError"
+
+
 def test_blocks_output(capsys, spec_file):
     rc, out, _ = run(capsys, "blocks", "--spec", spec_file)
     assert rc == 0

@@ -288,7 +288,7 @@ def test_nilhecke_mul_matches_composition():
         wa = tuple((1, rng.randint(1, 2)) for _ in range(rng.randint(0, 3)))
         wb = tuple((1, rng.randint(1, 2)) for _ in range(rng.randint(0, 3)))
         a, b = NilHecke.from_word(ring, wa), NilHecke.from_word(ring, wb)
-        assert (a.mul(b).to_skew() - a.to_skew() @ b.to_skew()).is_zero()
+        assert ((a @ b).to_skew() - a.to_skew() @ b.to_skew()).is_zero()
 
 
 def test_nilhecke_mul_right_fun_peels_function():

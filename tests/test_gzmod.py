@@ -363,6 +363,14 @@ def test_probe_small_window(singular_point):
     assert rep.hypothesis_ok and rep.step1_ok and rep.cyclic_ok and rep.ok
 
 
+@pytest.mark.parametrize("max_visited", [1, 0, -1])
+def test_probe_refuses_a_search_that_cannot_expand_its_start(max_visited):
+    v = EvalPoint.make((1, 1), {(1, 1): (1, 0), (2, 1): (2, 0)})
+    w = build_basis_B(v, 1)
+    with pytest.raises(ValueError, match="max_visited must be at least 2"):
+        simplicity_probe(w, max_visited=max_visited)
+
+
 def test_probe_flags_integer_cross_row_gap():
     v = EvalPoint.make((1, 1), {(1, 1): (1, 0), (2, 1): (1, 2)})
     w = build_basis_B(v, 1)
@@ -459,6 +467,41 @@ def test_triple_point_route_agreement(triple_window):
         s = w.act_structural(gen, b)
         assert set(a) == set(s)
         assert all((a[k] - s[k]).is_zero() for k in a)
+
+
+# windows beyond the (2,1) doubled point: a second top-row cell, rational
+# offsets, a radius-2 window at a shifted point, and ladders on row 2; each
+# with its counts of agreeing and leaking queries
+@pytest.mark.parametrize(
+    "shape, values, radius, agree, leak",
+    [
+        ((2, 2), {(1, 1): (1, 0), (1, 2): (1, 0), (2, 1): (2, 0), (2, 2): (3, 0)}, 1, 38, 16),
+        (
+            (2, 2),
+            {(1, 1): (1, QQ(1, 2)), (1, 2): (1, QQ(1, 2)), (2, 1): (2, QQ(-1, 3)), (2, 2): (3, QQ(2, 5))},
+            1, 38, 16,
+        ),
+        ((2, 1), {(1, 1): (1, -1), (1, 2): (1, -1), (2, 1): (2, QQ(2, 3))}, 2, 93, 32),
+        ((1, 2, 1), {(1, 1): (1, 0), (2, 1): (2, 0), (2, 2): (2, 0), (3, 1): (3, 0)}, 1, 112, 104),
+    ],
+    ids=["2,2-zero", "2,2-rational", "2,1-shifted-r2", "1,2,1-middle-doubled"],
+)
+def test_routes_agree_on_more_windows(shape, values, radius, agree, leak):
+    # every generator on every functional whose solved action stays in the
+    # window: the structural push-through gives the same coefficients
+    w = build_basis_B(EvalPoint.make(shape, values), radius)
+    ladders = [(kind, i) for kind in ("raising", "lowering") for i in range(1, len(shape))]
+    counts = [0, 0]
+    for gen in ladders + w.multiplier_gens():
+        for b in range(len(w.basis)):
+            try:
+                a = w.act(gen, b)
+            except WindowLeakage:
+                counts[1] += 1
+                continue
+            assert a == w.act_structural(gen, b), (gen, b)
+            counts[0] += 1
+    assert counts == [agree, leak]
 
 
 @pytest.fixture(scope="module")

@@ -63,6 +63,38 @@ def test_state_partition():
     assert state_partition((7,)) == ((0,),)
 
 
+def partition_refines(p: tuple, q: tuple) -> bool:
+    """True when every block of p lies inside a block of q."""
+    pos = {i: bi for bi, b in enumerate(q) for i in b}
+    return all(len({pos[i] for i in b}) == 1 for b in p)
+
+
+def test_classify_matches_partition_refinement_exhaustively():
+    # every +-1 move from every state in {0..3}^m, m <= 5, against the
+    # definition by partition refinement
+    moves = 0
+    for m in range(1, 6):
+        for src in itertools.product(range(4), repeat=m):
+            for c in range(m):
+                for d in (-1, 1):
+                    dst = src[:c] + (src[c] + d,) + src[c + 1:]
+                    ps, pd = state_partition(src), state_partition(dst)
+                    if partition_refines(pd, ps):
+                        want = "reduction1"
+                    elif partition_refines(ps, pd):
+                        want = "reduction2"
+                    else:
+                        want = None
+                    try:
+                        got = classify_move(src, dst)
+                    except InvalidMove as e:
+                        assert "leaves one value class and joins another" in str(e)
+                        got = None
+                    assert got == want, (src, dst)
+                    moves += 1
+    assert moves == 12_744
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=5))
 def test_every_unit_step_is_classified_or_rejected(state):

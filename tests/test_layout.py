@@ -1,7 +1,9 @@
-"""Layout guards read from the source text alone (no import): modules keep
-to each other's public names, and no file imports a name it never uses."""
+"""Layout guards, read from the source text: modules keep to each other's
+public names, and no file imports a name it never uses.  One guard imports
+the library: the benchmark tracer's patch points must exist and be restored."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -106,3 +108,20 @@ def test_integer_layers_import_no_rational_type(name):
 def test_no_module_defines_or_imports_clear_den(path):
     tree = parse(path)
     assert "clear_den" not in imported(tree) | defined(tree)
+
+
+def test_tracer_patch_points_exist_and_are_restored():
+    # perfbench/tracer.py patches names through each class's and module's own
+    # __dict__; a renamed patched name must fail here, not in a traced run
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    t = tracer.Tracer()
+    try:
+        t.install()
+        saved = list(t._saved)
+        assert all(owner.__dict__[attr] is not raw for owner, attr, raw in saved)
+    finally:
+        t.remove()
+    assert saved
+    assert all(owner.__dict__[attr] is raw for owner, attr, raw in saved)
