@@ -25,6 +25,7 @@ from ogzkit import (
     conjugation_check,
     eval_rf_at,
     gamma_eigenvalue,
+    invariant_family,
     ladder_point_expansion,
     simplicity_probe,
     singularity_setup_check,
@@ -431,6 +432,39 @@ def test_functional_evaluation_matches_substitute_after_a_word():
         f = random_poly2(ring, rng, 5)
         g = apply_word(ring, word, f.shift_cells(dict(shifts)))
         assert func.evaluate(ring, f).polynomial_part() == substituted(v, ring, g)
+
+
+# the (2,1) doubled point at radius 2 with offsets 0/0, 1/-1 and 1/2/-1, and
+# the (3,1) triple point at radius 1, whose centre orbit carries d1 d2 d1
+EVALUATION_WINDOWS = {
+    "doubled-zero": ((2, 1), {(1, 1): (1, 0), (1, 2): (1, 0), (2, 1): (2, 0)}, 2),
+    "doubled-1,-1": ((2, 1), {(1, 1): (1, 1), (1, 2): (1, 1), (2, 1): (2, -1)}, 2),
+    "doubled-half": ((2, 1), {(1, 1): (1, QQ(1, 2)), (1, 2): (1, QQ(1, 2)), (2, 1): (2, -1)}, 2),
+    "triple": ((3, 1), {(1, 1): (1, 0), (1, 2): (1, 0), (1, 3): (1, 0), (2, 1): (2, 0)}, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATION_WINDOWS))
+def test_window_functionals_match_the_shift_and_word_reference(name):
+    # every functional of the window on a seeded sample of invariants and of
+    # their generator images, against shifting f by xi, applying the word
+    # and substituting the centre point
+    shape, values, radius = EVALUATION_WINDOWS[name]
+    rng = random.Random(name)
+    w = ModuleWindow(EvalPoint.make(shape, values), radius)
+    ring = w.ring
+    family = invariant_family(ring, max(shape) + 5)
+    gens = [("raising", 1), ("lowering", 1)] + w.multiplier_gens()
+    polys = rng.sample(family, 12)
+    polys += [w.gens.op(rng.choice(gens)).apply(f).polynomial_part() for f in rng.sample(family, 12)]
+    pm = w.point.point_map(ring)
+    # the longest word of the row-1 stabiliser is among the functionals
+    assert max(len(canonical_word(func.perm)) for func in w.basis) == shape[0] * (shape[0] - 1) // 2
+    for func in w.basis:
+        word = canonical_word(func.perm)
+        for f in polys:
+            g = apply_word(ring, word, f.shift_cells(dict(func.shifts)))
+            assert func.evaluate(ring, f).polynomial_part() == g.eval_cells(pm), (func.render(), str(f))
 
 
 # ---------------------------------------------------------------------------
