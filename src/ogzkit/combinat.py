@@ -92,13 +92,17 @@ class RowPermutation:
         return all(r == tuple(range(1, len(r) + 1)) for r in self.rows)
 
     def length(self) -> int:
-        """Total number of inversions across rows."""
-        total = 0
-        for r in self.rows:
-            for a in range(len(r)):
-                for b in range(a + 1, len(r)):
-                    if r[a] > r[b]:
-                        total += 1
+        """Total number of inversions across rows, counted once per
+        permutation (kept in the instance dict, beside the frozen fields)."""
+        total = self.__dict__.get("_length")
+        if total is None:
+            total = 0
+            for r in self.rows:
+                for a in range(len(r)):
+                    for b in range(a + 1, len(r)):
+                        if r[a] > r[b]:
+                            total += 1
+            self.__dict__["_length"] = total
         return total
 
     def cell_map(self) -> dict:

@@ -9,7 +9,9 @@ For a point whose stabilizer is maximal inside its window (checked by
 :func:`singularity_setup_check`) the window carries a distinguished basis
 of functionals ``ev_v ∘ diff_w ∘ xi_j``: one orbit of translates per
 stabilizer-sorted canonical representative ``xi_j``, one functional per
-minimal coset representative ``w``.  The basis is certified by the rank of
+minimal coset representative ``w``; inside the stabilizer each functional
+is a constant-coefficient derivative at its translate ``v + xi_j`` (see
+:class:`Functional`).  The basis is certified by the rank of
 its evaluation matrix on an invariant test family: the rows are scaled to
 integer polynomials and taken at an integer point of the parameters modulo a
 prime that divides no offset denominator, by one incremental echelon
@@ -36,6 +38,7 @@ matrices, their nilpotency check and the socle in one pass.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -156,17 +159,27 @@ class EvalPoint:
             self._point_maps[ring] = pm
         return pm
 
+    @cached_property
+    def _translates(self) -> dict:
+        return {}
+
     def translated(self, offsets: Mapping) -> "EvalPoint":
-        """The point v + n (cellwise offset addition on shiftable cells)."""
+        """The point v + n (cellwise offset addition on shiftable cells),
+        kept on v, so that the functionals of one orbit and the orbit itself
+        share the translate and its evaluation memo."""
+        moves = tuple(sorted((tuple(cell), int(n)) for cell, n in offsets.items()))
+        hit = self._translates.get(moves)
+        if hit is not None:
+            return hit
         vals = self._map()
         k = len(self.shape)
-        for cell, n in offsets.items():
-            cell = tuple(cell)
+        for cell, n in moves:
             if cell[0] >= k:
                 raise ValueError(f"cell {cell} in the top row cannot be shifted")
             tag, off = vals[cell]
-            vals[cell] = (tag, off + QQ(int(n)))
-        return EvalPoint(self.shape, tuple(sorted(vals.items())))
+            vals[cell] = (tag, off + QQ(n))
+        hit = self._translates[moves] = EvalPoint(self.shape, tuple(sorted(vals.items())))
+        return hit
 
     def acted(self, sym: AffineSymmetry) -> "EvalPoint":
         """The point sym·v, pinned by ev_{sym·v} = ev_v ∘ sym^{-1}:
@@ -229,21 +242,40 @@ def eval_rf_at(ring: Ring, rf: RationalFunction, point: EvalPoint, err=Regularit
 @dataclass(frozen=True)
 class Functional:
     """ev_v ∘ diff_w ∘ (shift by xi): evaluation after a divided-difference
-    word after a lattice translation."""
+    word after a lattice translation.
+
+    When every letter of w swaps two cells of equal value at v (as inside a
+    window, where w lies in the stabiliser of v), diff_w commutes with the
+    translation by v, and the functional is ev_u ∘ D_w at u = v + xi, with
+    D_w = sum_{|beta| = l(w)} c_beta d^beta / beta! and the integers
+    c_beta = diff_w(x^beta): the confluent divided differences of de Boor,
+    "Divided differences" (Surveys in Approximation Theory 1, 2005)."""
 
     point: EvalPoint
     perm: RowPermutation
     shifts: tuple  # sorted ((cell), n), nonzero entries only
 
+    @cached_property
+    def has_derivative_form(self) -> bool:
+        """True when every letter of the word swaps two equal values of the
+        point, so that the functional is a constant-coefficient derivative
+        at the translated point."""
+        v = self.point
+        return all(v.pair((i, p)) == v.pair((i, p + 1)) for i, p in canonical_word(self.perm))
+
+    @cached_property
+    def translate(self) -> EvalPoint:
+        """u = v + xi."""
+        return self.point.translated(dict(self.shifts))
+
     def evaluate(self, ring: Ring, f: Polynomial) -> RationalFunction:
-        g = f.shift_cells(dict(self.shifts)) if self.shifts else f
-        word = canonical_word(self.perm)
-        if word:
-            g = apply_word(ring, word, g)
-        out = g.eval_cells(self.point.point_map(ring))
-        if not out.uses_only_params():
-            raise ValueError("functional evaluation left non-parameter variables")
-        return RationalFunction.from_poly(out)
+        """ev_u(D_w f) through the memo of u, or by the definition
+        (:func:`evaluate_by_word`) when the word moves unequal values."""
+        if not self.has_derivative_form:
+            return evaluate_by_word(ring, self, f)
+        if not self.perm.is_identity():
+            f = f.derivative(derivative_operator(ring, self.perm))
+        return RationalFunction.from_poly(f.eval_cells(self.translate.point_map(ring)))
 
     def render(self) -> str:
         xi = "*".join(
@@ -255,6 +287,38 @@ class Functional:
         if xi:
             bits.append(xi)
         return "o".join(bits)
+
+
+def evaluate_by_word(ring: Ring, func: Functional, f: Polynomial) -> RationalFunction:
+    """ev_v(diff_w(f shifted by xi)) by its definition: shift f, apply the
+    word and substitute the point.  The reference that the derivative form
+    of :meth:`Functional.evaluate` is checked against."""
+    g = f.shift_cells(dict(func.shifts)) if func.shifts else f
+    word = canonical_word(func.perm)
+    if word:
+        g = apply_word(ring, word, g)
+    out = g.eval_cells(func.point.point_map(ring))
+    if not out.uses_only_params():
+        raise ValueError("functional evaluation left non-parameter variables")
+    return RationalFunction.from_poly(out)
+
+
+@functools.lru_cache(maxsize=1024)
+def derivative_operator(ring: Ring, perm: RowPermutation) -> tuple:
+    """D_w as pairs (beta, c_beta), c_beta = diff_w(x^beta) != 0, over the
+    monomials x^beta of degree l(w) in the cells of the word: 2 terms for
+    one letter, 6 for d1 d2 d1."""
+    word = canonical_word(perm)
+    cells = sorted({(i, q) for i, p in word for q in (p, p + 1)})
+    out = []
+    for combo in itertools.combinations_with_replacement(cells, len(word)):
+        mono = math.prod((ring.x(*cell) for cell in combo), start=ring.one())
+        # diff_w lowers the degree by l(w): the image is an integer constant
+        image = apply_word(ring, word, mono)
+        if not image.is_zero():
+            (beta,), (c,) = mono.terms, image.terms.values()
+            out.append((beta, c))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +453,8 @@ class ModuleWindow:
             key = self._canon_key(offsets)
             counts[key] = counts.get(key, 0) + 1
         for key in sorted(counts):
-            offsets = dict(zip(self.cells, key))
-            u = self.point.translated(offsets)
+            # the nonzero offsets only, as the functionals of the orbit hold them
+            u = self.point.translated({c: n for c, n in zip(self.cells, key) if n})
             k = len(self.point.shape)
             stab_u = YoungSubgroup.from_values(
                 self.point.shape,
@@ -681,7 +745,7 @@ def vanishing_check(window: ModuleWindow, orbit_idx: int) -> bool:
             continue
         func = Functional(window.point, w, rep_sparse)
         for f in window.family:
-            if not func.evaluate(window.ring, f).is_zero():
+            if not evaluate_by_word(window.ring, func, f).is_zero():
                 return False
     return True
 

@@ -152,6 +152,46 @@ def test_eval_cells_matches_substitute():
         assert g.uses_only_params()
 
 
+def test_derivative_reads_the_taylor_coefficients():
+    # sum_beta c_beta d^beta f / beta! against f(x + t) with t = (z[1], z[2])
+    # on the cells (1,1), (1,2): the coefficient of t^beta is d^beta f / beta!
+    rng = random.Random(6011)
+    ring = Ring((2, 1), 2)
+    gens = [ring.x(*c) for c in ring.cells()]
+    sa, sb = ring.index[("x", 1, 1)], ring.index[("x", 1, 2)]
+
+    def beta(i, j):
+        m = [0] * ring.nvars
+        m[sa], m[sb] = i, j
+        return tuple(m)
+
+    def taylor(f, i, j):
+        moved = f.substitute({("x", 1, 1): gens[0] + ring.z(1), ("x", 1, 2): gens[1] + ring.z(2)}).num
+        terms = {(0, 0) + m[2:]: QQ(c, moved.den) for m, c in moved.terms.items() if m[:2] == (i, j)}
+        return Polynomial(ring, terms)
+
+    for _ in range(20):
+        f = ring.const(QQ(rng.randint(-9, 9), rng.randint(1, 4)))
+        for _ in range(rng.randint(1, 6)):
+            term = ring.const(rng.randint(-5, 5))
+            for _ in range(rng.randint(0, 6)):
+                term = term * gens[rng.randrange(len(gens))]
+            f = f + term
+        for i, j in [(0, 0), (1, 0), (0, 1), (2, 1), (1, 1), (0, 3)]:
+            assert f.derivative([(beta(i, j), 1)]) == taylor(f, i, j)
+        op = [(beta(1, 0), 1), (beta(0, 1), -1)]
+        assert f.derivative(op) == taylor(f, 1, 0) - taylor(f, 0, 1)
+
+
+def test_one_unit_polynomial_per_ring():
+    ring = Ring((2, 1), 2)
+    assert ring.one() is ring.one() and ring.one() == ring.const(1)
+    assert RationalFunction.from_poly(ring.x(1, 1)).den is ring.one()
+    # arithmetic on the shared unit builds new polynomials
+    two = ring.one() + ring.one()
+    assert str(two) == "2" and str(ring.one()) == "1"
+
+
 def test_permute_cells_is_action():
     ring = Ring((3, 1), 0)
     rng = random.Random(11)

@@ -31,6 +31,7 @@ from ogzkit import (
     singularity_setup_check,
     vanishing_check,
 )
+from ogzkit.gzmod import derivative_operator
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +468,27 @@ def test_window_functionals_match_the_shift_and_word_reference(name):
             assert func.evaluate(ring, f).polynomial_part() == g.eval_cells(pm), (func.render(), str(f))
 
 
+def test_a_word_across_unequal_values_takes_the_word_route():
+    # x[1,1] and x[1,2] differ by 1, so d[1] moves unequal values: the
+    # derivative form would be wrong there, and evaluate keeps the definition
+    rng = random.Random(1618)
+    v = EvalPoint.make((2, 1), {(1, 1): (1, 0), (1, 2): (1, 1), (2, 1): (2, QQ(1, 2))})
+    ring = v.ring()
+    shifts = (((1, 2), -1),)
+    func = Functional(v, RowPermutation.simple(v.shape, 1, 1), shifts)
+    assert not func.has_derivative_form
+    u = func.translate.point_map(ring)
+    op = derivative_operator(ring, func.perm)
+    derivative_differs = False
+    for _ in range(20):
+        f = random_poly2(ring, rng, 5)
+        g = apply_word(ring, canonical_word(func.perm), f.shift_cells(dict(shifts)))
+        got = func.evaluate(ring, f).polynomial_part()
+        assert got == substituted(v, ring, g)
+        derivative_differs = derivative_differs or got != f.derivative(op).eval_cells(u)
+    assert derivative_differs
+
+
 # ---------------------------------------------------------------------------
 # a second window: the (3,1) triple point, stabiliser blocks of 3 cells
 
@@ -483,6 +505,20 @@ def test_triple_point_rank_certificate(triple_window):
     w = triple_window
     assert len(w.basis) == 27 and len(w.family) == 189
     assert w.rank_history == [7, 11, 16, 23, 26, 27, 27]
+
+
+def test_triple_point_functionals_are_derivatives(triple_window):
+    # every word of the window moves equal values only, so every functional
+    # is a constant-coefficient derivative at its orbit's point
+    w = triple_window
+    assert all(func.has_derivative_form for func in w.basis)
+    assert {len(derivative_operator(w.ring, func.perm)) for func in w.basis} == {1, 2, 4, 6}
+    for orb in w.orbits:
+        for b in w.block_indices(orb.index):
+            assert w.basis[b].translate is orb.point
+    w0 = max((func.perm for func in w.basis), key=RowPermutation.length)
+    assert w0.length() == 3
+    assert sorted(c for _, c in derivative_operator(w.ring, w0)) == [-1, -1, -1, 1, 1, 1]
 
 
 def test_triple_point_route_agreement(triple_window):
