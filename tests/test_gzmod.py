@@ -4,6 +4,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 from test_exactalg import random_poly2
 
 from ogzkit import (
@@ -11,8 +13,10 @@ from ogzkit import (
     AffineSymmetry,
     EvalPoint,
     Functional,
+    HypothesisViolation,
     InvalidSingularSetup,
     ModuleWindow,
+    NilHecke,
     RegularityError,
     Ring,
     RowPermutation,
@@ -21,17 +25,22 @@ from ogzkit import (
     apply_word,
     build_basis_B,
     canonical_word,
+    chain_word,
     component_graph,
     conjugation_check,
+    elementary_symmetric,
     eval_rf_at,
     gamma_eigenvalue,
     invariant_family,
     ladder_point_expansion,
     simplicity_probe,
     singularity_setup_check,
+    stable_sorting_perm,
     vanishing_check,
 )
+from ogzkit.exactalg import merge_terms
 from ogzkit.gzmod import derivative_operator
+from ogzkit.skewops import ladder_coefficient
 
 
 # ---------------------------------------------------------------------------
@@ -603,3 +612,131 @@ def test_triple_point_ladder_on_the_big_block(triple_window_r2):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "2433c8d8965d760c6f923b1c3cfc5b5559d990daa54004454676c13d1182e995"
     )
+
+
+# ---------------------------------------------------------------------------
+# the structural route against the symbolic push-through of the word
+
+
+def structural_by_push(w, gen, idx):
+    """act_structural by its definition: push the block coefficient, shifted
+    by the orbit's offsets, through the nil-Hecke word symbolically, conjugate
+    a moved term back to canonical form and evaluate every coefficient at the
+    centre point.  Raises what the route raises."""
+    orbit_idx, perm = w.basis_meta[idx]
+    orb = w.orbits[orbit_idx]
+    ring = w.ring
+    if gen[0] == "multiplier":
+        terms = [(elementary_symmetric(ring, gen[1], gen[2]), (), None)]
+    else:
+        if not orb.interior:
+            raise WindowLeakage("boundary")
+        i, up = gen[1], gen[0] == "raising"
+        terms = [
+            (ladder_coefficient(ring, i, b[0], b[-1], up), chain_word(i, b[0], b[-1]), (i, b[0]))
+            for b in orb.stab.blocks[i - 1]
+        ]
+    xi = dict(zip(w.cells, orb.rep_offsets))
+    result = {}
+    for coeff, chain, head in terms:
+        pushed = NilHecke.from_word(ring, canonical_word(perm) + chain).mul_right_fun(coeff.shift_cells(xi))
+        if not pushed.terms:
+            continue
+        tgt = orbit_idx
+        if head is not None:
+            xi_new = dict(xi)
+            xi_new[head] += 1 if gen[0] == "raising" else -1
+            tau = stable_sorting_perm(w.point.shape, xi_new, w.stab)
+            pushed = pushed.conjugated(tau)
+            canon = tau.apply_to_cellmap(xi_new)
+            key = tuple(canon[c] for c in w.cells)
+            tgt = w._orbit_of_key.get(key)
+            if tgt is None:
+                raise WindowLeakage("target")
+            if w._canon_key(xi_new) != key:
+                raise HypothesisViolation("canonical key")
+        allowed = {wp.rows for wp in w.orbits[tgt].coset_reps}
+        merge_terms(result, (
+            (w.index_of(tgt, y), eval_rf_at(ring, c, w.point, err=HypothesisViolation))
+            for y, c in pushed.terms.items()
+            if y.rows in allowed
+        ))
+    return result
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as e:  # the type is the outcome
+        return type(e)
+
+
+def assert_structural_matches_push(w):
+    ladders = [(kind, i) for kind in ("raising", "lowering") for i in range(1, len(w.point.shape))]
+    n = 0
+    for gen in ladders + w.multiplier_gens():
+        for b in range(len(w.basis)):
+            want = outcome(structural_by_push, w, gen, b)
+            assert outcome(w.act_structural, gen, b) == want, (gen, b)
+            n += 1
+    return n
+
+
+# rows of equal tags, rational offsets, a second top-row cell, ladders on
+# rows 1 and 2, and ladders between two singular rows
+PUSH_WINDOWS = {
+    "3,1-triple-r2": ((3, 1), {(1, 1): (1, 0), (1, 2): (1, 0), (1, 3): (1, 0), (2, 1): (2, 0)}, 2),
+    "2,1-doubled-r2": ((2, 1), {(1, 1): (1, 0), (1, 2): (1, 0), (2, 1): (2, 0)}, 2),
+    "2,1-doubled-r3": ((2, 1), {(1, 1): (1, 0), (1, 2): (1, 0), (2, 1): (2, 0)}, 3),
+    "2,1-half": ((2, 1), {(1, 1): (1, QQ(1, 2)), (1, 2): (1, QQ(1, 2)), (2, 1): (2, -1)}, 2),
+    "2,2-zero": ((2, 2), {(1, 1): (1, 0), (1, 2): (1, 0), (2, 1): (2, 0), (2, 2): (3, 0)}, 1),
+    "2,2-rational": (
+        (2, 2),
+        {(1, 1): (1, QQ(1, 2)), (1, 2): (1, QQ(1, 2)), (2, 1): (2, QQ(-1, 3)), (2, 2): (3, QQ(2, 5))},
+        1,
+    ),
+    "2,1-shifted-r2": ((2, 1), {(1, 1): (1, -1), (1, 2): (1, -1), (2, 1): (2, QQ(2, 3))}, 2),
+    "1,2,1-middle-doubled": ((1, 2, 1), {(1, 1): (1, 0), (2, 1): (2, 0), (2, 2): (2, 0), (3, 1): (3, 0)}, 1),
+    "3,1-third-r2": ((3, 1), {(1, 1): (1, 0), (1, 2): (1, 0), (1, 3): (1, QQ(1, 3)), (2, 1): (2, 0)}, 2),
+    "2,2,1-two-doubled": (
+        (2, 2, 1),
+        {(1, 1): (1, 0), (1, 2): (1, 0), (2, 1): (2, 0), (2, 2): (2, 0), (3, 1): (3, 0)},
+        1,
+    ),
+    "3,2-triple": (
+        (3, 2),
+        {(1, 1): (1, 0), (1, 2): (1, 0), (1, 3): (1, 0), (2, 1): (2, 0), (2, 2): (3, 0)},
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PUSH_WINDOWS))
+def test_structural_route_matches_the_symbolic_push(name):
+    # every ladder and multiplier on every functional: equal result dicts,
+    # or the same error type
+    shape, values, radius = PUSH_WINDOWS[name]
+    assert assert_structural_matches_push(ModuleWindow(EvalPoint.make(shape, values), radius)) > 0
+
+
+OFFSETS = [QQ(0), QQ(1, 2), QQ(-1, 3), QQ(2, 3), QQ(1), QQ(-1)]
+
+
+@st.composite
+def generated_windows(draw):
+    """Points on shapes with at most 4 shiftable cells, drawn from few tags
+    and small offsets, that pass the setup check at radius 1."""
+    shape = draw(
+        st.lists(st.integers(1, 3), min_size=2, max_size=3).filter(lambda s: sum(s[:-1]) <= 4)
+    )
+    cells = [(i, j) for i, s in enumerate(shape, start=1) for j in range(1, s + 1)]
+    values = {c: (draw(st.integers(1, 3)), draw(st.sampled_from(OFFSETS))) for c in cells}
+    point = EvalPoint.make(tuple(shape), values)
+    assume(singularity_setup_check(point, 1).ok)
+    return point
+
+
+@settings(max_examples=12, deadline=None, database=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(generated_windows())
+def test_structural_route_matches_the_symbolic_push_on_generated_windows(point):
+    assert_structural_matches_push(ModuleWindow(point, 1))
