@@ -206,6 +206,8 @@ class Polynomial:
         return Polynomial._wrap(self.ring, K.p_neg(self.terms), self.den)
 
     def __mul__(self, other):
+        if type(other) is int:
+            return Polynomial._reduced(self.ring, K.p_mul_scalar(self.terms, other), self.den)
         if isinstance(other, (int, str)) or type(other) is QQ:
             other = self.ring.const(other)
         elif not isinstance(other, Polynomial):

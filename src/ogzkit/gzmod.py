@@ -54,6 +54,7 @@ from .combinat import (
     check_shape,
     shortest_coset_reps,
     stable_sorting_perm,
+    word_to_perm,
 )
 from .divdiff import NilHecke, apply_word, chain_word
 from .errors import (
@@ -309,16 +310,101 @@ def derivative_operator(ring: Ring, perm: RowPermutation) -> tuple:
     monomials x^beta of degree l(w) in the cells of the word: 2 terms for
     one letter, 6 for d1 d2 d1."""
     word = canonical_word(perm)
-    cells = sorted({(i, q) for i, p in word for q in (p, p + 1)})
     out = []
-    for combo in itertools.combinations_with_replacement(cells, len(word)):
-        mono = math.prod((ring.x(*cell) for cell in combo), start=ring.one())
+    for beta in _monomials(ring, _word_cells(perm), len(word)):
         # diff_w lowers the degree by l(w): the image is an integer constant
-        image = apply_word(ring, word, mono)
+        image = apply_word(ring, word, Polynomial._wrap(ring, {beta: 1}))
         if not image.is_zero():
-            (beta,), (c,) = mono.terms, image.terms.values()
+            (c,) = image.terms.values()
             out.append((beta, c))
     return tuple(out)
+
+
+def _word_cells(perm: RowPermutation) -> list:
+    """The cells that the letters of the canonical word of perm move."""
+    return sorted({(i, q) for i, p in canonical_word(perm) for q in (p, p + 1)})
+
+
+def _monomials(ring: Ring, cells, degree: int) -> list:
+    """The exponent tuples of the monomials of the given degree in the cells."""
+    out = []
+    for combo in itertools.combinations_with_replacement(cells, degree):
+        m = [0] * ring.nvars
+        for cell in combo:
+            m[ring.index[("x",) + cell]] += 1
+        out.append(tuple(m))
+    return out
+
+
+@functools.lru_cache(maxsize=1024)
+def push_table(ring: Ring, perm: RowPermutation) -> tuple:
+    """The integers c_{w,y,beta}, the coefficient of diff_y in diff_w ∘ x^beta
+    for |beta| = l(w) - l(y), over the monomials x^beta in the cells of the
+    word, as ((y, ((beta, c), ...)), ...).  Each comes from the
+    coefficient-passing rule on a monomial, which takes no gcd; c_y lowers
+    the degree by exactly l(w) - l(y), so every other coefficient of diff_y
+    vanishes at the origin."""
+    ell = perm.length()
+    dw = NilHecke(ring, {perm: 1})
+    rows: Dict[RowPermutation, list] = {}
+    for degree in range(ell + 1):
+        for beta in _monomials(ring, _word_cells(perm), degree):
+            x_beta = Polynomial._wrap(ring, {beta: 1})
+            for y, c in dw.mul_right_fun(x_beta).terms.items():
+                if y.length() == ell - degree:
+                    (value,) = c.num.terms.values()
+                    rows.setdefault(y, []).append((beta, value))
+    return tuple((y, tuple(entries)) for y, entries in rows.items())
+
+
+class TaylorJet:
+    """The Taylor coefficients of a quotient f = N/D at a point u, in the
+    cell variables, computed on demand: ``jet[beta]`` is P_beta with
+    [t^beta] f(u + t) = P_beta / d^(|beta| + 1) for d = D(u), a parameter
+    polynomial.  The coefficients of N and D are their derivatives
+    d^beta/beta! through u's memo; the quotient follows from the triangular
+    recursion sum_{delta <= gamma} G_(gamma - delta) D_delta = N_gamma, kept
+    over powers of d so that it divides nothing.  Raises
+    :class:`HypothesisViolation` when D vanishes at u."""
+
+    def __init__(self, ring: Ring, f, point: EvalPoint):
+        self.f = f = RationalFunction.from_any(ring, f)
+        self._pm = point.point_map(ring)
+        d = f.den.eval_cells(self._pm)
+        if d.is_zero():
+            raise HypothesisViolation(f"denominator {f.den} vanishes at point {point}")
+        self._powers = [ring.one(), d]
+        self._coeffs: Dict[tuple, Polynomial] = {}
+        self._den_coeffs: Dict[tuple, Polynomial] = {}
+
+    def power(self, k: int) -> Polynomial:
+        """d^k."""
+        pw = self._powers
+        while len(pw) <= k:
+            pw.append(pw[-1] * pw[1])
+        return pw[k]
+
+    def _at_u(self, p: Polynomial, beta: tuple) -> Polynomial:
+        return p.derivative(((beta, 1),)).eval_cells(self._pm)
+
+    def __getitem__(self, beta: tuple) -> Polynomial:
+        p = self._coeffs.get(beta)
+        if p is None:
+            f = self.f
+            p = self._at_u(f.num, beta) * self.power(sum(beta))
+            if not f.den.is_one():
+                # P_beta = N_beta d^|beta| - sum_{0 < delta <= beta} P_(beta-delta) D_delta d^(|delta|-1)
+                for delta in itertools.product(*(range(e + 1) for e in beta)):
+                    if not any(delta):
+                        continue
+                    dd = self._den_coeffs.get(delta)
+                    if dd is None:
+                        dd = self._den_coeffs[delta] = self._at_u(f.den, delta)
+                    if not dd.is_zero():
+                        rest = tuple(e - a for e, a in zip(beta, delta))
+                        p = p - self[rest] * dd * self.power(sum(delta) - 1)
+            self._coeffs[beta] = p
+        return p
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +516,8 @@ class ModuleWindow:
         self.rank_history: List[int] = []
         self._gen_image_cache: Dict[tuple, Polynomial] = {}
         self._act_cache: Dict[tuple, dict] = {}
+        self._conj_rows: Dict[tuple, dict] = {}
+        self._jets: Dict[tuple, TaylorJet] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -618,16 +706,29 @@ class ModuleWindow:
     # -- route 2: structural push-through ----------------------------------------
 
     def act_structural(self, gen: tuple, idx: int) -> dict:
-        """Independent computation of :meth:`act` by symbolic manipulation in
-        the divided-difference basis (no linear solve)."""
+        """Independent computation of :meth:`act` in the divided-difference
+        basis, at the point: no family and no linear algebra.
+
+        The generator is a sum of terms (coefficient g, chain word, moved head
+        cell): a multiplier is the one-term case with no chain and no moved
+        cell, a ladder has one chain term per stabilizer block of row i.
+        Every letter of the word ``w + chain`` fixes the centre v, so diff
+        and the swaps commute with the translation by v, and ev_v of the
+        coefficient of diff_y in ``diff_{w+chain} ∘ (g shifted by xi)`` is
+        sum_beta c_{y,beta} [t^beta] g(u + t) at u = v + xi, over
+        |beta| = l(w + chain) - l(y), with the integers of
+        :func:`push_table` and the Taylor coefficients of :class:`TaylorJet`.
+        A term that moves a cell is conjugated back to canonical form by a
+        member tau of the stabilizer, which fixes v too, so the conjugation
+        is the linear map on those values given by the rows of
+        :meth:`_conjugation_row`."""
         orbit_idx, w = self.basis_meta[idx]
         orb = self.orbits[orbit_idx]
         ring = self.ring
-        # one term per (coefficient, chain word, moved head cell): a
-        # multiplier is the one-term case with no chain and no moved cell,
-        # a ladder has one chain term per stabilizer block of row i
+        # one term per (coefficient, chain word, moved head cell), the
+        # coefficient keyed for the window's memo of its Taylor coefficients
         if gen[0] == "multiplier":
-            terms = [(elementary_symmetric(ring, gen[1], gen[2]), (), None)]
+            terms = [(gen, functools.partial(elementary_symmetric, ring, gen[1], gen[2]), (), None)]
         else:
             if not orb.interior:
                 raise WindowLeakage(
@@ -636,22 +737,22 @@ class ModuleWindow:
                 )
             i, up = gen[1], gen[0] == "raising"
             terms = [
-                (ladder_coefficient(ring, i, b[0], b[-1], up), chain_word(i, b[0], b[-1]), (i, b[0]))
+                ((gen, b[0], b[-1]), functools.partial(ladder_coefficient, ring, i, b[0], b[-1], up),
+                 chain_word(i, b[0], b[-1]), (i, b[0]))
                 for b in orb.stab.blocks[i - 1]
             ]
-        xi = dict(zip(self.cells, orb.rep_offsets))
         word_w = canonical_word(w)
         result: Dict[int, RationalFunction] = {}
-        for coeff, chain, head in terms:
-            pushed = NilHecke.from_word(ring, word_w + chain).mul_right_fun(coeff.shift_cells(xi))
-            if not pushed.terms:
-                continue
-            tgt_idx = orbit_idx
+        for key, coeff, chain, head in terms:
+            word = word_w + chain
+            perm = word_to_perm(ring.shape, word)
+            if perm.length() != len(word):
+                continue  # a word that is not reduced: diff of it is zero
+            tgt_idx, tau = orbit_idx, None
             if head is not None:
-                xi_new = dict(xi)
+                xi_new = dict(zip(self.cells, orb.rep_offsets))
                 xi_new[head] += 1 if gen[0] == "raising" else -1
                 tau = stable_sorting_perm(self.point.shape, xi_new, self.stab)
-                pushed = pushed.conjugated(tau)
                 xi_canon = tau.apply_to_cellmap(xi_new)
                 tgt_key = tuple(xi_canon[c] for c in self.cells)
                 tgt_idx = self._orbit_of_key.get(tgt_key)
@@ -662,15 +763,44 @@ class ModuleWindow:
                     raise HypothesisViolation(
                         f"stable sort failed to canonicalize {xi_new} (got {tgt_key}, want {canon_check})"
                     )
+            jet = self._jets.get((orbit_idx, key))
+            if jet is None:
+                jet = self._jets[(orbit_idx, key)] = TaylorJet(ring, coeff(), orb.point)
+            # d^(l+1) times ev_v of the coefficient of diff_y, for l = l(w + chain)
+            at_v = {}
+            for y, entries in push_table(ring, perm):
+                s = sum((jet[beta] * c for beta, c in entries), ring.zero())
+                if not s.is_zero():
+                    at_v[y] = s * jet.power(y.length())
+            if tau is not None and not tau.is_identity():
+                conj: Dict = {}
+                for y, s in at_v.items():
+                    for yc, r in self._conjugation_row(tau, y).items():
+                        conj[yc] = conj.get(yc, ring.zero()) + s * r
+                at_v = conj
             # a y that is not a minimal coset representative gives a
             # functional ev ∘ diff_y ∘ xi vanishing on invariants (vanishing rule)
             allowed = {wp.rows for wp in self.orbits[tgt_idx].coset_reps}
+            den = jet.power(len(word) + 1)
             merge_terms(result, (
-                (self.index_of(tgt_idx, y), eval_rf_at(ring, c, self.point, err=HypothesisViolation))
-                for y, c in pushed.terms.items()
+                (self.index_of(tgt_idx, y), RationalFunction.normalize(s, den))
+                for y, s in at_v.items()
                 if y.rows in allowed
             ))
         return result
+
+    def _conjugation_row(self, tau: RowPermutation, y: RowPermutation) -> dict:
+        """tau ∘ diff_y ∘ tau^{-1} with its polynomial coefficients taken at
+        the centre, {y': value}; kept on the window per (tau, y)."""
+        key = (tau, y)
+        row = self._conj_rows.get(key)
+        if row is None:
+            pm = self.point.point_map(self.ring)
+            conj = NilHecke(self.ring, {y: 1}).conjugated(tau)
+            row = self._conj_rows[key] = {
+                yc: c.polynomial_part().eval_cells(pm) for yc, c in conj.terms.items()
+            }
+        return row
 
     # -- blocks, socle -----------------------------------------------------------
 

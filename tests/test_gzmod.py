@@ -1,6 +1,7 @@
 """Windowed module basis, two-route generator actions, block structure."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,8 @@ from ogzkit import (
     InvalidSingularSetup,
     ModuleWindow,
     NilHecke,
+    Polynomial,
+    RationalFunction,
     RegularityError,
     Ring,
     RowPermutation,
@@ -39,7 +42,7 @@ from ogzkit import (
     vanishing_check,
 )
 from ogzkit.exactalg import merge_terms
-from ogzkit.gzmod import derivative_operator
+from ogzkit.gzmod import TaylorJet, derivative_operator, push_table
 from ogzkit.skewops import ladder_coefficient
 
 
@@ -740,3 +743,88 @@ def generated_windows(draw):
 @given(generated_windows())
 def test_structural_route_matches_the_symbolic_push_on_generated_windows(point):
     assert_structural_matches_push(ModuleWindow(point, 1))
+
+
+# ---------------------------------------------------------------------------
+# the pieces of the structural route at the point
+
+
+def test_push_table_of_the_longest_word_against_the_coefficient_passing_rule():
+    # every monomial of degree <= 3 in row 1 of (3,1), pushed through d1 d2 d1:
+    # the coefficient of d_y is homogeneous of degree |beta| - 3 + l(y), so
+    # the table holds exactly the integer ones of degree 0
+    ring = Ring((3, 1), 0)
+    w0 = RowPermutation.simple(ring.shape, 1, 1) * RowPermutation.simple(ring.shape, 1, 2)
+    w0 = w0 * RowPermutation.simple(ring.shape, 1, 1)
+    assert w0.length() == 3
+    table = {(y, beta): c for y, entries in push_table(ring, w0) for beta, c in entries}
+    assert all(type(c) is int and sum(beta) == 3 - y.length() for (y, beta), c in table.items())
+    want = {}
+    cells = [(1, 1), (1, 2), (1, 3)]
+    for degree in range(4):
+        for combo in itertools.combinations_with_replacement(cells, degree):
+            mono = ring.one()
+            for cell in combo:
+                mono = mono * ring.x(*cell)
+            (beta,) = mono.terms
+            for y, c in NilHecke(ring, {w0: 1}).mul_right_fun(mono).terms.items():
+                assert c.is_polynomial()
+                if degree == 3 - y.length():
+                    assert c.is_constant()
+                    want[(y, beta)] = c
+                else:
+                    assert degree > 3 - y.length() and c.num.total_degree() == degree - 3 + y.length()
+    assert {k: RationalFunction.from_any(ring, c) for k, c in table.items()} == want
+    assert len({y for y, _ in table}) == 6
+
+
+def taylor_coefficients(ring, p, point, cells):
+    """{x-exponents: parameter polynomial}: the coefficients of p(u + x),
+    by substitution, restricted to monomials in the given cells."""
+    moved = {("x",) + c: ring.x(*c) + point.value_poly(ring, c) for c in ring.cells()}
+    shifted = p.substitute(moved).polynomial_part()
+    slots = {ring.index[("x",) + c] for c in cells}
+    out = {}
+    for m, c in shifted.terms.items():
+        if any(e for s, e in enumerate(m[ring.nparams:], start=ring.nparams) if s not in slots):
+            continue
+        beta = (0,) * ring.nparams + m[ring.nparams:]
+        z_part = m[: ring.nparams] + (0,) * (ring.nvars - ring.nparams)
+        out[beta] = out.get(beta, ring.zero()) + ring.const(QQ(c, shifted.den)) * Polynomial(ring, {z_part: 1})
+    return out
+
+
+def test_taylor_jet_of_a_quotient_with_a_parameter_denominator():
+    # two tags in row 1, so D(u) = z[1] - z[2] - 1/2 depends on z: the jet of
+    # G = N/D times the jet of D is the jet of N, up to total degree 3
+    v = EvalPoint.make((2, 1), {(1, 1): (1, 0), (1, 2): (2, QQ(1, 2)), (2, 1): (3, -1)})
+    ring = v.ring()
+    x11, x12, x21 = ring.x(1, 1), ring.x(1, 2), ring.x(2, 1)
+    num = (x11 - x21) * (x11 + x12) ** 2 + ring.z(1)
+    den = (x11 - x12) * (x12 - x21 + 3)
+    f = RationalFunction.normalize(num, den)
+    jet = TaylorJet(ring, f, v)
+    assert not jet.power(1).is_constant()
+    cells = [(1, 1), (1, 2)]
+    n_coeffs = taylor_coefficients(ring, f.num, v, cells)
+    d_coeffs = taylor_coefficients(ring, f.den, v, cells)
+    betas = [(0, 0, 0, a, b, 0) for a in range(4) for b in range(4 - a)]
+
+    def g(beta):
+        return RationalFunction.normalize(jet[beta], jet.power(sum(beta) + 1))
+
+    for gamma in betas:
+        lhs = RationalFunction.from_any(ring, 0)
+        for alpha in betas:
+            delta = tuple(c - a for c, a in zip(gamma, alpha))
+            if min(delta) >= 0:
+                lhs = lhs + g(alpha) * d_coeffs.get(delta, ring.zero())
+        assert lhs == RationalFunction.from_any(ring, n_coeffs.get(gamma, ring.zero())), gamma
+
+
+def test_taylor_jet_refuses_a_denominator_that_vanishes_at_the_point():
+    v = EvalPoint.make((2, 1), {(1, 1): (1, 0), (1, 2): (1, 0), (2, 1): (2, 0)})
+    ring = v.ring()
+    f = RationalFunction.normalize(ring.x(2, 1), ring.x(1, 1) - ring.x(1, 2))
+    with pytest.raises(HypothesisViolation):
+        TaylorJet(ring, f, v)

@@ -125,3 +125,36 @@ def test_tracer_patch_points_exist_and_are_restored():
         t.remove()
     assert saved
     assert all(owner.__dict__[attr] is raw for owner, attr, raw in saved)
+
+
+def test_structural_route_pushes_nothing_symbolically_once_warm(monkeypatch):
+    # the structural route works at the point: after one pass has filled the
+    # push tables of the ring, every query on a fresh window of that ring
+    # makes no symbolic push through a word and takes no polynomial gcd
+    from ogzkit import EvalPoint, ModuleWindow, NilHecke, Polynomial, WindowLeakage
+
+    point = EvalPoint.make((3, 1), {(1, 1): (1, 0), (1, 2): (1, 0), (1, 3): (1, 0), (2, 1): (2, 0)})
+    gens = [("raising", 1), ("lowering", 1)]
+
+    def every_query(w):
+        out = {}
+        for gen in gens + w.multiplier_gens():
+            for b in range(len(w.basis)):
+                try:
+                    out[(gen, b)] = w.act_structural(gen, b)
+                except WindowLeakage:
+                    pass
+        return out
+
+    first = every_query(ModuleWindow(point, 1))
+    calls = []
+    for owner, attr in ((NilHecke, "mul_right_fun"), (Polynomial, "gcd")):
+        raw = getattr(owner, attr)
+
+        def counted(*args, raw=raw, attr=attr):
+            calls.append(attr)
+            return raw(*args)
+
+        monkeypatch.setattr(owner, attr, counted)
+    assert every_query(ModuleWindow(point, 1)) == first
+    assert len(first) > 100 and calls == []
