@@ -339,7 +339,8 @@ def ladder_coefficient(ring: Ring, i: int, start: int, end: int, up: bool) -> Ra
     With head = x[i,start]: the product of (head - x) over the cells x of the
     adjacent row (row i+1 when raising, row i-1 when lowering, none below
     row 1), divided by the product of (head - x) over the row-i cells outside
-    the block.
+    the block.  Both are products of distinct linear forms, so they are
+    coprime and the quotient takes no gcd.
     """
     head = ring.x(i, start)
     other_row = i + 1 if up else i - 1
@@ -351,7 +352,7 @@ def ladder_coefficient(ring: Ring, i: int, start: int, end: int, up: bool) -> Ra
     for b in ring.row_cells(i):
         if not start <= b[1] <= end:
             den = den * (head - ring.x(*b))
-    return RationalFunction.normalize(num, den)
+    return RationalFunction._monic(num, den)
 
 
 class Generators:

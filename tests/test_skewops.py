@@ -22,6 +22,7 @@ from ogzkit import (
     is_row_symmetric,
     random_invariant,
 )
+from ogzkit.skewops import ladder_coefficient
 
 
 def rf(p):
@@ -369,3 +370,27 @@ def test_generators_are_built_once_per_key():
     assert [tok for tok, _ in g.all_named()] == [
         "E1", "F1", "gamma[1,1]", "gamma[1,2]", "gamma[2,1]"
     ]
+
+
+@pytest.mark.parametrize(
+    "shape", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (1, 2, 1), (1, 2, 3), (2, 2, 1), (3, 2, 1), (1, 2, 3, 1)]
+)
+def test_ladder_coefficient_needs_no_gcd(shape):
+    # the quotient of coprime products, built without a gcd, equals the one
+    # that normalize reduces, for every row, block and direction
+    ring = Ring(shape, 0)
+    for i in range(1, len(shape)):
+        for start, end in itertools.combinations_with_replacement(range(1, shape[i - 1] + 1), 2):
+            head = ring.x(i, start)
+            for up in (True, False):
+                other = i + 1 if up else i - 1
+                num = ring.one()
+                for a in ring.row_cells(other) if other >= 1 else []:
+                    num = num * (head - ring.x(*a))
+                den = ring.one()
+                for b in ring.row_cells(i):
+                    if not start <= b[1] <= end:
+                        den = den * (head - ring.x(*b))
+                got = ladder_coefficient(ring, i, start, end, up)
+                want = RationalFunction.normalize(num, den)
+                assert (got.num, got.den) == (want.num, want.den) and str(got) == str(want)
