@@ -15,6 +15,7 @@ single JSON line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -811,6 +812,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing reads it and leaves it
+    as it was, so every call of :func:`main` can share it."""
+    return build_parser()
+
+
 def _emit_error(code: int, exc: BaseException):
     payload = {
         "error": {
@@ -823,7 +831,7 @@ def _emit_error(code: int, exc: BaseException):
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         # argparse reads "--opt=--" as an empty list, not as the text "--"

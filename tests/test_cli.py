@@ -19,6 +19,7 @@ from ogzkit.cli import (
     MAX_TOKEN_CHARS,
     MAX_WALK_COORDS,
     MAX_WALK_VALUE,
+    _parser,
     main,
     parse_expr,
     parse_op,
@@ -217,6 +218,31 @@ def test_negative_count_exits_2(capsys, argv):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_the_shared_parser_gives_what_a_fresh_one_gives(capsys, spec_file):
+    # main builds its parser once per process; consecutive calls through it
+    # must print and exit exactly as calls that each build a fresh parser
+    calls = [
+        ("apply", "--shape", "2,1", "--op", "E1", "--expr", "x[1,1]+x[1,2]"),
+        ("walk", "--start", "0,0", "--target", "1,1"),
+        ("apply", "--shape", "2,1", "--op", "E1", "--expr", "-9*x[1,1]"),
+        ("--help",),
+        ("apply", "--shape=2,1", "--op=E1", "--expr=--"),
+        ("check-relations", "--shape", "2,1"),
+        ("basis", "--spec", spec_file),
+        ("walk",),
+        ("apply", "--help"),
+        ("ddiff-compare", "--shape", "2,1", "--row", "1", "--mu", "1,1", "--degree", "2"),
+        ("apply", "--shape", "2,1", "--op", "F1", "--expr", "x[1,1]*x[1,2]"),
+    ]
+    shared = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        _parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert shared == fresh
+    assert [rc for rc, _, _ in shared] == [0, 0, 2, 0, 2, 0, 0, 2, 0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
