@@ -25,11 +25,14 @@ Generator actions on this basis are computed two independent ways:
   :class:`WindowLeakage`.  The solve (:func:`_linalg.solve_columns`) is
   fraction-free and checks every family member without a gcd;
 * :meth:`ModuleWindow.act_structural` — push the generator through the
-  functional symbolically in the divided-difference basis, one term per
-  (coefficient, chain word, moved cell): a multiplier is a single term that
-  moves nothing, a ladder one term per stabilizer block.  A term that moves
-  a cell is conjugated back to canonical form; every term is evaluated at
-  the point.
+  functional in the divided-difference basis, one term per (coefficient,
+  chain word, moved cell): a multiplier is a single term that moves nothing,
+  a ladder one term per stabilizer block.  The word fixes the point, so the
+  push is taken at the point: integer push tables (:func:`push_table`) meet
+  the Taylor coefficients of the term's coefficient at the translate
+  (:class:`TaylorJet`), and a term that moves a cell is conjugated back to
+  canonical form by a linear map on those values.  The route uses no family
+  and no linear algebra, so it stays independent of the first.
 
 Both routes must agree coefficient for coefficient; tests enforce this.
 :meth:`ModuleWindow.block_decompose` gives, per orbit, the multiplier
