@@ -15,6 +15,7 @@ monic denominator, so structural equality is mathematical equality.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from typing import Iterable, Mapping
@@ -732,8 +733,10 @@ def merge_terms(acc: dict, pairs) -> dict:
     return acc
 
 
+@functools.lru_cache(maxsize=256)
 def elementary_symmetric(ring: Ring, row: int, d: int) -> Polynomial:
-    """d-th elementary symmetric polynomial in the row's cell variables."""
+    """d-th elementary symmetric polynomial in the row's cell variables
+    (polynomials are immutable, so one is kept per (ring, row, d))."""
     cells = ring.row_cells(row)
     if not 0 <= d <= len(cells):
         raise ValueError(f"elementary symmetric degree {d} out of range for row {row}")

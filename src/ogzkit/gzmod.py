@@ -394,8 +394,9 @@ class TaylorJet:
         p = self._coeffs.get(beta)
         if p is None:
             f = self.f
-            p = self._at_u(f.num, beta) * self.power(sum(beta))
+            p = self._at_u(f.num, beta)
             if not f.den.is_one():
+                p = p * self.power(sum(beta))
                 # P_beta = N_beta d^|beta| - sum_{0 < delta <= beta} P_(beta-delta) D_delta d^(|delta|-1)
                 for delta in itertools.product(*(range(e + 1) for e in beta)):
                     if not any(delta):
@@ -520,7 +521,6 @@ class ModuleWindow:
         self._gen_image_cache: Dict[tuple, Polynomial] = {}
         self._act_cache: Dict[tuple, dict] = {}
         self._conj_rows: Dict[tuple, dict] = {}
-        self._jets: Dict[tuple, TaylorJet] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -728,10 +728,8 @@ class ModuleWindow:
         orbit_idx, w = self.basis_meta[idx]
         orb = self.orbits[orbit_idx]
         ring = self.ring
-        # one term per (coefficient, chain word, moved head cell), the
-        # coefficient keyed for the window's memo of its Taylor coefficients
         if gen[0] == "multiplier":
-            terms = [(gen, functools.partial(elementary_symmetric, ring, gen[1], gen[2]), (), None)]
+            terms = [(elementary_symmetric(ring, gen[1], gen[2]), (), None)]
         else:
             if not orb.interior:
                 raise WindowLeakage(
@@ -740,13 +738,12 @@ class ModuleWindow:
                 )
             i, up = gen[1], gen[0] == "raising"
             terms = [
-                ((gen, b[0], b[-1]), functools.partial(ladder_coefficient, ring, i, b[0], b[-1], up),
-                 chain_word(i, b[0], b[-1]), (i, b[0]))
+                (ladder_coefficient(ring, i, b[0], b[-1], up), chain_word(i, b[0], b[-1]), (i, b[0]))
                 for b in orb.stab.blocks[i - 1]
             ]
         word_w = canonical_word(w)
         result: Dict[int, RationalFunction] = {}
-        for key, coeff, chain, head in terms:
+        for coeff, chain, head in terms:
             word = word_w + chain
             perm = word_to_perm(ring.shape, word)
             if perm.length() != len(word):
@@ -766,15 +763,13 @@ class ModuleWindow:
                     raise HypothesisViolation(
                         f"stable sort failed to canonicalize {xi_new} (got {tgt_key}, want {canon_check})"
                     )
-            jet = self._jets.get((orbit_idx, key))
-            if jet is None:
-                jet = self._jets[(orbit_idx, key)] = TaylorJet(ring, coeff(), orb.point)
+            jet = TaylorJet(ring, coeff, orb.point)
             # d^(l+1) times ev_v of the coefficient of diff_y, for l = l(w + chain)
             at_v = {}
             for y, entries in push_table(ring, perm):
                 s = sum((jet[beta] * c for beta, c in entries), ring.zero())
                 if not s.is_zero():
-                    at_v[y] = s * jet.power(y.length())
+                    at_v[y] = s if jet.power(1).is_one() else s * jet.power(y.length())
             if tau is not None and not tau.is_identity():
                 conj: Dict = {}
                 for y, s in at_v.items():
