@@ -30,7 +30,7 @@ Generator actions on this basis are computed two independent ways:
   a ladder one term per stabilizer block.  The word fixes the point, so the
   push is taken at the point: integer push tables (:func:`push_table`) meet
   the Taylor coefficients of the term's coefficient at the translate
-  (:class:`TaylorJet`), and a term that moves a cell is conjugated back to
+  (:func:`taylor_jet`), and a term that moves a cell is conjugated back to
   canonical form by a linear map on those values.  The route uses no family
   and no linear algebra, so it stays independent of the first.
 
@@ -360,55 +360,34 @@ def push_table(ring: Ring, perm: RowPermutation) -> tuple:
     return tuple((y, tuple(entries)) for y, entries in rows.items())
 
 
-class TaylorJet:
-    """The Taylor coefficients of a quotient f = N/D at a point u, in the
-    cell variables, computed on demand: ``jet[beta]`` is P_beta with
-    [t^beta] f(u + t) = P_beta / d^(|beta| + 1) for d = D(u), a parameter
-    polynomial.  The coefficients of N and D are their derivatives
-    d^beta/beta! through u's memo; the quotient follows from the triangular
-    recursion sum_{delta <= gamma} G_(gamma - delta) D_delta = N_gamma, kept
-    over powers of d so that it divides nothing.  Raises
+def taylor_jet(ring: Ring, f, point: EvalPoint, cells, order: int) -> tuple:
+    """The Taylor coefficients of f = N/D at the point u in the given cells,
+    up to total degree ``order``, as (d, {beta: P_beta}) with d = D(u) and
+    [t^beta] f(u + t) = P_beta / d^(|beta| + 1).  The coefficients of N and
+    D are their derivatives d^beta/beta! through u's memo; the quotient is
+    the triangular recursion sum_{delta <= gamma} G_(gamma - delta) D_delta
+    = N_gamma, kept over powers of d so that it divides nothing.  Raises
     :class:`HypothesisViolation` when D vanishes at u."""
-
-    def __init__(self, ring: Ring, f, point: EvalPoint):
-        self.f = f = RationalFunction.from_any(ring, f)
-        self._pm = point.point_map(ring)
-        d = f.den.eval_cells(self._pm)
-        if d.is_zero():
-            raise HypothesisViolation(f"denominator {f.den} vanishes at point {point}")
-        self._powers = [ring.one(), d]
-        self._coeffs: Dict[tuple, Polynomial] = {}
-        self._den_coeffs: Dict[tuple, Polynomial] = {}
-
-    def power(self, k: int) -> Polynomial:
-        """d^k."""
-        pw = self._powers
-        while len(pw) <= k:
-            pw.append(pw[-1] * pw[1])
-        return pw[k]
-
-    def _at_u(self, p: Polynomial, beta: tuple) -> Polynomial:
-        return p.derivative(((beta, 1),)).eval_cells(self._pm)
-
-    def __getitem__(self, beta: tuple) -> Polynomial:
-        p = self._coeffs.get(beta)
-        if p is None:
-            f = self.f
-            p = self._at_u(f.num, beta)
-            if not f.den.is_one():
-                p = p * self.power(sum(beta))
-                # P_beta = N_beta d^|beta| - sum_{0 < delta <= beta} P_(beta-delta) D_delta d^(|delta|-1)
-                for delta in itertools.product(*(range(e + 1) for e in beta)):
-                    if not any(delta):
-                        continue
-                    dd = self._den_coeffs.get(delta)
-                    if dd is None:
-                        dd = self._den_coeffs[delta] = self._at_u(f.den, delta)
-                    if not dd.is_zero():
-                        rest = tuple(e - a for e, a in zip(beta, delta))
-                        p = p - self[rest] * dd * self.power(sum(delta) - 1)
-            self._coeffs[beta] = p
-        return p
+    f = RationalFunction.from_any(ring, f)
+    pm = point.point_map(ring)
+    d = f.den.eval_cells(pm)
+    if d.is_zero():
+        raise HypothesisViolation(f"denominator {f.den} vanishes at point {point}")
+    betas = [beta for degree in range(order + 1) for beta in _monomials(ring, cells, degree)]
+    jet = {beta: f.num.derivative(((beta, 1),)).eval_cells(pm) for beta in betas}
+    if f.den.is_one():
+        return d, jet
+    dens = [(delta, f.den.derivative(((delta, 1),)).eval_cells(pm)) for delta in betas[1:]]
+    dens = [(delta, c) for delta, c in dens if not c.is_zero()]
+    powers = [d**k for k in range(order + 1)]
+    for gamma in betas[1:]:  # by degree, so every P_(gamma - delta) is known
+        p = jet[gamma] * powers[sum(gamma)]
+        for delta, c in dens:
+            rest = tuple(g - e for g, e in zip(gamma, delta))
+            if min(rest) >= 0:
+                p = p - jet[rest] * c * powers[sum(delta) - 1]
+        jet[gamma] = p
+    return d, jet
 
 
 # ---------------------------------------------------------------------------
@@ -712,22 +691,21 @@ class ModuleWindow:
         """Independent computation of :meth:`act` in the divided-difference
         basis, at the point: no family and no linear algebra.
 
-        The generator is a sum of terms (coefficient g, chain word, moved head
-        cell): a multiplier is the one-term case with no chain and no moved
-        cell, a ladder has one chain term per stabilizer block of row i.
-        Every letter of the word ``w + chain`` fixes the centre v, so diff
-        and the swaps commute with the translation by v, and ev_v of the
-        coefficient of diff_y in ``diff_{w+chain} ∘ (g shifted by xi)`` is
-        sum_beta c_{y,beta} [t^beta] g(u + t) at u = v + xi, over
-        |beta| = l(w + chain) - l(y), with the integers of
-        :func:`push_table` and the Taylor coefficients of :class:`TaylorJet`.
-        A term that moves a cell is conjugated back to canonical form by a
-        member tau of the stabilizer, which fixes v too, so the conjugation
-        is the linear map on those values given by the rows of
+        Every letter of the word ``w + chain`` of a term (coefficient g,
+        chain word, moved head cell) fixes the centre v, so diff and the
+        swaps commute with the translation by v, and ev_v of the coefficient
+        of diff_y in ``diff_{w+chain} ∘ (g shifted by xi)`` is the sum of
+        c_{y,beta} [t^beta] g(u + t) at u = v + xi over |beta| =
+        l(w + chain) - l(y) (:func:`push_table`, :func:`taylor_jet`).  The
+        stabilizer member tau that conjugates a moved term back to canonical
+        form fixes v too, so it acts on those values by the rows of
         :meth:`_conjugation_row`."""
         orbit_idx, w = self.basis_meta[idx]
         orb = self.orbits[orbit_idx]
         ring = self.ring
+        # one term per (coefficient, chain word, moved head cell): a
+        # multiplier is the one-term case with no chain and no moved cell,
+        # a ladder has one chain term per stabilizer block of row i
         if gen[0] == "multiplier":
             terms = [(elementary_symmetric(ring, gen[1], gen[2]), (), None)]
         else:
@@ -763,13 +741,13 @@ class ModuleWindow:
                     raise HypothesisViolation(
                         f"stable sort failed to canonicalize {xi_new} (got {tgt_key}, want {canon_check})"
                     )
-            jet = TaylorJet(ring, coeff, orb.point)
+            d, jet = taylor_jet(ring, coeff, orb.point, _word_cells(perm), len(word))
             # d^(l+1) times ev_v of the coefficient of diff_y, for l = l(w + chain)
             at_v = {}
             for y, entries in push_table(ring, perm):
                 s = sum((jet[beta] * c for beta, c in entries), ring.zero())
                 if not s.is_zero():
-                    at_v[y] = s if jet.power(1).is_one() else s * jet.power(y.length())
+                    at_v[y] = s if d.is_one() else s * d ** y.length()
             if tau is not None and not tau.is_identity():
                 conj: Dict = {}
                 for y, s in at_v.items():
@@ -779,7 +757,7 @@ class ModuleWindow:
             # a y that is not a minimal coset representative gives a
             # functional ev ∘ diff_y ∘ xi vanishing on invariants (vanishing rule)
             allowed = {wp.rows for wp in self.orbits[tgt_idx].coset_reps}
-            den = jet.power(len(word) + 1)
+            den = d ** (len(word) + 1)
             merge_terms(result, (
                 (self.index_of(tgt_idx, y), RationalFunction.normalize(s, den))
                 for y, s in at_v.items()
