@@ -310,17 +310,10 @@ def evaluate_by_word(ring: Ring, func: Functional, f: Polynomial) -> RationalFun
 @functools.lru_cache(maxsize=1024)
 def derivative_operator(ring: Ring, perm: RowPermutation) -> tuple:
     """D_w as pairs (beta, c_beta), c_beta = diff_w(x^beta) != 0, over the
-    monomials x^beta of degree l(w) in the cells of the word: 2 terms for
-    one letter, 6 for d1 d2 d1."""
-    word = canonical_word(perm)
-    out = []
-    for beta in _monomials(ring, _word_cells(perm), len(word)):
-        # diff_w lowers the degree by l(w): the image is an integer constant
-        image = apply_word(ring, word, Polynomial._wrap(ring, {beta: 1}))
-        if not image.is_zero():
-            (c,) = image.terms.values()
-            out.append((beta, c))
-    return tuple(out)
+    monomials x^beta of degree l(w) in the cells of the word: the row of the
+    identity in :func:`push_table`, 2 terms for one letter, 6 for d1 d2 d1."""
+    identity = RowPermutation.identity(ring.shape)
+    return next(entries for y, entries in push_table(ring, perm) if y == identity)
 
 
 def _word_cells(perm: RowPermutation) -> list:
@@ -343,21 +336,38 @@ def _monomials(ring: Ring, cells, degree: int) -> list:
 def push_table(ring: Ring, perm: RowPermutation) -> tuple:
     """The integers c_{w,y,beta}, the coefficient of diff_y in diff_w ∘ x^beta
     for |beta| = l(w) - l(y), over the monomials x^beta in the cells of the
-    word, as ((y, ((beta, c), ...)), ...).  Each comes from the
-    coefficient-passing rule on a monomial, which takes no gcd; c_y lowers
-    the degree by exactly l(w) - l(y), so every other coefficient of diff_y
-    vanishes at the origin."""
-    ell = perm.length()
-    dw = NilHecke(ring, {perm: 1})
-    rows: Dict[RowPermutation, list] = {}
-    for degree in range(ell + 1):
+    word, as ((y, ((beta, c), ...)), ...); c_y lowers the degree by exactly
+    l(w) - l(y), so every other coefficient of diff_y vanishes at the origin.
+
+    With w = w's for the last letter s of the canonical word, the
+    coefficient-passing rule diff_s ∘ x^beta = (diff_s x^beta) + x^(s beta)
+    diff_s gives the table of w from that of w' on integers:
+    c_{w,y,beta} = sum_gamma [x^gamma](diff_s x^beta) c_{w',y,gamma}, plus
+    c_{w',y',s beta} when y = y's with l(y) = l(y') + 1."""
+    word = canonical_word(perm)
+    if not word:
+        return ((perm, (((0,) * ring.nvars, 1),)),)
+    i, p = word[-1]
+    s = RowPermutation.simple(ring.shape, i, p)
+    sa, sb = ring.index[("x", i, p)], ring.index[("x", i, p + 1)]
+    rows: Dict[RowPermutation, dict] = {}
+    by_gamma: Dict[tuple, list] = {}
+    for y, entries in push_table(ring, perm * s):
+        ys = y * s
+        for gamma, c in entries:
+            by_gamma.setdefault(gamma, []).append((y, c))
+            if ys.length() > y.length():
+                beta = list(gamma)
+                beta[sa], beta[sb] = gamma[sb], gamma[sa]
+                row = rows.setdefault(ys, {})
+                row[tuple(beta)] = row.get(tuple(beta), 0) + c
+    for degree in range(1, len(word) + 1):
         for beta in _monomials(ring, _word_cells(perm), degree):
-            x_beta = Polynomial._wrap(ring, {beta: 1})
-            for y, c in dw.mul_right_fun(x_beta).terms.items():
-                if y.length() == ell - degree:
-                    (value,) = c.num.terms.values()
-                    rows.setdefault(y, []).append((beta, value))
-    return tuple((y, tuple(entries)) for y, entries in rows.items())
+            for gamma, dc in apply_word(ring, (word[-1],), Polynomial._wrap(ring, {beta: 1})).terms.items():
+                for y, c in by_gamma.get(gamma, ()):
+                    row = rows.setdefault(y, {})
+                    row[beta] = row.get(beta, 0) + dc * c
+    return tuple((y, tuple((beta, c) for beta, c in row.items() if c)) for y, row in rows.items())
 
 
 def taylor_jet(ring: Ring, f, point: EvalPoint, cells, order: int) -> tuple:

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from ogzkit import (
     Ring,
     RowPermutation,
     WindowLeakage,
+    YoungSubgroup,
     _linalg,
     apply_word,
     build_basis_B,
@@ -711,6 +713,7 @@ PUSH_WINDOWS = {
         {(1, 1): (1, 0), (1, 2): (1, 0), (1, 3): (1, 0), (2, 1): (2, 0), (2, 2): (3, 0)},
         1,
     ),
+    "4,1-quadruple": ((4, 1), {(1, 1): (1, 0), (1, 2): (1, 0), (1, 3): (1, 0), (1, 4): (1, 0), (2, 1): (2, 0)}, 1),
 }
 
 
@@ -749,33 +752,34 @@ def test_structural_route_matches_the_symbolic_push_on_generated_windows(point):
 # the pieces of the structural route at the point
 
 
-def test_push_table_of_the_longest_word_against_the_coefficient_passing_rule():
-    # every monomial of degree <= 3 in row 1 of (3,1), pushed through d1 d2 d1:
-    # the coefficient of d_y is homogeneous of degree |beta| - 3 + l(y), so
-    # the table holds exactly the integer ones of degree 0
-    ring = Ring((3, 1), 0)
-    w0 = RowPermutation.simple(ring.shape, 1, 1) * RowPermutation.simple(ring.shape, 1, 2)
-    w0 = w0 * RowPermutation.simple(ring.shape, 1, 1)
-    assert w0.length() == 3
+@pytest.mark.parametrize("n", [3, 4])
+def test_push_table_of_the_longest_word_against_the_coefficient_passing_rule(n):
+    # every monomial of degree <= l(w0) in row 1 of (n,1), pushed through the
+    # longest word: the coefficient of d_y is homogeneous of degree
+    # |beta| - l(w0) + l(y), so the table holds exactly the integer ones of
+    # degree 0
+    ring = Ring((n, 1), 0)
+    w0 = YoungSubgroup.full_rows(ring.shape, [1]).longest_element()
+    ell = n * (n - 1) // 2
+    assert w0.length() == ell
     table = {(y, beta): c for y, entries in push_table(ring, w0) for beta, c in entries}
-    assert all(type(c) is int and sum(beta) == 3 - y.length() for (y, beta), c in table.items())
+    assert all(type(c) is int and sum(beta) == ell - y.length() for (y, beta), c in table.items())
     want = {}
-    cells = [(1, 1), (1, 2), (1, 3)]
-    for degree in range(4):
-        for combo in itertools.combinations_with_replacement(cells, degree):
+    for degree in range(ell + 1):
+        for combo in itertools.combinations_with_replacement(ring.row_cells(1), degree):
             mono = ring.one()
             for cell in combo:
                 mono = mono * ring.x(*cell)
             (beta,) = mono.terms
             for y, c in NilHecke(ring, {w0: 1}).mul_right_fun(mono).terms.items():
                 assert c.is_polynomial()
-                if degree == 3 - y.length():
+                if degree == ell - y.length():
                     assert c.is_constant()
                     want[(y, beta)] = c
                 else:
-                    assert degree > 3 - y.length() and c.num.total_degree() == degree - 3 + y.length()
+                    assert degree > ell - y.length() and c.num.total_degree() == degree - ell + y.length()
     assert {k: RationalFunction.from_any(ring, c) for k, c in table.items()} == want
-    assert len({y for y, _ in table}) == 6
+    assert len({y for y, _ in table}) == math.factorial(n)
 
 
 def taylor_coefficients(ring, p, point, cells):
