@@ -10,6 +10,7 @@ from ogzkit import (
     AffineSymmetry,
     Generators,
     NotInvariantInput,
+    Polynomial,
     RationalFunction,
     Ring,
     RowPermutation,
@@ -375,10 +376,16 @@ def test_generators_are_built_once_per_key():
 @pytest.mark.parametrize(
     "shape", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (1, 2, 1), (1, 2, 3), (2, 2, 1), (3, 2, 1), (1, 2, 3, 1)]
 )
-def test_ladder_coefficient_needs_no_gcd(shape):
+def test_ladder_coefficient_needs_no_gcd(shape, monkeypatch):
     # the quotient of coprime products, built without a gcd, equals the one
     # that normalize reduces, for every row, block and direction
     ring = Ring(shape, 0)
+    gcd, calls = Polynomial.gcd, []
+
+    def counted(*args):
+        calls.append(args)
+        return gcd(*args)
+
     for i in range(1, len(shape)):
         for start, end in itertools.combinations_with_replacement(range(1, shape[i - 1] + 1), 2):
             head = ring.x(i, start)
@@ -391,6 +398,9 @@ def test_ladder_coefficient_needs_no_gcd(shape):
                 for b in ring.row_cells(i):
                     if not start <= b[1] <= end:
                         den = den * (head - ring.x(*b))
+                monkeypatch.setattr(Polynomial, "gcd", counted)
                 got = ladder_coefficient(ring, i, start, end, up)
+                monkeypatch.setattr(Polynomial, "gcd", gcd)
                 want = RationalFunction.normalize(num, den)
                 assert (got.num, got.den) == (want.num, want.den) and str(got) == str(want)
+    assert calls == []
