@@ -357,12 +357,14 @@ def push_table(ring: Ring, perm: RowPermutation) -> tuple:
         for gamma, c in entries:
             by_gamma.setdefault(gamma, []).append((y, c))
             if ys.length() > y.length():
-                beta = list(gamma)
-                beta[sa], beta[sb] = gamma[sb], gamma[sa]
+                swapped = list(gamma)
+                swapped[sa], swapped[sb] = gamma[sb], gamma[sa]
+                beta = tuple(swapped)
                 row = rows.setdefault(ys, {})
-                row[tuple(beta)] = row.get(tuple(beta), 0) + c
+                row[beta] = row.get(beta, 0) + c
+    cells = _word_cells(perm)
     for degree in range(1, len(word) + 1):
-        for beta in _monomials(ring, _word_cells(perm), degree):
+        for beta in _monomials(ring, cells, degree):
             for gamma, dc in apply_word(ring, (word[-1],), Polynomial._wrap(ring, {beta: 1})).terms.items():
                 for y, c in by_gamma.get(gamma, ()):
                     row = rows.setdefault(y, {})

@@ -713,7 +713,11 @@ PUSH_WINDOWS = {
         {(1, 1): (1, 0), (1, 2): (1, 0), (1, 3): (1, 0), (2, 1): (2, 0), (2, 2): (3, 0)},
         1,
     ),
-    "4,1-quadruple": ((4, 1), {(1, 1): (1, 0), (1, 2): (1, 0), (1, 3): (1, 0), (1, 4): (1, 0), (2, 1): (2, 0)}, 1),
+    "4,1-quadruple": (
+        (4, 1),
+        {(1, 1): (1, 0), (1, 2): (1, 0), (1, 3): (1, 0), (1, 4): (1, 0), (2, 1): (2, 0)},
+        1,
+    ),
 }
 
 

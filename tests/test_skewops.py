@@ -374,7 +374,8 @@ def test_generators_are_built_once_per_key():
 
 
 @pytest.mark.parametrize(
-    "shape", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (1, 2, 1), (1, 2, 3), (2, 2, 1), (3, 2, 1), (1, 2, 3, 1)]
+    "shape",
+    [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (1, 2, 1), (1, 2, 3), (2, 2, 1), (3, 2, 1), (1, 2, 3, 1)],
 )
 def test_ladder_coefficient_needs_no_gcd(shape, monkeypatch):
     # the quotient of coprime products, built without a gcd, equals the one
