@@ -3,10 +3,13 @@ polynomials as dicts of ``fractions.Fraction`` coefficients, driven through
 the coefficient-agnostic kernel functions ``_kernel.p_*`` (plus a field
 division loop of the test's own).  Every operation is compared term by term
 and through its rendering, on random rationals with non-trivial
-denominators."""
+denominators.  The integer division ``_kernel.p_divmod`` is compared with
+the scan-based loop it replaced, kept here as ``scan_divmod``."""
 
 import math
+import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -218,3 +221,77 @@ def test_cell_evaluation_matches_the_reference(a, values):
     images = {cell: K.p_add(K.p_mul_scalar(z, s), {ZERO: t}) for cell, (s, t) in zip(CELLS, values)}
     got = poly(a).eval_cells({cell: poly(img) for cell, img in images.items()})
     check(got, ref_eval(a, images))
+
+
+def scan_divmod(a: dict, b: dict) -> tuple:
+    """The scan-based ``p_divmod`` that heap division replaced: the leading
+    term of the whole running dividend is found by ``p_lead`` at every step,
+    and every quotient term copies the dividend through ``p_sub``."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    mb, cb = K.p_lead(b)
+    q, r, f = {}, {}, dict(a)
+    while f:
+        mf, cf = K.p_lead(f)
+        d = tuple(x - y for x, y in zip(mf, mb))
+        qc, rc = divmod(cf, cb)
+        if rc or min(d, default=0) < 0:
+            r[mf] = cf
+            del f[mf]
+        else:
+            q[d] = qc
+            f = K.p_sub(f, K.p_mul_term(b, d, qc))
+    return q, r
+
+
+def int_dict(rng: random.Random, nv: int, size: int, deg: int, coeffs=range(-9, 10)) -> dict:
+    out = {}
+    for _ in range(size):
+        c = rng.choice(coeffs)
+        if c:
+            out[tuple(rng.randint(0, deg) for _ in range(nv))] = c
+    return out
+
+
+def negate_lead(b: dict) -> dict:
+    m, c = K.p_lead(b)
+    return {**b, m: -c}
+
+
+def division_cases(nv: int, rng: random.Random):
+    """(a, b, q) with a = q*b exactly when q is not None."""
+    yield {}, int_dict(rng, nv, 3, 2) or {(0,) * nv: 5}, None  # zero dividend
+    for _ in range(60):
+        b = int_dict(rng, nv, rng.randint(1, 5), 2) or {(1,) * nv: 2}
+        q = int_dict(rng, nv, rng.randint(1, 8), 3)
+        exact = K.p_mul(q, b)
+        yield exact, b, q
+        yield exact, negate_lead(b), None  # negative leading coefficient
+        # terms whose coefficient b's leading coefficient does not divide
+        yield K.p_add(exact, int_dict(rng, nv, 4, 5)), K.p_mul_scalar(b, rng.choice((2, 3, -4, 7))), None
+        # terms whose monomial b's leading monomial does not divide
+        yield int_dict(rng, nv, 12, 4), b, None
+        yield K.p_add(exact, int_dict(rng, nv, 6, 1)), b, None
+        mono = tuple(rng.randint(0, 2) for _ in range(nv))
+        for c in (1, -1, 3, -6):
+            yield exact, {mono: c}, None  # a single term
+            yield exact, {(0,) * nv: c}, None  # a constant
+
+
+@pytest.mark.parametrize("nv", [1, 2, 3, 4])
+def test_divmod_matches_the_scan_reference(nv):
+    rng = random.Random(1400 + nv)
+    for a, b, q in division_cases(nv, rng):
+        want = scan_divmod(a, b)
+        got = K.p_divmod(a, b)
+        assert got == want
+        # same insertion order too: renderings that walk the dicts agree
+        assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
+        if q is not None:
+            assert got == (q, {})
+
+
+def test_divmod_by_zero_raises():
+    for a in ({}, {(1, 0): 3}):
+        with pytest.raises(ZeroDivisionError):
+            K.p_divmod(a, {})
