@@ -8,6 +8,9 @@ denominator (see :class:`~ogzkit.exactalg.Polynomial`).  Every helper but
 coefficients.
 """
 
+from heapq import heappop, heappush
+from operator import add, sub
+
 KERNEL_NAME = "pure"
 
 
@@ -125,24 +128,51 @@ def p_divmod(a, b):
     term, and to the remainder otherwise.  The remainder is empty exactly
     when b divides a in Z[x]; for a primitive b that is division in Q[x]
     (Gauss's lemma).
+
+    Heap division (Monagan and Pearce, "Sparse polynomial division using a
+    heap", J. Symb. Comp. 46 (2011)): the dividend is sorted once, a heap
+    holds only the monomials that the subtractions create, and the running
+    dividend is updated in place.  A step pops the larger of the two heads,
+    skips it if it cancelled to 0, and a quotient term subtracts its
+    multiple of b's other terms, so a step costs O(|b| log n) and neither
+    scans nor copies the dividend.
     """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     mb, cb = p_lead(b)
+    tail = [(m, c) for m, c in b.items() if m != mb]
+    f = dict(a)
+    order = sorted(((sum(m), m) for m in f), reverse=True)
+    i, n = 0, len(order)
+    heap = []
     q = {}
     r = {}
-    f = dict(a)
-    while f:
-        mf, cf = p_lead(f)
-        d = tuple(x - y for x, y in zip(mf, mb))
+    while True:
+        if heap and (i == n or (-heap[0][0], heap[0][2]) > order[i]):
+            mf = heappop(heap)[2]
+        elif i < n:
+            mf = order[i][1]
+            i += 1
+        else:
+            return q, r
+        cf = f.pop(mf)
+        if not cf:
+            continue
+        d = tuple(map(sub, mf, mb))
         qc, rc = divmod(cf, cb)
         if rc or min(d, default=0) < 0:
             r[mf] = cf
-            del f[mf]
-        else:
-            q[d] = qc
-            f = p_sub(f, p_mul_term(b, d, qc))
-    return q, r
+            continue
+        q[d] = qc
+        # every monomial made here is below mf, so none was popped before
+        for m, c in tail:
+            m = tuple(map(add, m, d))
+            s = f.get(m)
+            if s is None:
+                f[m] = -(c * qc)
+                heappush(heap, (-sum(m), tuple(-x for x in m), m))
+            else:
+                f[m] = s - c * qc
 
 
 def p_eval_int(a, i, val):

@@ -1,6 +1,7 @@
 """Command-line interface: determinism, exit codes, validation order."""
 
 import contextlib
+import hashlib
 import io
 import json
 import tracemalloc
@@ -74,6 +75,17 @@ def test_apply_golden(capsys):
     )
     assert rc == 0 and err == ""
     assert out == "x[1,1]+x[1,2]+1\n"
+
+
+def test_apply_cubed_ladder_output_is_pinned(capsys):
+    # 27 710 bytes of stdout, divided many times on the way: the division
+    # kernel must leave every byte as it was
+    rc, out, err = run(capsys, "apply", "--shape", "3,2", "--op", "E1^3", "--expr=x[1,1]")
+    assert rc == 0 and err == ""
+    assert len(out.encode()) == 27710
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e2e673e918e397ae70a01644e03ea3aa96f2da5e58ad042dc98404f5212fa827"
+    )
 
 
 def test_apply_commutator_zero(capsys):

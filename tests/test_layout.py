@@ -1,6 +1,8 @@
 """Layout guards, read from the source text: modules keep to each other's
-public names, and no file imports a name it never uses.  One guard imports
-the library: the benchmark tracer's patch points must exist and be restored."""
+public names, and no file imports a name it never uses.  The guards that
+import the library check that the benchmark tracer's patch points exist and
+are restored, and that the structural route and polynomial division do not
+fall back to their costly paths."""
 
 import ast
 import importlib.util
@@ -158,3 +160,25 @@ def test_structural_route_pushes_nothing_symbolically_once_warm(monkeypatch):
         monkeypatch.setattr(owner, attr, counted)
     assert every_query(ModuleWindow(point, 1)) == first
     assert len(first) > 100 and calls == []
+
+
+def test_division_neither_scans_nor_copies_the_running_dividend(monkeypatch):
+    # heap division: one p_lead, on the divisor, and no p_sub copy of the
+    # dividend per quotient term
+    from ogzkit import _kernel as K
+
+    b = {(1, 0, 0): 3, (0, 1, 0): -2, (0, 0, 1): 1, (0, 0, 0): 5}
+    q = {(i, j, k): (i + 2 * j - k) or 1 for i in range(7) for j in range(7) for k in range(5)}
+    a = K.p_mul(q, b)
+    calls = []
+    for name in ("p_lead", "p_sub"):
+        raw = getattr(K, name)
+
+        def counted(*args, raw=raw, name=name):
+            calls.append(name)
+            return raw(*args)
+
+        monkeypatch.setattr(K, name, counted)
+    assert len(a) >= 200
+    assert K.p_divmod(a, b) == (q, {})
+    assert calls.count("p_lead") <= 1 and "p_sub" not in calls
