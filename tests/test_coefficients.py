@@ -244,18 +244,13 @@ def scan_divmod(a: dict, b: dict) -> tuple:
     return q, r
 
 
-def int_dict(rng: random.Random, nv: int, size: int, deg: int, coeffs=range(-9, 10)) -> dict:
+def int_dict(rng: random.Random, nv: int, size: int, deg: int) -> dict:
     out = {}
     for _ in range(size):
-        c = rng.choice(coeffs)
+        c = rng.randint(-9, 9)
         if c:
             out[tuple(rng.randint(0, deg) for _ in range(nv))] = c
     return out
-
-
-def negate_lead(b: dict) -> dict:
-    m, c = K.p_lead(b)
-    return {**b, m: -c}
 
 
 def division_cases(nv: int, rng: random.Random):
@@ -266,9 +261,11 @@ def division_cases(nv: int, rng: random.Random):
         q = int_dict(rng, nv, rng.randint(1, 8), 3)
         exact = K.p_mul(q, b)
         yield exact, b, q
-        yield exact, negate_lead(b), None  # negative leading coefficient
+        mb, cb = K.p_lead(b)
+        yield exact, {**b, mb: -cb}, None  # negative leading coefficient
         # terms whose coefficient b's leading coefficient does not divide
-        yield K.p_add(exact, int_dict(rng, nv, 4, 5)), K.p_mul_scalar(b, rng.choice((2, 3, -4, 7))), None
+        scaled = K.p_mul_scalar(b, rng.choice((2, 3, -4, 7)))
+        yield K.p_add(exact, int_dict(rng, nv, 4, 5)), scaled, None
         # terms whose monomial b's leading monomial does not divide
         yield int_dict(rng, nv, 12, 4), b, None
         yield K.p_add(exact, int_dict(rng, nv, 6, 1)), b, None
