@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import re
 import sys
 from typing import Optional, Tuple
@@ -34,7 +35,6 @@ from .gzmod import (
     build_basis_B,
     component_graph,
     simplicity_probe,
-    singularity_setup_check,
     value_text,
     window_points,
 )
@@ -56,12 +56,14 @@ MAX_WALK_VALUE = 1000
 MAX_DDIFF_DEGREE = 8
 
 # The largest power of one atom that the exponents of an expression may ask
-# for.  Functions: (x[1,1]+x[1,2]+x[2,1]+1)^24 takes 3.6 s and 1 MB (^32:
-# 20 s).  Operators, where E1^n composes n times: E1^4 takes 0.16 s on
-# (2,1) and 11 s on (3,2) (E1^8 on (2,1): 1.6 s).  The composition order of
-# an operator value (1 for an operator token, the sum over a product, n
-# times the base's for a power, the largest over a sum) has the operator
-# cap too, so E1^2*E1^2*E1, which ran past 100 s on (3,2), is refused.
+# for.  Functions: (x[1,1]+x[1,2]+x[2,1]+1)^24 takes 0.3 s and 23 MB (^32:
+# 1.4 s).  Operators, where E1^n composes n times: E1^4 on x[1,1] takes
+# 0.02 s on (2,1) and 6.3 s on (3,2) (E1^8 on (2,1): 0.2 s).  The
+# composition order of an operator expression (1 for an operator token, the
+# sum over a product, n times the base's for a power, the largest over a
+# sum) has the operator cap too.  Both are checked on the parsed tree before
+# any arithmetic, so E1^2*E1^2*E1, which composed for 138 s on (5,2) before
+# it was refused, is refused in milliseconds.
 MAX_FUNCTION_EXPONENT = 24
 MAX_OPERATOR_EXPONENT = 4
 
@@ -77,11 +79,11 @@ MAX_TOKEN_CHARS = 1000
 MAX_PARAMS = 100
 
 # A certified window has one functional per point, and building it costs
-# far more than its points: basis takes 3.2 s on (2,1) at radius 3 (49
-# points), 14.3 s on (2,2,1) at radius 1 and 19.1 s on (2,1) at radius 4
-# (81 points each), and 452 s on (3,1) at radius 2 (125 points).  basis,
-# action, blocks and probe refuse larger windows; graph, which certifies
-# nothing, keeps gzmod.MAX_WINDOW_POINTS.
+# far more than its points: basis takes 1.0 s on (2,1) at radius 3 (49
+# points), 3.4 s on (2,2,1) at radius 1 and 3.5 s on (2,1) at radius 4 (81
+# points each), and 39 s and 171 MB on (3,1) at radius 2 (125 points).
+# basis, action, blocks and probe refuse larger windows; graph, which
+# certifies nothing, keeps gzmod.MAX_WINDOW_POINTS.
 MAX_CERTIFIED_POINTS = 81
 
 # ---------------------------------------------------------------------------
@@ -133,47 +135,18 @@ def _tokenize(text: str) -> list:
     return out
 
 
-def _check_exponents(tokens: list):
-    """Refuse, before any computation, exponents that raise an atom past
-    its cap.  An atom's power is the product of the exponents whose base
-    contains it, so nested and chained powers multiply."""
-    power = [1] * len(tokens)
-    for k, tok in enumerate(tokens):
-        if tok != ("sym", "^") or tokens[k + 1][0] != "int":
-            continue
-        n = int(tokens[k + 1][1])
-        if n < 2:
-            continue
-        j = k - 1
-        while j >= 2 and tokens[j][0] == "int" and tokens[j - 1] == ("sym", "^"):
-            j -= 2  # a chained power: its base is the previous one's
-        if j >= 0 and tokens[j] == ("sym", ")"):
-            depth = 0
-            for j in range(j, -1, -1):
-                depth += {("sym", ")"): 1, ("sym", "("): -1}.get(tokens[j], 0)
-                if depth == 0:
-                    break
-        for t in range(max(j, 0), k):
-            kind, val = tokens[t]
-            if kind == "sym" or (kind == "int" and tokens[t - 1] == ("sym", "^")):
-                continue  # not an atom
-            power[t] *= n
-            cap = MAX_OPERATOR_EXPONENT if kind in ("shift", "opname") else MAX_FUNCTION_EXPONENT
-            if power[t] > cap:
-                raise ParseError(f"{val} is raised to the power {power[t]}, above the cap of {cap}")
-
-
 class _Parser:
-    """Recursive descent over +, -, *, /, ^, parentheses; atoms are cell
-    variables, parameters, integers, and (when enabled) operator tokens."""
+    """Recursive descent over +, -, *, /, ^ and parentheses into a tree that
+    computes nothing.  An atom is its token.  A run of + and - is one node
+    ("+", [(op, node), ...]) and a run of * and / one node ("*", [...]), so
+    a long flat sum costs no recursion depth.  A power is ("^", node, n) and
+    a negation ("neg", node).  Operator tokens are atoms only when
+    ``allow_ops``."""
 
-    def __init__(self, ring: Ring, text: str, allow_ops: bool):
-        self.ring = ring
+    def __init__(self, text: str, allow_ops: bool):
         self.tokens = _tokenize(text)
-        _check_exponents(self.tokens)
         self.pos = 0
         self.allow_ops = allow_ops
-        self.gens = Generators(ring) if allow_ops else None
 
     def peek(self) -> tuple:
         return self.tokens[self.pos]
@@ -188,90 +161,26 @@ class _Parser:
         if kind != "sym" or val != s:
             raise ParseError(f"expected {s!r}, found {val!r}")
 
-    # values are ("s", RationalFunction) or ("o", SkewOperator, order),
-    # where order counts the operator tokens composed (see the caps above)
-
-    def _scalar(self, rf) -> tuple:
-        return ("s", RationalFunction.from_any(self.ring, rf))
-
-    def _to_op(self, v) -> SkewOperator:
-        if v[0] == "o":
-            return v[1]
-        return SkewOperator.multiplication(self.ring, v[1])
-
-    @staticmethod
-    def _order(v) -> int:
-        return v[2] if v[0] == "o" else 0
-
-    @staticmethod
-    def _capped(order: int) -> int:
-        if order > MAX_OPERATOR_EXPONENT:
-            raise ParseError(
-                f"the operator is a composition of {order} factors, "
-                f"above the cap of {MAX_OPERATOR_EXPONENT}"
-            )
-        return order
-
-    def _add(self, a, b, sign: int):
-        if a[0] == "s" and b[0] == "s":
-            return ("s", a[1] + b[1] if sign > 0 else a[1] - b[1])
-        x, y = self._to_op(a), self._to_op(b)
-        return ("o", x + y if sign > 0 else x - y, max(self._order(a), self._order(b)))
-
-    def _mul(self, a, b):
-        if a[0] == "s" and b[0] == "s":
-            return ("s", a[1] * b[1])
-        order = self._capped(self._order(a) + self._order(b))
-        return ("o", self._to_op(a) @ self._to_op(b), order)
-
-    def _div(self, a, b):
-        if a[0] == "s" and b[0] == "s":
-            if b[1].is_zero():
-                raise ParseError("division by zero in expression")
-            return ("s", a[1] / b[1])
-        raise ParseError("division involving an operator is not defined")
-
-    def _neg(self, a):
-        if a[0] == "s":
-            return ("s", -a[1])
-        minus = RationalFunction.from_any(self.ring, -1)
-        return ("o", minus * a[1], a[2])
-
-    def _pow(self, a, n: int):
-        if a[0] == "s":
-            return ("s", a[1] ** n)
-        order = self._capped(a[2] * n)
-        if n == 0:
-            return ("o", SkewOperator.identity(self.ring), 0)
-        out = a[1]
-        for _ in range(n - 1):
-            out = out @ a[1]
-        return ("o", out, order)
-
     def parse(self):
-        try:
-            v = self.expr()
-        except RecursionError:
-            raise ParseError("expression nested too deeply") from None
+        v = self.expr()
         kind, val = self.take()
         if kind != "end":
             raise ParseError(f"unexpected trailing {val!r}")
         return v
 
+    # expr, term, factor and base are the four frames of one nesting level
+
     def expr(self):
-        v = self.term()
-        while self.peek() == ("sym", "+") or self.peek() == ("sym", "-"):
-            _, op = self.take()
-            v = self._add(v, self.term(), 1 if op == "+" else -1)
-        return v
+        run = [("+", self.term())]
+        while self.peek() in (("sym", "+"), ("sym", "-")):
+            run.append((self.take()[1], self.term()))
+        return run[0][1] if len(run) == 1 else ("+", run)
 
     def term(self):
-        v = self.factor()
-        while self.peek() == ("sym", "*") or self.peek() == ("sym", "/"):
-            _, op = self.take()
-            w = self.factor()
-            v = self._mul(v, w) if op == "*" else self._div(v, w)
-        return v
+        run = [("*", self.factor())]
+        while self.peek() in (("sym", "*"), ("sym", "/")):
+            run.append((self.take()[1], self.factor()))
+        return run[0][1] if len(run) == 1 else ("*", run)
 
     def factor(self):
         v = self.base()
@@ -283,51 +192,140 @@ class _Parser:
                     "exponent must be a nonnegative integer "
                     "(inverse translations are written phi[i,j]^-1)"
                 )
-            v = self._pow(v, int(val))
+            v = ("^", v, int(val))
         return v
 
     def base(self):
-        kind, val = self.take()
-        if kind == "sym" and val == "(":
+        tok = kind, val = self.take()
+        if tok == ("sym", "("):
             v = self.expr()
             self.expect_sym(")")
             return v
-        if kind == "sym" and val == "-":
-            return self._neg(self.factor())
-        if kind == "sym" and val == "+":
+        if tok == ("sym", "-"):
+            return ("neg", self.factor())
+        if tok == ("sym", "+"):
             return self.factor()
-        if kind == "int":
-            return self._scalar(QQ(val))
-        if kind == "xvar":
-            i, j = (int(t) for t in val[2:-1].split(","))
-            if not (1 <= i <= len(self.ring.shape) and 1 <= j <= self.ring.shape[i - 1]):
-                raise NameError(f"unknown variable x[{i},{j}]")
-            return self._scalar(self.ring.x(i, j))
-        if kind == "zvar":
-            t = int(val[2:-1])
-            if not 1 <= t <= self.ring.nparams:
-                raise NameError(f"unknown parameter z[{t}]")
-            return self._scalar(self.ring.z(t))
-        if kind in ("shift", "opname"):
-            if not self.allow_ops:
-                raise ParseError(f"operator token {val!r} in a function expression")
-            return ("o", self._op_token(val), 1)
+        if kind in ("shift", "opname") and not self.allow_ops:
+            raise ParseError(f"operator token {val!r} in a function expression")
+        if kind not in ("sym", "end"):
+            return tok
         raise ParseError(f"unexpected {val!r}" if val else "unexpected end of expression")
 
-    def _op_token(self, tok: str) -> SkewOperator:
-        try:
-            key = _generator_key(tok)
-            if key is not None:
-                return self.gens.op(key)
-            if tok.startswith("phi"):
-                body, _, exp = tok.partition("^")
-                i, j = (int(t) for t in body[4:-1].split(","))
-                n = int(exp) if exp else 1
-                return self.gens.shift_op((i, j), n)
-            i, p = (int(t) for t in tok[8:-1].split(","))
-            return divdiff.partial(self.ring, (i, p), (i, p + 1))
-        except (ValueError, OgzError) as e:
-            raise NameError(f"unknown operator {tok}: {e}") from None
+
+def _check_caps(node) -> tuple:
+    """Refuse a tree that raises an atom past its cap or whose composition
+    order (see the caps above) passes MAX_OPERATOR_EXPONENT, naming the
+    first fault in reading order: a power is checked after its base, a
+    product at its first factor past the cap.  Returns the node's order and
+    its atoms as [power, token] pairs in reading order; an atom's power is
+    the product of the exponents above it, 0 and 1 counting as 1."""
+    kind = node[0]
+    if kind in ("+", "*"):
+        order, atoms = 0, []
+        for _, child in node[1]:
+            sub, sub_atoms = _check_caps(child)
+            order = order + sub if kind == "*" else max(order, sub)
+            atoms += sub_atoms
+            if order > MAX_OPERATOR_EXPONENT:
+                break
+    elif kind == "^":
+        n = node[2]
+        order, atoms = _check_caps(node[1])
+        order *= n
+        for atom in atoms if n >= 2 else ():
+            atom[0] *= n
+            power, (atom_kind, val) = atom
+            cap = MAX_OPERATOR_EXPONENT if atom_kind in ("shift", "opname") else MAX_FUNCTION_EXPONENT
+            if power > cap:
+                raise ParseError(f"{val} is raised to the power {power}, above the cap of {cap}")
+    elif kind == "neg":
+        return _check_caps(node[1])
+    else:
+        return int(kind in ("shift", "opname")), [[1, node]]
+    if order > MAX_OPERATOR_EXPONENT:
+        raise ParseError(
+            f"the operator is a composition of {order} factors, "
+            f"above the cap of {MAX_OPERATOR_EXPONENT}"
+        )
+    return order, atoms
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+          "@": operator.matmul}
+
+
+def _as_operator(ring: Ring, v) -> SkewOperator:
+    return v if isinstance(v, SkewOperator) else SkewOperator.multiplication(ring, v)
+
+
+def _evaluate(node, ring: Ring, gens: Generators):
+    """The value of a checked tree: a RationalFunction, or a SkewOperator
+    once an operator token is involved."""
+    kind = node[0]
+    if kind in ("+", "*"):
+        (_, first), *rest = node[1]
+        v = _evaluate(first, ring, gens)
+        for op, child in rest:
+            w = _evaluate(child, ring, gens)
+            if isinstance(v, SkewOperator) or isinstance(w, SkewOperator):
+                if op == "/":
+                    raise ParseError("division involving an operator is not defined")
+                v, w = _as_operator(ring, v), _as_operator(ring, w)
+                op = "@" if op == "*" else op
+            elif op == "/" and w.is_zero():
+                raise ParseError("division by zero in expression")
+            v = _ARITH[op](v, w)
+        return v
+    if kind == "^":
+        v, n = _evaluate(node[1], ring, gens), node[2]
+        if isinstance(v, RationalFunction):
+            return v ** n
+        out = SkewOperator.identity(ring) if n == 0 else v
+        for _ in range(n - 1):
+            out = out @ v
+        return out
+    if kind == "neg":
+        return -_evaluate(node[1], ring, gens)
+    return _atom(ring, gens, node)
+
+
+def _atom(ring: Ring, gens: Generators, tok: tuple):
+    kind, val = tok
+    if kind == "int":
+        return RationalFunction.from_any(ring, QQ(val))
+    if kind == "xvar":
+        i, j = (int(t) for t in val[2:-1].split(","))
+        if not (1 <= i <= len(ring.shape) and 1 <= j <= ring.shape[i - 1]):
+            raise NameError(f"unknown variable x[{i},{j}]")
+        return RationalFunction.from_any(ring, ring.x(i, j))
+    if kind == "zvar":
+        t = int(val[2:-1])
+        if not 1 <= t <= ring.nparams:
+            raise NameError(f"unknown parameter z[{t}]")
+        return RationalFunction.from_any(ring, ring.z(t))
+    try:
+        key = _generator_key(val)
+        if key is not None:
+            return gens.op(key)
+        if val.startswith("phi"):
+            body, _, exp = val.partition("^")
+            i, j = (int(t) for t in body[4:-1].split(","))
+            return gens.shift_op((i, j), int(exp) if exp else 1)
+        i, p = (int(t) for t in val[8:-1].split(","))
+        return divdiff.partial(ring, (i, p), (i, p + 1))
+    except (ValueError, OgzError) as e:
+        raise NameError(f"unknown operator {val}: {e}") from None
+
+
+def _value(ring: Ring, text: str, allow_ops: bool):
+    """Parse, check the caps on the whole tree, then evaluate: every syntax
+    and cap fault is named before any arithmetic."""
+    try:
+        tree = _Parser(text, allow_ops).parse()
+        _check_caps(tree)
+        return _evaluate(tree, ring, Generators(ring))
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
 
 
 def _max_param(text: str) -> int:
@@ -343,17 +341,13 @@ def _check_params(n: int, what: str, error=ParseError):
 
 def parse_expr(ring: Ring, text: str) -> RationalFunction:
     """Parse a rational-function expression over the ring."""
-    v = _Parser(ring, text, allow_ops=False).parse()
-    return v[1]
+    return _value(ring, text, allow_ops=False)
 
 
 def parse_op(ring: Ring, text: str) -> SkewOperator:
     """Parse an operator expression (generators, shifts, divided
     differences, functions) over the ring."""
-    v = _Parser(ring, text, allow_ops=True).parse()
-    if v[0] == "s":
-        return SkewOperator.multiplication(ring, v[1])
-    return v[1]
+    return _as_operator(ring, _value(ring, text, allow_ops=True))
 
 
 # ---------------------------------------------------------------------------
@@ -548,12 +542,8 @@ def _fmt_char(character) -> str:
 
 def _cmd_basis(args) -> str:
     point, radius, params = load_jobspec(args.spec, certified=True)
-    report = singularity_setup_check(point, radius)
-    lines = [f"point {point}", f"radius {radius}"]
-    if not report.ok:
-        raise OgzError("; ".join(report.issues()))
     win = build_basis_B(point, radius, nparams=params)
-    lines.append(f"window_size {report.window_size}")
+    lines = [f"point {point}", f"radius {radius}", f"window_size {win.report.window_size}"]
     lines.append(f"orbits {len(win.orbits)}")
     lines.append(f"basis {len(win.basis)}")
     lines.append(f"family_degree {win.family_degree}")

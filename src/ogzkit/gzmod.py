@@ -869,33 +869,28 @@ def vanishing_check(window: ModuleWindow, orbit_idx: int) -> bool:
 
 
 def conjugation_check(window: ModuleWindow, orbit_idx: int, rho: RowPermutation) -> bool:
-    """For a stabilizer member rho, the functional is unchanged when its
-    word is conjugated by rho and its translation offsets are transported by
-    rho (checked on the whole invariant family)."""
+    """For a member rho of the point's stabilizer and every functional
+    ev_v ∘ diff_w ∘ xi of the orbit, check on the whole invariant family that
+    it equals sum_y c_y(v) ev_v ∘ diff_y ∘ rho(xi), where rho ∘ diff_w ∘
+    rho^{-1} = sum_y c_y diff_y (:meth:`NilHecke.conjugated`): the expansion
+    that :meth:`ModuleWindow.act_structural` takes a moved term back to
+    canonical form by."""
     if not window.stab.contains(rho):
         raise ValueError("rho must belong to the point's stabilizer")
-    ring = window.ring
+    ring, point = window.ring, window.point
     orb = window.orbits[orbit_idx]
     xi = dict(zip(window.cells, orb.rep_offsets))
-    xi_moved = rho.apply_to_cellmap(xi)
-    rho_inv_map = rho.inverse().cell_map()
-    rho_map = rho.cell_map()
-    pm = window.point.point_map(ring)
+    moved = tuple(sorted((c, n) for c, n in rho.apply_to_cellmap(xi).items() if n))
+    pm = point.point_map(ring)
     for w in orb.coset_reps:
-        func = Functional(
-            window.point, w, tuple((c, n) for c, n in xi.items() if n)
-        )
-        word = canonical_word(w)
+        func = Functional(point, w, tuple((c, n) for c, n in xi.items() if n))
+        rows = [
+            (Functional(point, y, moved), c.polynomial_part().eval_cells(pm))
+            for y, c in NilHecke(ring, {w: 1}).conjugated(rho).terms.items()
+        ]
         for f in window.family:
-            lhs = func.evaluate(ring, f)
-            # rho ∘ diff_w ∘ rho^{-1} applied to (f shifted by transported xi)
-            g = f.shift_cells(xi_moved)
-            g = g.permute_cells(rho_inv_map)
-            if word:
-                g = apply_word(ring, word, g)
-            g = g.permute_cells(rho_map)
-            rhs = RationalFunction.from_poly(g.eval_cells(pm))
-            if not (lhs - rhs).is_zero():
+            rhs = sum((g.evaluate(ring, f) * c for g, c in rows), window._zero())
+            if not (func.evaluate(ring, f) - rhs).is_zero():
                 return False
     return True
 

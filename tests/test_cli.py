@@ -4,13 +4,17 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ogzkit import QQ, ParseError, Ring
+import ogzkit
+from ogzkit import QQ, ParseError, Ring, SkewOperator
 from ogzkit.cli import (
     MAX_CERTIFIED_POINTS,
     MAX_DDIFF_DEGREE,
@@ -172,6 +176,19 @@ def test_bad_setup_exits_3(capsys, tmp_path):
     rc, _, err = run(capsys, "basis", "--spec", str(p))
     assert rc == 3
     assert error_payload(err)["code"] == 3
+
+
+def test_bad_setup_gives_one_payload_on_every_certified_command(capsys, tmp_path):
+    spec = dict(SPEC_R2, point=dict(SPEC_R2["point"], **{"1,2": {"tag": 1, "offset": 1}}))
+    path = write_spec(tmp_path, spec)
+    payloads = []
+    for argv in (["basis"], ["action", "--op", "E1"], ["blocks"], ["probe"]):
+        rc, out, err = run(capsys, *argv, "--spec", path)
+        assert rc == 3 and out == ""
+        payloads.append(error_payload(err))
+    assert payloads[0]["type"] == "InvalidSingularSetup"
+    assert "integer offset gap" in payloads[0]["message"]
+    assert all(p == payloads[0] for p in payloads)
 
 
 def test_argparse_error_exits_2(capsys):
@@ -644,6 +661,57 @@ def test_deeply_nested_expression_exits_2(capsys, expr):
     assert error_payload(err)["message"] == "expression nested too deeply"
 
 
+def test_recursion_limits_of_the_expression_parser():
+    # four frames per nesting level (expr, term, factor, base) and two per
+    # unary minus, measured from the CLI's own entry point in a fresh
+    # interpreter; a flat sum is one node and costs no depth
+    exprs = [
+        "(" * 245 + "x[1,1]" + ")" * 245,
+        "(" * 250 + "x[1,1]" + ")" * 250,
+        "-" * 400 + "x[1,1]",
+        "-" * 600 + "x[1,1]",
+        "+".join(["x[1,1]"] * 20000),
+    ]
+    script = (
+        "import contextlib, io, sys\n"
+        "from ogzkit.cli import main\n"
+        "for expr in sys.stdin.read().split():\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "        rc = main(['apply', '--shape', '2,1', '--op', 'E1', '--expr=' + expr])\n"
+        "    print(rc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(ogzkit.__file__))
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-c", script], input="\n".join(exprs),
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "2", "0", "2", "0"]
+
+
+@pytest.mark.parametrize(
+    "text", ["E1^4*E1", "E1^2*E1^2*E1", "x[1,1]*(E1+F1)^2*E1*(F1-1)*E1", "(E1^0)^5"]
+)
+def test_refusal_composes_nothing(monkeypatch, text):
+    calls = []
+    compose = SkewOperator.__matmul__
+
+    def counting(self, other):
+        calls.append(text)
+        return compose(self, other)
+
+    monkeypatch.setattr(SkewOperator, "__matmul__", counting)
+    ring = Ring((2, 1), 0)
+    with pytest.raises(ParseError, match="above the cap"):
+        parse_op(ring, text)
+    assert calls == []
+    parse_op(ring, "E1^4")  # the counter counts: three compositions
+    assert len(calls) == 3
+
+
 def test_nested_and_chained_exponents_multiply():
     ring = Ring((2, 1), 0)
     n = MAX_FUNCTION_EXPONENT // 2 + 1  # under the cap, but 2 * n is over it
@@ -832,7 +900,7 @@ def test_jobspec_fuzz_keeps_the_cli_contract(tmp_path, field, where, value):
 APPLY_TOKENS = [
     "x[1,1]", "x[1,2]", "x[2,1]", "x[3,1]", "z[1]", "z[2]", "E1", "F1", "E2",
     "gamma[1,2]", "gamma[2,1]", "phi[1,1]", "phi[1,1]^-1", "partial[1,1]",
-    "0", "1", "2", "+", "-", "*", "/", "^", "(", ")", " ",
+    "0", "1", "2", "5", "25", "+", "-", "*", "/", "^", "^2", "(", ")", " ",
 ]
 APPLY_TEXT = st.lists(st.sampled_from(APPLY_TOKENS), max_size=8).map("".join)
 

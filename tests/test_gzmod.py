@@ -553,6 +553,30 @@ def test_triple_point_route_agreement(triple_window):
         assert all((a[k] - s[k]).is_zero() for k in a)
 
 
+def test_conjugation_identity_where_rho_moves_the_offsets(triple_window):
+    # rho runs over the centre's stabiliser S_3, not the orbit's: on 29 of
+    # the 60 (orbit, rho) pairs it moves the offsets xi, and the words of the
+    # 162 (orbit, rho, w) triples run up to d1 d2 d1
+    w = triple_window
+    moving = 0
+    for oi, orb in enumerate(w.orbits):
+        xi = dict(zip(w.cells, orb.rep_offsets))
+        for rho in w.stab.elements():
+            assert conjugation_check(w, oi, rho)
+            moving += rho.apply_to_cellmap(xi) != xi
+    assert moving == 29
+
+
+def test_conjugation_check_fails_without_the_conjugation(triple_window, monkeypatch):
+    monkeypatch.setattr(NilHecke, "conjugated", lambda self, tau: self)
+    w = triple_window
+    assert any(
+        not conjugation_check(w, oi, rho)
+        for oi in range(len(w.orbits))
+        for rho in w.stab.elements()
+    )
+
+
 # windows beyond the (2,1) doubled point: a second top-row cell, rational
 # offsets, a radius-2 window at a shifted point, and ladders on row 2; each
 # with its counts of agreeing and leaking queries
