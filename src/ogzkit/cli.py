@@ -8,8 +8,8 @@ probe.  All output is deterministic: rerunning a command byte-for-byte
 reproduces its output.
 
 Exit codes: 0 success; 2 input validation (argument, expression, job-spec
-errors); 3 domain errors raised by the library.  Errors are reported as a
-single JSON line on stderr.
+errors, and an output too large to print); 3 domain errors raised by the
+library.  Errors are reported as a single JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from .skewops import Generators, SkewOperator, commutator, invariant_family
 
 # ---------------------------------------------------------------------------
 # resource caps: inputs above them are refused (exit 2) before any
-# computation.  Costs are single-threaded on a 2-vCPU VM, pure kernel.
+# computation.  Costs are single-threaded on a shared 2-vCPU VM (Intel Xeon,
+# Python 3.11), pure kernel.
 
 # A found walk has about 2 * m * (2 * v + 2 * m) states of m coordinates for
 # endpoints of m coordinates bounded by v in absolute value: at the caps
@@ -51,14 +52,14 @@ MAX_WALK_COORDS = 16
 MAX_WALK_VALUE = 1000
 
 # ddiff-compare applies both forms to every invariant-family member up to
-# the degree: at the cap 233 members on row 1 of (3,2) in 2.4 s and 603 on
-# row 2 of (1,2,3) in 20 s (degree 10 on (3,2): 489 members, 13 s).
+# the degree: at the cap 233 members on row 1 of (3,2) in 1.1-1.9 s and 603
+# on row 2 of (1,2,3) in 2.0-3.0 s (degree 10 on (3,2): 489 members, 3.7 s).
 MAX_DDIFF_DEGREE = 8
 
 # The largest power of one atom that the exponents of an expression may ask
-# for.  Functions: (x[1,1]+x[1,2]+x[2,1]+1)^24 takes 0.3 s and 23 MB (^32:
-# 1.4 s).  Operators, where E1^n composes n times: E1^4 on x[1,1] takes
-# 0.02 s on (2,1) and 6.3 s on (3,2) (E1^8 on (2,1): 0.2 s).  The
+# for.  Functions: (x[1,1]+x[1,2]+x[2,1]+1)^24 takes 0.2 s and 23 MB (^32:
+# 1.2 s).  Operators, where E1^n composes n times: E1^4 on x[1,1] takes
+# 0.02 s on (2,1) and 4.3 s and 78 MB on (3,2) (E1^8 on (2,1): 0.15 s).  The
 # composition order of an operator expression (1 for an operator token, the
 # sum over a product, n times the base's for a power, the largest over a
 # sum) has the operator cap too.  Both are checked on the parsed tree before
@@ -67,14 +68,20 @@ MAX_DDIFF_DEGREE = 8
 MAX_FUNCTION_EXPONENT = 24
 MAX_OPERATOR_EXPONENT = 4
 
+# The largest translation phi[i,j]^n of a shift token.  A shift by n scales
+# the coefficients of a degree-d function by up to n^d: at the cap,
+# phi[1,1]^n on (x[1,1]+x[1,2]+x[2,1]+1)^24 takes 0.4 s and prints 206 KB
+# (n = 1: 0.3 s, 106 KB).
+MAX_SHIFT = 10**6
+
 # Longer tokens (an integer literal of thousands of digits) are refused;
 # Python's int() refuses more than 4300 digits with a ValueError.
 MAX_TOKEN_CHARS = 1000
 
 # Parameters z[1..n] come first among a ring's variables, so each one adds a
 # slot to every monomial and slows all arithmetic.  blocks on the radius-2
-# (2,1) window takes 2.1 s with none, 6.2 s at the cap and 41 s with 1000;
-# apply of E1 to z[100000] alone takes 0.6 s and 61 MB, and z[99999999] would
+# (2,1) window takes 0.6 s with none, 2.4 s at the cap and 14.6 s with 1000;
+# apply of E1 to z[100000] alone takes 0.4 s and 60 MB, and z[99999999] would
 # exhaust memory.
 MAX_PARAMS = 100
 
@@ -213,12 +220,13 @@ class _Parser:
 
 
 def _check_caps(node) -> tuple:
-    """Refuse a tree that raises an atom past its cap or whose composition
-    order (see the caps above) passes MAX_OPERATOR_EXPONENT, naming the
-    first fault in reading order: a power is checked after its base, a
-    product at its first factor past the cap.  Returns the node's order and
-    its atoms as [power, token] pairs in reading order; an atom's power is
-    the product of the exponents above it, 0 and 1 counting as 1."""
+    """Refuse a tree with a shift token past MAX_SHIFT, that raises an atom
+    past its cap or whose composition order (see the caps above) passes
+    MAX_OPERATOR_EXPONENT, naming the first fault in reading order: a power
+    is checked after its base, a product at its first factor past the cap.
+    Returns the node's order and its atoms as [power, token] pairs in
+    reading order; an atom's power is the product of the exponents above
+    it, 0 and 1 counting as 1."""
     kind = node[0]
     if kind in ("+", "*"):
         order, atoms = 0, []
@@ -240,6 +248,8 @@ def _check_caps(node) -> tuple:
                 raise ParseError(f"{val} is raised to the power {power}, above the cap of {cap}")
     elif kind == "neg":
         return _check_caps(node[1])
+    elif kind == "shift" and abs(int(node[1].partition("^")[2] or 1)) > MAX_SHIFT:
+        raise ParseError(f"{node[1]} shifts by more than the cap of {MAX_SHIFT}")
     else:
         return int(kind in ("shift", "opname")), [[1, node]]
     if order > MAX_OPERATOR_EXPONENT:
@@ -844,6 +854,15 @@ def main(argv: Optional[list] = None) -> int:
     except OgzError as e:
         _emit_error(3, e)
         return 3
+    except ValueError as e:
+        # Python converts no integer of more digits than its limit to text
+        if "integer string conversion" not in str(e):
+            raise
+        _emit_error(2, ParseError(
+            f"the output has an integer of more than {sys.get_int_max_str_digits()} digits, "
+            "too large to print"
+        ))
+        return 2
     data = text + "\n"
     if getattr(args, "out", None):
         try:

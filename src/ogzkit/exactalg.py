@@ -749,12 +749,10 @@ def elementary_symmetric(ring: Ring, row: int, d: int) -> Polynomial:
     return acc[d]
 
 
-def is_row_symmetric(p: Polynomial, rows: Iterable = None) -> bool:
-    """True when p is invariant under permuting cells within each given row
-    (all rows by default)."""
+def is_row_symmetric(p: Polynomial) -> bool:
+    """True when p is invariant under permuting cells within each row."""
     ring = p.ring
-    rows = range(1, ring.rows + 1) if rows is None else rows
-    for i in rows:
+    for i in range(1, ring.rows + 1):
         s = ring.shape[i - 1]
         for j in range(1, s):
             swap = {(i, j): (i, j + 1), (i, j + 1): (i, j)}

@@ -17,22 +17,27 @@ integer polynomials and taken at an integer point of the parameters modulo a
 prime that divides no offset denominator, by one incremental echelon
 (:class:`_linalg.ModEchelon`, which also picks the solve's rows below); a
 full specialised rank is a lower bound, hence a sound certificate.
-Generator actions on this basis are computed two independent ways:
+Generator actions on this basis are computed two independent ways.  The
+routes share the facts of the window: the orbit key of a translate and the
+stabilizer member that sorts it there (:meth:`ModuleWindow._canonical`), the
+target orbits of a ladder, one per stabilizer block
+(:meth:`ModuleWindow._ladder_targets`), and the refusal of a ladder on a
+boundary orbit.  Each computes its coefficients on its own:
 
 * :meth:`ModuleWindow.act` — evaluate against an invariant test family and
-  solve exactly, once, for the columns of the theory-predicted target
-  blocks, fully verified; a right-hand side they do not span is a
+  solve exactly, once, for the columns of the target blocks, fully
+  verified; a right-hand side they do not span is a
   :class:`WindowLeakage`.  The solve (:func:`_linalg.solve_columns`) is
   fraction-free and checks every family member without a gcd;
 * :meth:`ModuleWindow.act_structural` — push the generator through the
   functional in the divided-difference basis, one term per (coefficient,
-  chain word, moved cell): a multiplier is a single term that moves nothing,
-  a ladder one term per stabilizer block.  The word fixes the point, so the
-  push is taken at the point: integer push tables (:func:`push_table`) meet
-  the Taylor coefficients of the term's coefficient at the translate
+  chain word, target): a multiplier is a single term that stays on its
+  orbit, a ladder one term per stabilizer block.  The word fixes the point,
+  so the push is taken at the point: integer push tables (:func:`push_table`)
+  meet the Taylor coefficients of the term's coefficient at the translate
   (:func:`taylor_jet`), and a term that moves a cell is conjugated back to
   canonical form by a linear map on those values.  The route uses no family
-  and no linear algebra, so it stays independent of the first.
+  and no linear algebra, so its coefficients stay independent of the first.
 
 Both routes must agree coefficient for coefficient; tests enforce this.
 :meth:`ModuleWindow.block_decompose` gives, per orbit, the multiplier
@@ -515,24 +520,19 @@ class ModuleWindow:
 
     # -- construction helpers -------------------------------------------------
 
-    def _canon_key(self, offsets: Mapping) -> tuple:
-        out = {}
-        for i_row, blocks in enumerate(self.stab.blocks, start=1):
-            for b in blocks:
-                cells = [(i_row, p) for p in b]
-                if cells[0] not in offsets and cells[0][0] == len(self.point.shape):
-                    continue
-                vals = sorted((offsets[c] for c in cells), reverse=True)
-                for c, vv in zip(cells, vals):
-                    out[c] = vv
-        return tuple(out[c] for c in self.cells)
+    def _canonical(self, offsets: Mapping) -> tuple:
+        """(key, tau): tau in the centre's stabilizer sorts the offsets stably
+        into weakly decreasing order along each block, and the orbit key lists
+        the sorted offsets in cell order."""
+        tau = stable_sorting_perm(self.point.shape, offsets, self.stab)
+        moved = tau.apply_to_cellmap(offsets)
+        return tuple(moved[c] for c in self.cells), tau
 
     def _build_orbits(self):
         r = self.radius
         counts: Dict[tuple, int] = {}
         for combo in itertools.product(range(-r, r + 1), repeat=len(self.cells)):
-            offsets = dict(zip(self.cells, combo))
-            key = self._canon_key(offsets)
+            key, _ = self._canonical(dict(zip(self.cells, combo)))
             counts[key] = counts.get(key, 0) + 1
         for key in sorted(counts):
             # the nonzero offsets only, as the functionals of the orbit hold them
@@ -633,28 +633,38 @@ class ModuleWindow:
         orb = self.orbits[orbit_idx]
         return [self.index_of(orbit_idx, w) for w in orb.coset_reps]
 
+    def _ladder_targets(self, orbit_idx: int, gen: tuple) -> list:
+        """The ladder rule, (block, tau, target orbit) for each block of row i
+        of the orbit's stabilizer: the ladder moves the block's head cell by
+        one (every cell of the block reaches the same target), and tau sorts
+        the moved offsets to the target's key.  A move out of the window is a
+        :class:`WindowLeakage`."""
+        i = gen[1]
+        orb = self.orbits[orbit_idx]
+        out = []
+        for b in orb.stab.blocks[i - 1]:
+            offsets = dict(zip(self.cells, orb.rep_offsets))
+            offsets[(i, b[0])] += 1 if gen[0] == "raising" else -1
+            if abs(offsets[(i, b[0])]) > self.radius:
+                raise WindowLeakage(f"target of {gen} from orbit {orbit_idx} leaves the window")
+            key, tau = self._canonical(offsets)
+            out.append((b, tau, self._orbit_of_key[key]))
+        return out
+
     def target_orbits(self, orbit_idx: int, gen: tuple) -> list:
         """Orbits that can receive the action (same-character translates)."""
         if gen[0] == "multiplier":
             return [orbit_idx]
-        i = gen[1]
-        delta = 1 if gen[0] == "raising" else -1
-        orb = self.orbits[orbit_idx]
-        out = []
-        for j in range(1, self.ring.shape[i - 1] + 1):
-            offs = dict(zip(self.cells, orb.rep_offsets))
-            offs[(i, j)] += delta
-            if any(abs(n) > self.radius for n in offs.values()):
-                raise WindowLeakage(
-                    f"target of {gen} from orbit {orbit_idx} leaves the window"
-                )
-            key = self._canon_key(offs)
-            tgt = self._orbit_of_key.get(key)
-            if tgt is None:
-                raise WindowLeakage(f"target orbit {key} missing from the window")
-            if tgt not in out:
-                out.append(tgt)
-        return sorted(out)
+        return sorted({tgt for _, _, tgt in self._ladder_targets(orbit_idx, gen)})
+
+    def _refuse_boundary(self, gen: tuple, idx: int):
+        """Both routes refuse a ladder on a functional of a boundary orbit,
+        whose image may involve translates outside the window."""
+        if gen[0] != "multiplier" and not self.orbits[self.basis_meta[idx][0]].interior:
+            raise WindowLeakage(
+                f"functional {idx} sits on the window boundary; its {gen[0]} image "
+                "may involve translates outside the window"
+            )
 
     # -- route 1: solve against the family --------------------------------------
 
@@ -675,19 +685,13 @@ class ModuleWindow:
             return hit
         if not self.family:
             raise WindowRankError("certify_rank must run before act()")
-        orbit_idx, _ = self.basis_meta[idx]
-        orb = self.orbits[orbit_idx]
-        if gen[0] in ("raising", "lowering") and not orb.interior:
-            raise WindowLeakage(
-                f"functional {idx} sits on the window boundary; its {gen[0]} image "
-                "may involve translates outside the window"
-            )
+        self._refuse_boundary(gen, idx)
         func = self.basis[idx]
         rhs = [
             func.evaluate(self.ring, self.gen_image(gen, t))
             for t in range(len(self.family))
         ]
-        cand = [b for j in self.target_orbits(orbit_idx, gen) for b in self.block_indices(j)]
+        cand = [b for j in self.target_orbits(self.basis_meta[idx][0], gen) for b in self.block_indices(j)]
         x = _linalg.solve_columns([self.columns[b] for b in cand], rhs, self._zero())
         if x is None:
             raise WindowLeakage(
@@ -704,55 +708,36 @@ class ModuleWindow:
         basis, at the point: no family and no linear algebra.
 
         Every letter of the word ``w + chain`` of a term (coefficient g,
-        chain word, moved head cell) fixes the centre v, so diff and the
-        swaps commute with the translation by v, and ev_v of the coefficient
-        of diff_y in ``diff_{w+chain} ∘ (g shifted by xi)`` is the sum of
+        chain word, target orbit) fixes the centre v, so diff and the swaps
+        commute with the translation by v, and ev_v of the coefficient of
+        diff_y in ``diff_{w+chain} ∘ (g shifted by xi)`` is the sum of
         c_{y,beta} [t^beta] g(u + t) at u = v + xi over |beta| =
         l(w + chain) - l(y) (:func:`push_table`, :func:`taylor_jet`).  The
-        stabilizer member tau that conjugates a moved term back to canonical
-        form fixes v too, so it acts on those values by the rows of
-        :meth:`_conjugation_row`."""
+        stabilizer member tau of :meth:`_ladder_targets` that conjugates a
+        moved term back to canonical form fixes v too, so it acts on those
+        values by the rows of :meth:`_conjugation_row`."""
         orbit_idx, w = self.basis_meta[idx]
         orb = self.orbits[orbit_idx]
         ring = self.ring
-        # one term per (coefficient, chain word, moved head cell): a
-        # multiplier is the one-term case with no chain and no moved cell,
-        # a ladder has one chain term per stabilizer block of row i
+        self._refuse_boundary(gen, idx)
+        # one term per (coefficient, chain word, tau, target orbit): a
+        # multiplier is the one-term case with no chain that stays on its
+        # orbit, a ladder has one chain term per stabilizer block of row i
         if gen[0] == "multiplier":
-            terms = [(elementary_symmetric(ring, gen[1], gen[2]), (), None)]
+            terms = [(elementary_symmetric(ring, gen[1], gen[2]), (), None, orbit_idx)]
         else:
-            if not orb.interior:
-                raise WindowLeakage(
-                    f"functional {idx} sits on the window boundary; its {gen[0]} image "
-                    "may involve translates outside the window"
-                )
             i, up = gen[1], gen[0] == "raising"
             terms = [
-                (ladder_coefficient(ring, i, b[0], b[-1], up), chain_word(i, b[0], b[-1]), (i, b[0]))
-                for b in orb.stab.blocks[i - 1]
+                (ladder_coefficient(ring, i, b[0], b[-1], up), chain_word(i, b[0], b[-1]), tau, tgt)
+                for b, tau, tgt in self._ladder_targets(orbit_idx, gen)
             ]
         word_w = canonical_word(w)
         result: Dict[int, RationalFunction] = {}
-        for coeff, chain, head in terms:
+        for coeff, chain, tau, tgt_idx in terms:
             word = word_w + chain
             perm = word_to_perm(ring.shape, word)
             if perm.length() != len(word):
                 continue  # a word that is not reduced: diff of it is zero
-            tgt_idx, tau = orbit_idx, None
-            if head is not None:
-                xi_new = dict(zip(self.cells, orb.rep_offsets))
-                xi_new[head] += 1 if gen[0] == "raising" else -1
-                tau = stable_sorting_perm(self.point.shape, xi_new, self.stab)
-                xi_canon = tau.apply_to_cellmap(xi_new)
-                tgt_key = tuple(xi_canon[c] for c in self.cells)
-                tgt_idx = self._orbit_of_key.get(tgt_key)
-                if tgt_idx is None:
-                    raise WindowLeakage(f"structural target {tgt_key} missing from window")
-                canon_check = self._canon_key(xi_new)
-                if canon_check != tgt_key:
-                    raise HypothesisViolation(
-                        f"stable sort failed to canonicalize {xi_new} (got {tgt_key}, want {canon_check})"
-                    )
             d, jet = taylor_jet(ring, coeff, orb.point, _word_cells(perm), len(word))
             # d^(l+1) times ev_v of the coefficient of diff_y, for l = l(w + chain)
             at_v = {}
@@ -959,22 +944,22 @@ def component_graph(point: EvalPoint, radius: int, edge_rule: str = "both") -> C
     if window_points(shape, radius) > MAX_WINDOW_POINTS:
         raise ValueError("window too large")
 
-    def values_at(p: tuple) -> dict:
-        off = dict(zip(cells, p))
-        vals = {}
-        for c in ring.cells():
-            tag, o = point.pair(c)
-            vals[c] = (tag, o + off.get(c, 0))
-        return vals
+    pos = {c: n for n, c in enumerate(cells)}
 
-    def prod_nonzero(vals, cell, other_row) -> bool:
-        if other_row < 1 or other_row > k:
-            return True
-        for a in [(other_row, j) for j in range(1, shape[other_row - 1] + 1)]:
-            if vals[cell] == vals[a]:
-                return False
-        return True
+    def gaps(cell, row) -> list:
+        # (lattice position of a, None in the top row; integer_diff(cell, a))
+        # for the cells a of the row whose value is an integer away from cell's
+        if not 1 <= row <= k:
+            return []
+        found = ((pos.get(a), point.integer_diff(cell, a)) for a in ring.row_cells(row))
+        return [(ai, d) for ai, d in found if d is not None]
 
+    def prod_nonzero(p: tuple, ci: int, row_gaps: list) -> bool:
+        # cell c and a are equal at the translate p when p_c - p_a == -(v_c - v_a)
+        return all(p[ci] - (0 if ai is None else p[ai]) != -d for ai, d in row_gaps)
+
+    up_gaps = [gaps(cell, cell[0] + 1) for cell in cells]
+    down_gaps = [gaps(cell, cell[0] - 1) for cell in cells]
     vertices = sorted(itertools.product(range(-radius, radius + 1), repeat=len(cells)))
     vset = set(vertices)
     edges = []
@@ -986,9 +971,8 @@ def component_graph(point: EvalPoint, radius: int, edge_rule: str = "both") -> C
             q = tuple(q)
             if q not in vset:
                 continue
-            i = cell[0]
-            enz = prod_nonzero(values_at(p), cell, i + 1)
-            fnz = prod_nonzero(values_at(q), cell, i - 1)
+            enz = prod_nonzero(p, ci, up_gaps[ci])
+            fnz = prod_nonzero(q, ci, down_gaps[ci])
             present = (enz and fnz) if edge_rule == "both" else (enz or fnz)
             edges.append((p, cell, q, present, enz, fnz))
             if present:
@@ -1081,7 +1065,7 @@ def simplicity_probe(window: ModuleWindow, max_visited: int = 4000) -> ProbeRepo
     def norm_key(orbit_idx: int, vec: dict) -> tuple:
         items = sorted(vec.items())
         lead = items[0][1]
-        return (orbit_idx,) + tuple((b, str(c / lead)) for b, c in items)
+        return (orbit_idx,) + tuple((b, c / lead) for b, c in items)
 
     def orbit_priority(orbit_idx: int) -> tuple:
         orb = window.orbits[orbit_idx]

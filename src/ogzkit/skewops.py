@@ -449,26 +449,20 @@ def invariant_family(ring: Ring, max_degree: int) -> list:
 
     rec(0, max_degree, [])
     combos.sort(key=lambda c: (sum(gens[t][1] for t in c), c))
-    cache: dict = {}
     out = []
     for combo in combos:
         p = ring.one()
         for t in combo:
-            (i, d), _ = gens[t]
-            ed = cache.get((i, d))
-            if ed is None:
-                ed = elementary_symmetric(ring, i, d)
-                cache[(i, d)] = ed
-            p = p * ed
+            p = p * elementary_symmetric(ring, *gens[t][0])
         out.append(p)
     return out
 
 
-def random_invariant(ring: Ring, rng, max_degree: int, nterms: int = 4) -> Polynomial:
-    """Random rational combination of invariant family members."""
+def random_invariant(ring: Ring, rng, max_degree: int) -> Polynomial:
+    """Random integer combination of four invariant family members."""
     fam = invariant_family(ring, max_degree)
     p = ring.zero()
-    for _ in range(nterms):
+    for _ in range(4):
         c = rng.randint(-9, 9)
         if c == 0:
             c = 1

@@ -21,6 +21,7 @@ from ogzkit.cli import (
     MAX_FUNCTION_EXPONENT,
     MAX_OPERATOR_EXPONENT,
     MAX_PARAMS,
+    MAX_SHIFT,
     MAX_TOKEN_CHARS,
     MAX_WALK_COORDS,
     MAX_WALK_VALUE,
@@ -645,6 +646,14 @@ def test_parse_op_accepts_scalar_as_multiplication():
              "--expr=x[1,1]"],
             f"composition of {MAX_OPERATOR_EXPONENT + 1} factors, above the cap",
         ),
+        (
+            ["apply", "--shape", "2,1", "--op", f"phi[1,1]^-{MAX_SHIFT + 1}", "--expr=x[1,1]"],
+            f"shifts by more than the cap of {MAX_SHIFT}",
+        ),
+        (
+            ["apply", "--shape", "2,1", "--op", f"phi[1,1]^{'9' * 200}", "--expr=x[1,1]^24"],
+            f"shifts by more than the cap of {MAX_SHIFT}",
+        ),
     ],
 )
 def test_input_over_a_resource_cap_exits_2(capsys, argv, phrase):
@@ -652,6 +661,35 @@ def test_input_over_a_resource_cap_exits_2(capsys, argv, phrase):
     assert rc == 2 and out == ""
     assert len(err.splitlines()) == 1
     assert phrase in error_payload(err)["message"]
+
+
+def test_shift_at_the_cap(capsys):
+    rc, out, err = run(capsys, "apply", "--shape", "1,1", "--op", f"phi[1,1]^-{MAX_SHIFT}", "--expr=x[1,1]")
+    assert rc == 0 and err == ""
+    assert out == f"x[1,1]-{MAX_SHIFT}\n"
+
+
+NINES = "9" * 999  # the longest literal under the token cap
+
+
+def assert_too_large_to_print(rc, out, err):
+    # Python converts no integer of more than 4300 digits to text
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert "too large to print" in error_payload(err)["message"]
+
+
+@pytest.mark.parametrize("expr", [f"({NINES})^5", "*".join([NINES] * 5)])
+def test_result_too_large_to_print_exits_2(capsys, expr):
+    assert_too_large_to_print(*run(capsys, "apply", "--shape", "2,1", "--op", "E1", f"--expr={expr}"))
+
+
+def test_eigenvalue_too_large_to_print_exits_2(capsys, tmp_path):
+    # e_2 of a doubled offset of 3000 digits has 6000
+    spec = json.loads(json.dumps(dict(SPEC_R2, radius=1)))
+    for cell in ("1,1", "1,2"):
+        spec["point"][cell]["offset"] = "9" * 3000
+    assert_too_large_to_print(*run(capsys, "blocks", "--spec", write_spec(tmp_path, spec)))
 
 
 @pytest.mark.parametrize("expr", ["(" * 600 + "x[1,1]" + ")" * 600, "-" * 2000 + "x[1,1]"])
@@ -900,7 +938,8 @@ def test_jobspec_fuzz_keeps_the_cli_contract(tmp_path, field, where, value):
 APPLY_TOKENS = [
     "x[1,1]", "x[1,2]", "x[2,1]", "x[3,1]", "z[1]", "z[2]", "E1", "F1", "E2",
     "gamma[1,2]", "gamma[2,1]", "phi[1,1]", "phi[1,1]^-1", "partial[1,1]",
-    "0", "1", "2", "5", "25", "+", "-", "*", "/", "^", "^2", "(", ")", " ",
+    "0", "1", "2", "5", "25", "+", "-", "*", "/", "^", "^2", "^5", "(", ")", " ",
+    f"phi[1,1]^{'9' * 200}", NINES,
 ]
 APPLY_TEXT = st.lists(st.sampled_from(APPLY_TOKENS), max_size=8).map("".join)
 

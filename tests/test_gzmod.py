@@ -363,6 +363,48 @@ def test_component_graph_counts(singular_point):
     assert len(ge.vertices) == 7 and ge.n_components == 2
 
 
+def edge_flags_by_values(point, p, cell, q):
+    """An edge's (raising, lowering) flags by their definition: the moved
+    cell's value differs from every value of the row above at p, and from
+    every value of the row below at q."""
+    shape = point.shape
+    cells = point.ring().shiftable_cells()
+
+    def apart(lattice, row):
+        if not 1 <= row <= len(shape):
+            return True
+        shifts = dict(zip(cells, lattice))
+        tag, off = point.pair(cell)
+        here = (tag, off + shifts[cell])
+        return all(
+            here != (point.pair((row, j))[0], point.pair((row, j))[1] + shifts.get((row, j), 0))
+            for j in range(1, shape[row - 1] + 1)
+        )
+
+    return apart(p, cell[0] + 1), apart(q, cell[0] - 1)
+
+
+@pytest.mark.parametrize(
+    "shape, values, radius",
+    [
+        ((1, 1), {(1, 1): (1, 1), (2, 1): (1, 0)}, 2),
+        ((2, 1), {(1, 1): (1, 2), (1, 2): (1, -1), (2, 1): (1, 0)}, 2),
+        ((1, 2, 1), {(1, 1): (1, 1), (2, 1): (1, 0), (2, 2): (1, QQ(-1, 2)), (3, 1): (1, -1)}, 1),
+    ],
+)
+def test_component_graph_edges_match_the_value_rule(shape, values, radius):
+    # integer gaps between adjacent rows, so that edges go missing
+    point = EvalPoint.make(shape, values)
+    absent = 0
+    for rule in ("both", "either"):
+        g = component_graph(point, radius, edge_rule=rule)
+        for p, cell, q, present, enz, fnz in g.edges:
+            assert (enz, fnz) == edge_flags_by_values(point, p, cell, q), (p, cell)
+            assert present == ((enz and fnz) if rule == "both" else (enz or fnz))
+            absent += not present
+    assert absent > 0
+
+
 def test_component_graph_dot(singular_point):
     dot = component_graph(singular_point, 1).to_dot()
     assert dot.startswith("graph window {") and dot.rstrip().endswith("}")
@@ -647,6 +689,18 @@ def test_triple_point_ladder_on_the_big_block(triple_window_r2):
 # the structural route against the symbolic push-through of the word
 
 
+def sorted_by_blocks(w, offsets):
+    """The orbit key by its definition: the offsets sorted into weakly
+    decreasing order within each block of the centre's stabilizer, listed in
+    cell order."""
+    out = dict(offsets)
+    for i, blocks in enumerate(w.stab.blocks, start=1):
+        for b in blocks:
+            cells = [(i, p) for p in b if (i, p) in offsets]
+            out.update(zip(cells, sorted((offsets[c] for c in cells), reverse=True)))
+    return tuple(out[c] for c in w.cells)
+
+
 def structural_by_push(w, gen, idx):
     """act_structural by its definition: push the block coefficient, shifted
     by the orbit's offsets, through the nil-Hecke word symbolically, conjugate
@@ -682,7 +736,7 @@ def structural_by_push(w, gen, idx):
             tgt = w._orbit_of_key.get(key)
             if tgt is None:
                 raise WindowLeakage("target")
-            if w._canon_key(xi_new) != key:
+            if sorted_by_blocks(w, xi_new) != key:
                 raise HypothesisViolation("canonical key")
         allowed = {wp.rows for wp in w.orbits[tgt].coset_reps}
         merge_terms(result, (
@@ -751,6 +805,42 @@ def test_structural_route_matches_the_symbolic_push(name):
     # or the same error type
     shape, values, radius = PUSH_WINDOWS[name]
     assert assert_structural_matches_push(ModuleWindow(EvalPoint.make(shape, values), radius)) > 0
+
+
+def target_orbits_per_cell(w, orbit_idx, gen):
+    """target_orbits by its definition: move each cell of the ladder's row
+    in turn and look up the sorted offsets."""
+    if gen[0] == "multiplier":
+        return [orbit_idx]
+    i, out = gen[1], set()
+    for j in range(1, w.point.shape[i - 1] + 1):
+        offsets = dict(zip(w.cells, w.orbits[orbit_idx].rep_offsets))
+        offsets[(i, j)] += 1 if gen[0] == "raising" else -1
+        if abs(offsets[(i, j)]) > w.radius:
+            raise WindowLeakage(f"target of {gen} from orbit {orbit_idx} leaves the window")
+        out.add(w._orbit_of_key[sorted_by_blocks(w, offsets)])
+    return sorted(out)
+
+
+@pytest.mark.parametrize("name", ["2,1-doubled-r3", "3,1-triple-r2", "4,1-quadruple"])
+def test_target_orbits_match_the_per_cell_rule(name):
+    # every orbit, boundary ones included: equal targets, or the same leak
+    shape, values, radius = PUSH_WINDOWS[name]
+    w = ModuleWindow(EvalPoint.make(shape, values), radius)
+    ladders = [(kind, i) for kind in ("raising", "lowering") for i in range(1, len(shape))]
+    leaks = 0
+    for oi in range(len(w.orbits)):
+        for gen in ladders + w.multiplier_gens():
+            try:
+                want = target_orbits_per_cell(w, oi, gen)
+            except WindowLeakage as e:
+                leaks += 1
+                with pytest.raises(WindowLeakage) as got:
+                    w.target_orbits(oi, gen)
+                assert str(got.value) == str(e)
+            else:
+                assert w.target_orbits(oi, gen) == want, (oi, gen)
+    assert 0 < leaks < len(w.orbits) * len(ladders)
 
 
 OFFSETS = [QQ(0), QQ(1, 2), QQ(-1, 3), QQ(2, 3), QQ(1), QQ(-1)]

@@ -1,5 +1,6 @@
 """Layout guards, read from the source text: modules keep to each other's
-public names, and no file imports a name it never uses.  The guards that
+public names, no file imports a name it never uses, and every private
+definition is named somewhere in the library.  The guards that
 import the library check that the benchmark tracer's patch points exist and
 are restored, and that the structural route and polynomial division do not
 fall back to their costly paths."""
@@ -70,6 +71,25 @@ def test_modules_read_no_private_name_of_another_module(path):
 )
 def test_no_unused_imports(path):
     assert unused_imports(parse(path)) == []
+
+
+def test_every_private_definition_is_referenced():
+    # a private function or class that nothing in the library names is dead
+    # code: no caller outside the package may reach it; a reference inside
+    # its own body (recursion) does not count
+    defs, uses = [], []
+    for path in MODULES:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and is_private(node.name):
+                defs.append((node.name, path.name, node.lineno, node.end_lineno))
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                uses.append((getattr(node, "id", None) or node.attr, path.name, node.lineno))
+    dead = [
+        (name, where)
+        for name, where, first, last in defs
+        if not any(u == name and (f != where or not first <= line <= last) for u, f, line in uses)
+    ]
+    assert defs and dead == []
 
 
 # one coefficient format: these layers work on integer numerators and never
