@@ -591,9 +591,7 @@ def _cmd_action(args) -> str:
     win = build_basis_B(point, radius, nparams=params)
     lines = [f"point {point}", f"radius {radius}", f"op {tok}", f"routes {args.routes}"]
     for b in range(len(win.basis)):
-        oi, _ = win.basis_meta[b]
-        orb = win.orbits[oi]
-        if gen[0] != "multiplier" and not orb.interior:
+        if win.on_boundary(gen, b):
             lines.append(f"b {b} -> boundary(skipped)")
             continue
         if args.routes == "solve":

@@ -176,8 +176,12 @@ def _block_bounds(shape_row: int, mu) -> list:
 
 
 def chain_word(i: int, start: int, end: int) -> tuple:
-    """Word for the block chain: adjacent differences at positions
-    end-1, ..., start (rightmost letter = start, acting first)."""
+    """Word for the block chain run from cell ``start`` to cell ``end`` of
+    row i: adjacent differences at positions end-1, ..., start, or at
+    end, ..., start-1 when start > end (the reversed chain); the rightmost
+    letter moves the start cell and acts first."""
+    if start > end:
+        return tuple((i, p) for p in range(end, start))
     return tuple((i, p) for p in range(end - 1, start - 1, -1))
 
 

@@ -18,11 +18,11 @@ prime that divides no offset denominator, by one incremental echelon
 (:class:`_linalg.ModEchelon`, which also picks the solve's rows below); a
 full specialised rank is a lower bound, hence a sound certificate.
 Generator actions on this basis are computed two independent ways.  The
-routes share the facts of the window: the orbit key of a translate and the
-stabilizer member that sorts it there (:meth:`ModuleWindow._canonical`), the
-target orbits of a ladder, one per stabilizer block
-(:meth:`ModuleWindow._ladder_targets`), and the refusal of a ladder on a
-boundary orbit.  Each computes its coefficients on its own:
+routes share the facts of the window: the orbit key of a translate
+(:meth:`ModuleWindow._canonical`), the target orbits of a ladder, one per
+stabilizer block (:meth:`ModuleWindow._ladder_targets`), and the refusal of
+a ladder on a boundary orbit (:meth:`ModuleWindow.on_boundary`).  Each
+computes its coefficients on its own:
 
 * :meth:`ModuleWindow.act` — evaluate against an invariant test family and
   solve exactly, once, for the columns of the target blocks, fully
@@ -35,9 +35,10 @@ boundary orbit.  Each computes its coefficients on its own:
   orbit, a ladder one term per stabilizer block.  The word fixes the point,
   so the push is taken at the point: integer push tables (:func:`push_table`)
   meet the Taylor coefficients of the term's coefficient at the translate
-  (:func:`taylor_jet`), and a term that moves a cell is conjugated back to
-  canonical form by a linear map on those values.  The route uses no family
-  and no linear algebra, so its coefficients stay independent of the first.
+  (:func:`taylor_jet`); a raising term moves the first cell of its block
+  and a lowering term the last, so every term lands on its target's
+  canonical translate.  The route uses no family and no linear algebra, so
+  its coefficients stay independent of the first.
 
 Both routes must agree coefficient for coefficient; tests enforce this.
 :meth:`ModuleWindow.block_decompose` gives, per orbit, the multiplier
@@ -516,23 +517,21 @@ class ModuleWindow:
         self.rank_history: List[int] = []
         self._gen_image_cache: Dict[tuple, Polynomial] = {}
         self._act_cache: Dict[tuple, dict] = {}
-        self._conj_rows: Dict[tuple, dict] = {}
 
     # -- construction helpers -------------------------------------------------
 
     def _canonical(self, offsets: Mapping) -> tuple:
-        """(key, tau): tau in the centre's stabilizer sorts the offsets stably
-        into weakly decreasing order along each block, and the orbit key lists
-        the sorted offsets in cell order."""
+        """The orbit key: the offsets sorted stably into weakly decreasing
+        order along each block of the centre's stabilizer, in cell order."""
         tau = stable_sorting_perm(self.point.shape, offsets, self.stab)
         moved = tau.apply_to_cellmap(offsets)
-        return tuple(moved[c] for c in self.cells), tau
+        return tuple(moved[c] for c in self.cells)
 
     def _build_orbits(self):
         r = self.radius
         counts: Dict[tuple, int] = {}
         for combo in itertools.product(range(-r, r + 1), repeat=len(self.cells)):
-            key, _ = self._canonical(dict(zip(self.cells, combo)))
+            key = self._canonical(dict(zip(self.cells, combo)))
             counts[key] = counts.get(key, 0) + 1
         for key in sorted(counts):
             # the nonzero offsets only, as the functionals of the orbit hold them
@@ -634,33 +633,41 @@ class ModuleWindow:
         return [self.index_of(orbit_idx, w) for w in orb.coset_reps]
 
     def _ladder_targets(self, orbit_idx: int, gen: tuple) -> list:
-        """The ladder rule, (block, tau, target orbit) for each block of row i
-        of the orbit's stabilizer: the ladder moves the block's head cell by
-        one (every cell of the block reaches the same target), and tau sorts
-        the moved offsets to the target's key.  A move out of the window is a
-        :class:`WindowLeakage`."""
-        i = gen[1]
+        """The ladder rule, (head, tail, target orbit) for each block of row i
+        of the orbit's stabilizer: a raising moves the block's first cell up
+        by one and a lowering its last down by one (the head; the tail is the
+        other end), so the moved offsets stay sorted along every block of the
+        centre's stabilizer and are the target's key.  A move out of the
+        window is a :class:`WindowLeakage`."""
+        i, up = gen[1], gen[0] == "raising"
         orb = self.orbits[orbit_idx]
         out = []
         for b in orb.stab.blocks[i - 1]:
+            head, tail = (b[0], b[-1]) if up else (b[-1], b[0])
             offsets = dict(zip(self.cells, orb.rep_offsets))
-            offsets[(i, b[0])] += 1 if gen[0] == "raising" else -1
-            if abs(offsets[(i, b[0])]) > self.radius:
+            offsets[(i, head)] += 1 if up else -1
+            if abs(offsets[(i, head)]) > self.radius:
                 raise WindowLeakage(f"target of {gen} from orbit {orbit_idx} leaves the window")
-            key, tau = self._canonical(offsets)
-            out.append((b, tau, self._orbit_of_key[key]))
+            out.append((head, tail, self._orbit_of_key[tuple(offsets[c] for c in self.cells)]))
         return out
 
     def target_orbits(self, orbit_idx: int, gen: tuple) -> list:
-        """Orbits that can receive the action (same-character translates)."""
+        """Orbits that can receive the action (same-character translates).
+        A malformed generator key raises ``ValueError``."""
+        self.gens.op(gen)
         if gen[0] == "multiplier":
             return [orbit_idx]
         return sorted({tgt for _, _, tgt in self._ladder_targets(orbit_idx, gen)})
 
+    def on_boundary(self, gen: tuple, idx: int) -> bool:
+        """Whether both routes refuse gen on functional idx: a ladder on a
+        boundary orbit, whose image may involve translates outside the
+        window.  A malformed generator key raises ``ValueError`` first."""
+        self.gens.op(gen)
+        return gen[0] != "multiplier" and not self.orbits[self.basis_meta[idx][0]].interior
+
     def _refuse_boundary(self, gen: tuple, idx: int):
-        """Both routes refuse a ladder on a functional of a boundary orbit,
-        whose image may involve translates outside the window."""
-        if gen[0] != "multiplier" and not self.orbits[self.basis_meta[idx][0]].interior:
+        if self.on_boundary(gen, idx):
             raise WindowLeakage(
                 f"functional {idx} sits on the window boundary; its {gen[0]} image "
                 "may involve translates outside the window"
@@ -712,28 +719,27 @@ class ModuleWindow:
         commute with the translation by v, and ev_v of the coefficient of
         diff_y in ``diff_{w+chain} ∘ (g shifted by xi)`` is the sum of
         c_{y,beta} [t^beta] g(u + t) at u = v + xi over |beta| =
-        l(w + chain) - l(y) (:func:`push_table`, :func:`taylor_jet`).  The
-        stabilizer member tau of :meth:`_ladder_targets` that conjugates a
-        moved term back to canonical form fixes v too, so it acts on those
-        values by the rows of :meth:`_conjugation_row`."""
+        l(w + chain) - l(y) (:func:`push_table`, :func:`taylor_jet`).  Each
+        ladder term is run from the block end that :meth:`_ladder_targets`
+        moves, so each diff_y lands on its target's canonical translate."""
         orbit_idx, w = self.basis_meta[idx]
         orb = self.orbits[orbit_idx]
         ring = self.ring
         self._refuse_boundary(gen, idx)
-        # one term per (coefficient, chain word, tau, target orbit): a
-        # multiplier is the one-term case with no chain that stays on its
-        # orbit, a ladder has one chain term per stabilizer block of row i
+        # one term per (coefficient, chain word, target orbit): a multiplier
+        # is the one-term case with no chain that stays on its orbit, a
+        # ladder has one chain term per stabilizer block of row i
         if gen[0] == "multiplier":
-            terms = [(elementary_symmetric(ring, gen[1], gen[2]), (), None, orbit_idx)]
+            terms = [(elementary_symmetric(ring, gen[1], gen[2]), (), orbit_idx)]
         else:
             i, up = gen[1], gen[0] == "raising"
             terms = [
-                (ladder_coefficient(ring, i, b[0], b[-1], up), chain_word(i, b[0], b[-1]), tau, tgt)
-                for b, tau, tgt in self._ladder_targets(orbit_idx, gen)
+                (ladder_coefficient(ring, i, head, tail, up), chain_word(i, head, tail), tgt)
+                for head, tail, tgt in self._ladder_targets(orbit_idx, gen)
             ]
         word_w = canonical_word(w)
         result: Dict[int, RationalFunction] = {}
-        for coeff, chain, tau, tgt_idx in terms:
+        for coeff, chain, tgt_idx in terms:
             word = word_w + chain
             perm = word_to_perm(ring.shape, word)
             if perm.length() != len(word):
@@ -745,12 +751,6 @@ class ModuleWindow:
                 s = sum((jet[beta] * c for beta, c in entries), ring.zero())
                 if not s.is_zero():
                     at_v[y] = s if d.is_one() else s * d ** y.length()
-            if tau is not None and not tau.is_identity():
-                conj: Dict = {}
-                for y, s in at_v.items():
-                    for yc, r in self._conjugation_row(tau, y).items():
-                        conj[yc] = conj.get(yc, ring.zero()) + s * r
-                at_v = conj
             # a y that is not a minimal coset representative gives a
             # functional ev ∘ diff_y ∘ xi vanishing on invariants (vanishing rule)
             allowed = {wp.rows for wp in self.orbits[tgt_idx].coset_reps}
@@ -761,19 +761,6 @@ class ModuleWindow:
                 if y.rows in allowed
             ))
         return result
-
-    def _conjugation_row(self, tau: RowPermutation, y: RowPermutation) -> dict:
-        """tau ∘ diff_y ∘ tau^{-1} with its polynomial coefficients taken at
-        the centre, {y': value}; kept on the window per (tau, y)."""
-        key = (tau, y)
-        row = self._conj_rows.get(key)
-        if row is None:
-            pm = self.point.point_map(self.ring)
-            conj = NilHecke(self.ring, {y: 1}).conjugated(tau)
-            row = self._conj_rows[key] = {
-                yc: c.polynomial_part().eval_cells(pm) for yc, c in conj.terms.items()
-            }
-        return row
 
     # -- blocks, socle -----------------------------------------------------------
 
@@ -857,9 +844,8 @@ def conjugation_check(window: ModuleWindow, orbit_idx: int, rho: RowPermutation)
     """For a member rho of the point's stabilizer and every functional
     ev_v ∘ diff_w ∘ xi of the orbit, check on the whole invariant family that
     it equals sum_y c_y(v) ev_v ∘ diff_y ∘ rho(xi), where rho ∘ diff_w ∘
-    rho^{-1} = sum_y c_y diff_y (:meth:`NilHecke.conjugated`): the expansion
-    that :meth:`ModuleWindow.act_structural` takes a moved term back to
-    canonical form by."""
+    rho^{-1} = sum_y c_y diff_y (:meth:`NilHecke.conjugated`).  Neither action
+    route conjugates, so this tests the nil-Hecke conjugation on its own."""
     if not window.stab.contains(rho):
         raise ValueError("rho must belong to the point's stabilizer")
     ring, point = window.ring, window.point

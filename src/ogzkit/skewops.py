@@ -334,23 +334,25 @@ def commutator(a: SkewOperator, b: SkewOperator) -> SkewOperator:
 
 
 def ladder_coefficient(ring: Ring, i: int, start: int, end: int, up: bool) -> RationalFunction:
-    """Coefficient of the ladder term for the block [start..end] of row i.
+    """Coefficient of the ladder term for the row-i block from start to end.
 
     With head = x[i,start]: the product of (head - x) over the cells x of the
     adjacent row (row i+1 when raising, row i-1 when lowering, none below
     row 1), divided by the product of (head - x) over the row-i cells outside
     the block.  Both are products of distinct linear forms, so they are
-    coprime and the quotient takes no gcd.
+    coprime and the quotient takes no gcd.  When start > end the block is run
+    from its last cell, along the reversed :func:`~ogzkit.divdiff.chain_word`,
+    and the coefficient carries the sign (-1)^(start - end) of that reversal.
     """
     head = ring.x(i, start)
     other_row = i + 1 if up else i - 1
-    num = ring.one()
+    num = -ring.one() if start > end and (start - end) % 2 else ring.one()
     if other_row >= 1:
         for a in ring.row_cells(other_row):
             num = num * (head - ring.x(*a))
     den = ring.one()
     for b in ring.row_cells(i):
-        if not start <= b[1] <= end:
+        if not min(start, end) <= b[1] <= max(start, end):
             den = den * (head - ring.x(*b))
     return RationalFunction._monic(num, den)
 

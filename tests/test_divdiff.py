@@ -27,6 +27,7 @@ from ogzkit import (
     partial_simple,
     partial_word,
 )
+from ogzkit.skewops import ladder_coefficient
 
 
 def rf(p):
@@ -346,6 +347,7 @@ def test_chain_word_golden():
     assert chain_word(1, 1, 3) == ((1, 2), (1, 1))
     assert chain_word(1, 2, 2) == ()
     assert chain_word(2, 1, 2) == ((2, 1),)
+    assert chain_word(1, 3, 1) == ((1, 1), (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +362,49 @@ def test_ddiff_form_agrees_on_invariants(up):
     for mu in [(2,), (1, 1)]:
         form = generators_ddiff_form(ring, 1, mu, up)
         assert agree_on_invariants(classical, form, 4)
+
+
+def compositions(n: int):
+    """Every composition of n, as its blocks [(start, end), ...]."""
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        blocks, start = [], 1
+        for p, cut in enumerate(cuts + (True,), start=1):
+            if cut:
+                blocks.append((start, p))
+                start = p + 1
+        yield blocks
+
+
+REVERSED_CASES = [
+    (shape, i, blocks, up)
+    for shape in [(2, 1), (3, 1), (3, 2), (4, 1), (1, 2, 1), (2, 2, 1)]
+    for i in range(1, len(shape))
+    for blocks in compositions(shape[i - 1])
+    for up in (True, False)
+]
+
+
+@pytest.mark.parametrize(
+    "shape, i, blocks, up", REVERSED_CASES,
+    ids=[
+        f"{','.join(map(str, s))}-row{i}-{'+'.join(str(e - b + 1) for b, e in bl)}-{'up' if up else 'down'}"
+        for s, i, bl, up in REVERSED_CASES
+    ],
+)
+def test_block_terms_run_from_the_last_cell_agree_on_invariants(shape, i, blocks, up):
+    # each block term shifted at its last cell, with the reversed chain and
+    # the sign (-1)^(m-1) of an m-cell block, sums to the classical ladder on
+    # invariants
+    ring = Ring(shape, 0)
+    g = Generators.for_shape(shape)
+    total = SkewOperator.zero(ring)
+    for start, end in blocks:
+        shift = SkewOperator.of_symmetry(
+            ring, AffineSymmetry.shift(shape, {(i, end): 1 if up else -1})
+        )
+        coeff = ladder_coefficient(ring, i, end, start, up)
+        total = total + partial_word(ring, chain_word(i, end, start)) @ (coeff * shift)
+    assert agree_on_invariants(g.raising(i) if up else g.lowering(i), total, 3)
 
 
 def test_ddiff_form_trivial_composition_is_identical():

@@ -258,6 +258,25 @@ def test_boundary_raising_leaks(singular_window):
         w.act(("raising", 1), w.block_indices(corner)[0])
 
 
+@pytest.mark.parametrize(
+    "gen", [("bogus", 1), ("raising", 2), ("lowering", 0), ("raising", -1), ("multiplier", 3, 1)],
+    ids=["bogus", "top-row", "row-0", "row-minus-1", "multiplier-row-3"],
+)
+def test_routes_refuse_malformed_generator_keys_alike(singular_window, gen):
+    # the key is checked before the boundary: on an interior and on a
+    # boundary functional, both routes and target_orbits raise one ValueError
+    w = singular_window
+    for oi in (find_orbit(w, (0, 0)), find_orbit(w, (3, 3))):
+        b = w.block_indices(oi)[0]
+        calls = [lambda: w.act(gen, b), lambda: w.act_structural(gen, b), lambda: w.target_orbits(oi, gen)]
+        messages = set()
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            messages.add(str(err.value))
+        assert len(messages) == 1
+
+
 def test_act_solves_once_then_reports_leakage(singular_point, monkeypatch):
     # with its target orbits cut down to the source orbit, the raising image
     # of the center cannot be solved: act raises after one solve, with no

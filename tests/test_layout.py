@@ -150,9 +150,11 @@ def test_tracer_patch_points_exist_and_are_restored():
 
 
 def test_structural_route_pushes_nothing_symbolically_once_warm(monkeypatch):
-    # the structural route works at the point: after one pass has filled the
-    # push tables of the ring, every query on a fresh window of that ring
-    # makes no symbolic push through a word and takes no polynomial gcd
+    # the structural route works at the point: even the first, cold pass
+    # conjugates nothing in the nil-Hecke algebra, and once that pass has
+    # filled the push tables of the ring, every query on a fresh window of
+    # that ring makes no symbolic push through a word and takes no polynomial
+    # gcd
     from ogzkit import EvalPoint, ModuleWindow, NilHecke, Polynomial, WindowLeakage
 
     point = EvalPoint.make((3, 1), {(1, 1): (1, 0), (1, 2): (1, 0), (1, 3): (1, 0), (2, 1): (2, 0)})
@@ -168,9 +170,9 @@ def test_structural_route_pushes_nothing_symbolically_once_warm(monkeypatch):
                     pass
         return out
 
-    first = every_query(ModuleWindow(point, 1))
     calls = []
-    for owner, attr in ((NilHecke, "mul_right_fun"), (Polynomial, "gcd")):
+
+    def count(owner, attr):
         raw = getattr(owner, attr)
 
         def counted(*args, raw=raw, attr=attr):
@@ -178,8 +180,15 @@ def test_structural_route_pushes_nothing_symbolically_once_warm(monkeypatch):
             return raw(*args)
 
         monkeypatch.setattr(owner, attr, counted)
-    assert every_query(ModuleWindow(point, 1)) == first
+
+    for attr in ("conjugated", "pair_expand"):
+        count(NilHecke, attr)
+    first = every_query(ModuleWindow(point, 1))
     assert len(first) > 100 and calls == []
+    for owner, attr in ((NilHecke, "mul_right_fun"), (Polynomial, "gcd")):
+        count(owner, attr)
+    assert every_query(ModuleWindow(point, 1)) == first
+    assert calls == []
 
 
 def test_division_neither_scans_nor_copies_the_running_dividend(monkeypatch):
