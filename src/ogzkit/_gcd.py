@@ -14,6 +14,7 @@ makes the heuristic sound; the fallback makes it total.
 """
 
 import math
+from operator import sub
 
 from ._kernel import p_deg_in, p_divmod, p_eval_int, p_lead, p_mul, p_mul_term, p_sub
 
@@ -55,7 +56,7 @@ def _mono_min(a):
 
 
 def _shift_down(a, mono):
-    return {tuple(x - y for x, y in zip(m, mono)): c for m, c in a.items()}
+    return {tuple(map(sub, m, mono)): c for m, c in a.items()}
 
 
 def _pos(a):

@@ -67,7 +67,7 @@ def p_mul(a, b):
     r = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = tuple(x + y for x, y in zip(ma, mb))
+            m = tuple(map(add, ma, mb))
             c = r.get(m)
             if c is None:
                 c = ca * cb
@@ -84,7 +84,21 @@ def p_mul_term(a, mono, coeff):
     """Multiply by a single term ``coeff * x^mono``."""
     if not a or not coeff:
         return {}
-    return {tuple(x + y for x, y in zip(m, mono)): c * coeff for m, c in a.items()}
+    return {tuple(map(add, m, mono)): c * coeff for m, c in a.items()}
+
+
+def p_addmul_packed(acc, a, b):
+    """Add a*b into ``acc`` in place and return it, for monomials packed into
+    one int each with every exponent in its own bit field, so that a
+    monomial product is one integer addition.  The caller keeps the
+    exponents inside their fields, and drops the zeros that cancellations
+    leave."""
+    get = acc.get
+    for mb, cb in b.items():
+        for ma, ca in a.items():
+            m = ma + mb
+            acc[m] = get(m, 0) + ca * cb
+    return acc
 
 
 def p_mul_scalar(a, coeff):

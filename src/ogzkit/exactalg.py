@@ -56,8 +56,8 @@ class Ring:
         self._key = key
         # polynomials are immutable, so one unit serves every quotient
         self._one = Polynomial._wrap(self, {(0,) * self.nvars: 1})
-        # one shared tuple per monomial that a PointMap emits
-        self._monomials: dict = {}
+        # packed int -> the one shared tuple per monomial a PointMap emits
+        self._monomials = _MonomialTable(self.nvars)
         cls._CACHE[key] = self
         return self
 
@@ -444,15 +444,32 @@ class PointMap:
     translates of the (2,1) doubled point at radius 3 the memos hold 27 514
     terms instead of 360 072.  Images are kept as integer dicts over one
     denominator, so the sums run on integers and the output is reduced
-    once.  Their monomials, and those of the outputs, are the ring's shared
-    tuples, so that the memos of every point and the values built from
-    them hold one tuple per distinct monomial."""
+    once.
+
+    Inside the memo a monomial is one int: the exponent of slot s sits in
+    bits [W*s, W*(s+1)) for the field width W = ``FIELD_BITS`` (16), so a
+    monomial product is one integer addition (Monagan and Pearce, "Polynomial
+    division using dynamic arrays, heaps, and packed exponent vectors",
+    CASC 2007).  Every memo image carries its total degree.  A total degree
+    that does not fit one field raises ``ValueError`` when the image is
+    built, and so does a head whose degree plus that of its power of y does
+    not, before the head sums are multiplied by the powers of y; so no
+    exponent ever carries into the next field.  The output goes back
+    through one table per ring, ``Ring._monomials``, from packed int to the
+    ring's shared tuple, so that the values built at every point of the
+    ring hold one tuple per distinct monomial.  Input monomials stay
+    tuples."""
+
+    FIELD_BITS = 16
 
     __slots__ = ("ring", "_images", "_powers", "_monos")
 
     def __init__(self, ring: Ring, images: Mapping):
         self.ring = ring
-        self._images = {ring.index[("x",) + tuple(cell)]: (p.terms, p.den) for cell, p in images.items()}
+        self._images = {
+            ring.index[("x",) + tuple(cell)]: (_pack(p.terms), p.den, max(p.total_degree(), 0))
+            for cell, p in images.items()
+        }
         self._powers: dict = {}
         self._monos: dict = {}
 
@@ -462,28 +479,32 @@ class PointMap:
             img = self._images[slot]
             if e > 1:
                 prev = self._power(slot, e - 1)
-                img = (K.p_mul(prev[0], img[0]), prev[1] * img[1])
+                img = (_product(prev[0], img[0]), prev[1] * img[1], prev[2] + img[2])
             pe = self._powers[(slot, e)] = img
         return pe
 
     def _monomial(self, m: tuple) -> tuple:
-        """The image of x^m: the image of its prefix (m without its last
-        nonzero exponent, memoised too) times the image of that power."""
+        """The image of x^m, as (packed terms, denominator, degree): the image
+        of its prefix (m without its last nonzero exponent, memoised too)
+        times the image of that power."""
         img = self._monos.get(m)
         if img is None:
             slot = max((s for s, e in enumerate(m) if e), default=None)
             if slot is None:
-                terms, den = {m: 1}, 1
+                img = ({0: 1}, 1, 0)
             else:
                 e = m[slot]
-                terms, den = self._monomial(m[:slot] + (0,) + m[slot + 1 :])
-                if slot in self._images:
-                    pe, pd = self._power(slot, e)
-                    terms, den = K.p_mul(terms, pe), den * pd
+                terms, den, deg = self._monomial(m[:slot] + (0,) + m[slot + 1 :])
+                image = self._images.get(slot)
+                deg += e * (1 if image is None else image[2])
+                _check_fields(deg)
+                if image is None:
+                    shift = e << (PointMap.FIELD_BITS * slot)
+                    img = ({t + shift: c for t, c in terms.items()}, den, deg)
                 else:
-                    terms = K.p_mul_term(terms, (0,) * slot + (e,) + (0,) * (len(m) - slot - 1), 1)
-            table = self.ring._monomials
-            img = self._monos[m] = ({table.setdefault(t, t): c for t, c in terms.items()}, den)
+                    pe, pd, _ = self._power(slot, e)
+                    img = (_product(terms, pe), den * pd, deg)
+            self._monos[m] = img
         return img
 
     def __call__(self, p: Polynomial) -> Polynomial:
@@ -491,18 +512,19 @@ class PointMap:
         the terms with y^k), for y the ring's last variable and the head of
         x^m its monomial without y.  The memo holds the heads only, and each
         sum is multiplied by the image of y^k once."""
-        if p.ring is not self.ring:
+        ring = self.ring
+        if p.ring is not ring:
             raise ValueError("polynomial from a different ring")
-        last = self.ring.nvars - 1
+        last = ring.nvars - 1
         monos = self._monos
         parts = []
         for m, c in p.terms.items():
             k = m[last]
             head = m[:last] + (0,) if k else m
             parts.append((k, c, monos.get(head) or self._monomial(head)))
-        lcm = math.lcm(*(d for _, _, (_, d) in parts))
+        lcm = math.lcm(*(img[1] for _, _, img in parts))
         sums: dict = {}
-        for k, c, (terms, d) in parts:
+        for k, c, (terms, d, _) in parts:
             acc = sums.get(k)
             if acc is None:
                 acc = sums[k] = {}
@@ -513,19 +535,53 @@ class PointMap:
         out = sums.pop(0, {})
         if sums:
             tails = {k: self._monomial((0,) * last + (k,)) for k in sums}
-            tlcm = math.lcm(*(d for _, d in tails.values()))
+            _check_fields(max(img[2] + tails[k][2] for k, _, img in parts if k))
+            tlcm = math.lcm(*(d for _, d, _ in tails.values()))
             if tlcm != 1:
                 out = {mm: tlcm * v for mm, v in out.items()}
                 lcm *= tlcm
-            get = out.get
-            intern = self.ring._monomials.setdefault
             for k, acc in sums.items():
-                pe, pd = tails[k]
-                s = tlcm // pd
-                for mm, v in K.p_mul(acc, pe).items():
-                    mm = intern(mm, mm)
-                    out[mm] = get(mm, 0) + s * v
-        return Polynomial._reduced(self.ring, {mm: v for mm, v in out.items() if v}, lcm * p.den)
+                pe, pd, _ = tails[k]
+                if pd != tlcm:
+                    pe = {mm: tlcm // pd * v for mm, v in pe.items()}
+                K.p_addmul_packed(out, acc, pe)
+        table = ring._monomials
+        return Polynomial._reduced(ring, {table[mm]: v for mm, v in out.items() if v}, lcm * p.den)
+
+
+class _MonomialTable(dict):
+    """Packed int -> the ring's shared exponent tuple, unpacked on first use."""
+
+    __slots__ = ("nvars",)
+
+    def __init__(self, nvars: int):
+        super().__init__()
+        self.nvars = nvars
+
+    def __missing__(self, m: int) -> tuple:
+        w = PointMap.FIELD_BITS
+        mask = (1 << w) - 1
+        t = self[m] = tuple((m >> (w * s)) & mask for s in range(self.nvars))
+        return t
+
+
+def _product(a: dict, b: dict) -> dict:
+    """The product of two packed integer dicts, without zeros."""
+    return {m: c for m, c in K.p_addmul_packed({}, a, b).items() if c}
+
+
+def _pack(terms: dict) -> dict:
+    """Integer dict with each exponent tuple packed into one int."""
+    w = PointMap.FIELD_BITS
+    return {sum(e << (w * s) for s, e in enumerate(m)): c for m, c in terms.items()}
+
+
+def _check_fields(degree: int):
+    """Refuse a memo image whose exponents might not fit their fields."""
+    if degree >> PointMap.FIELD_BITS:
+        raise ValueError(
+            f"evaluation image of degree {degree} overflows the {PointMap.FIELD_BITS}-bit exponent field"
+        )
 
 
 class RationalFunction:

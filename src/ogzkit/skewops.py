@@ -24,6 +24,7 @@ shifts, and multiplication by row elementary symmetric polynomials.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Union
@@ -357,6 +358,10 @@ def ladder_coefficient(ring: Ring, i: int, start: int, end: int, up: bool) -> Ra
     return RationalFunction._monic(num, den)
 
 
+# the length of a generator key, by its kind
+_KEY_LENGTHS = {"raising": 2, "lowering": 2, "multiplier": 3}
+
+
 class Generators:
     """The distinguished operator family for one shape, built by ``op(key)``.
 
@@ -381,7 +386,10 @@ class Generators:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        ring, kind, i = self.ring, key[0], key[1]
+        kind = key[0] if key else None
+        if len(key) != _KEY_LENGTHS.get(kind):
+            raise ValueError(f"unknown generator key {key}")
+        ring, i = self.ring, key[1]
         if kind == "multiplier":
             d = key[2]
             if not 1 <= i <= ring.rows:
@@ -389,7 +397,7 @@ class Generators:
             if not 1 <= d <= ring.shape[i - 1]:
                 raise ValueError(f"multiplier degree {d} outside row {i}")
             out = SkewOperator.multiplication(ring, elementary_symmetric(ring, i, d))
-        elif kind in ("raising", "lowering"):
+        else:
             if not 1 <= i < ring.rows:
                 raise ValueError(f"ladder row {i} must satisfy 1 <= i <= {ring.rows - 1}")
             up = kind == "raising"
@@ -398,8 +406,6 @@ class Generators:
                     ladder_coefficient(ring, i, j, j, up)
                 for _, j in ring.row_cells(i)
             })
-        else:
-            raise ValueError(f"unknown generator key {key}")
         self._cache[key] = out
         return out
 
@@ -432,31 +438,38 @@ class Generators:
 
 def invariant_family(ring: Ring, max_degree: int) -> list:
     """All products of row elementary symmetric polynomials with total degree
-    at most ``max_degree``, in a deterministic order.  These span the
-    invariants up to that degree."""
-    gens = []
-    for i in range(1, ring.rows + 1):
-        for d in range(1, ring.shape[i - 1] + 1):
-            gens.append(((i, d), d))
-    combos: list = []
+    at most ``max_degree``, in a deterministic order: by degree, then by the
+    tuple of factor indices.  These span the invariants up to that degree.
+
+    The family is grown once and cached (:func:`_family`): a member is its
+    parent, the product of all its factors but the last, times that last
+    factor, so each degree costs one product per new member."""
+    return list(_family(ring, max_degree).values())
+
+
+@functools.lru_cache(maxsize=64)
+def _family(ring: Ring, max_degree: int) -> dict:
+    """The family up to ``max_degree`` as factor indices -> member, in
+    family order: the family one degree lower, then the members of degree
+    ``max_degree`` in tuple order of their factor indices."""
+    if max_degree <= 0:
+        return {(): ring.one()}
+    out = dict(_family(ring, max_degree - 1))
+    gens = [(i, d) for i in range(1, ring.rows + 1) for d in range(1, ring.shape[i - 1] + 1)]
 
     def rec(idx, remaining, current):
-        combos.append(tuple(current))
+        # depth first in increasing index: tuple order
+        if not remaining:
+            combo = tuple(current)
+            out[combo] = out[combo[:-1]] * elementary_symmetric(ring, *gens[combo[-1]])
+            return
         for t in range(idx, len(gens)):
-            (_, deg) = gens[t]
-            if deg <= remaining:
+            if gens[t][1] <= remaining:
                 current.append(t)
-                rec(t, remaining - deg, current)
+                rec(t, remaining - gens[t][1], current)
                 current.pop()
 
     rec(0, max_degree, [])
-    combos.sort(key=lambda c: (sum(gens[t][1] for t in c), c))
-    out = []
-    for combo in combos:
-        p = ring.one()
-        for t in combo:
-            p = p * elementary_symmetric(ring, *gens[t][0])
-        out.append(p)
     return out
 
 

@@ -10,7 +10,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ogzkit import QQ, Polynomial, RationalFunction, Ring
@@ -214,8 +214,20 @@ def test_substitutions_match_the_reference(a, offsets, row1):
     check(pa.permute_cells(mapping), ref_permute(a, mapping))
 
 
+# x[1,1] and x[1,2] take one value, so the head sums at x[2,1]^2 and
+# x[2,1]^3 (the last variable, the tail) cancel to 0, alone and beside
+# terms that survive
+CANCELLING = {
+    (0, 1, 0, 2): QQ(1), (0, 0, 1, 2): QQ(-1), (0, 2, 0, 3): QQ(3, 2), (0, 1, 1, 3): QQ(-3, 2),
+}
+SURVIVORS = {(0, 1, 0, 0): QQ(1), (1, 0, 0, 1): QQ(7)}
+EQUAL_PAIR = [(QQ(2), QQ(-1, 3)), (QQ(2), QQ(-1, 3)), (QQ(-3), QQ(5, 2))]
+
+
 @settings(max_examples=60, deadline=None)
 @given(ref_poly, st.lists(st.tuples(coeff, coeff), min_size=len(CELLS), max_size=len(CELLS)))
+@example(CANCELLING, EQUAL_PAIR).via("everything cancels")
+@example({**CANCELLING, **SURVIVORS}, EQUAL_PAIR).via("cancelling tails beside survivors")
 def test_cell_evaluation_matches_the_reference(a, values):
     z = {unit(0): QQ(1)}
     images = {cell: K.p_add(K.p_mul_scalar(z, s), {ZERO: t}) for cell, (s, t) in zip(CELLS, values)}

@@ -21,6 +21,7 @@ from ogzkit import (
     is_row_symmetric,
 )
 from ogzkit import _kernel
+from ogzkit.exactalg import PointMap
 from ogzkit._gcd import gcd_qq
 
 
@@ -150,6 +151,28 @@ def test_eval_cells_matches_substitute():
         h = f.substitute({("x",) + c: p for c, p in images.items()})
         assert h.is_polynomial() and h.polynomial_part() == g
         assert g.uses_only_params()
+
+
+def test_point_map_refuses_exponents_past_the_field():
+    # z[1], x[1,1], x[1,2], x[2,1]: x[2,1] is the last variable, the tail;
+    # x[1,1] is mapped, x[1,2] and x[2,1] map to themselves
+    ring = Ring((2, 1), 1)
+    pm = PointMap(ring, {(1, 1): ring.z(1) + ring.const(1)})
+    top = 1 << PointMap.FIELD_BITS
+    for m in [(0, top, 0, 0), (0, 0, top, 0), (1, 0, 0, top), (0, 0, top // 2, top // 2)]:
+        # a mapped and a fixed head image, a tail image, a head x tail product
+        with pytest.raises(ValueError, match="overflows"):
+            pm(Polynomial(ring, {m: 1}))
+    # the largest degrees that fit come back exactly, after the refusals
+    for m in [(top - 1, 0, 0, 0), (0, 0, top // 2, top // 2 - 1), (0, 0, 1, top - 2)]:
+        f = Polynomial(ring, {m: 3, (0, 0, 0, 1): -2})
+        assert pm(f) == f
+    assert pm(ring.x(1, 1) ** 2 * ring.x(2, 1)) == (ring.z(1) + ring.const(1)) ** 2 * ring.x(2, 1)
+    # every map of the ring emits the ring's one tuple per monomial
+    other = PointMap(ring, {(1, 1): ring.z(1) - ring.const(1)})
+    a, b = (f(ring.x(1, 1) * ring.x(2, 1) ** 2) for f in (pm, other))
+    common = a.terms.keys() & b.terms.keys()
+    assert common and all(next(m for m in a.terms if m == n) is n for n in common)
 
 
 def test_derivative_reads_the_taylor_coefficients():

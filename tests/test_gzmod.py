@@ -43,6 +43,7 @@ from ogzkit import (
     stable_sorting_perm,
     vanishing_check,
 )
+from ogzkit import skewops
 from ogzkit.exactalg import merge_terms
 from ogzkit.gzmod import derivative_operator, push_table, taylor_jet
 from ogzkit.skewops import ladder_coefficient
@@ -258,9 +259,16 @@ def test_boundary_raising_leaks(singular_window):
         w.act(("raising", 1), w.block_indices(corner)[0])
 
 
+MALFORMED_KEYS = [("bogus", 1), (), ("bogus",), ("raising",), ("multiplier", 1)]
+
+
 @pytest.mark.parametrize(
-    "gen", [("bogus", 1), ("raising", 2), ("lowering", 0), ("raising", -1), ("multiplier", 3, 1)],
-    ids=["bogus", "top-row", "row-0", "row-minus-1", "multiplier-row-3"],
+    "gen",
+    [("raising", 2), ("lowering", 0), ("raising", -1), ("multiplier", 3, 1), *MALFORMED_KEYS],
+    ids=[
+        "top-row", "row-0", "row-minus-1", "multiplier-row-3",
+        "bogus", "empty", "bogus-no-row", "raising-no-row", "multiplier-no-degree",
+    ],
 )
 def test_routes_refuse_malformed_generator_keys_alike(singular_window, gen):
     # the key is checked before the boundary: on an interior and on a
@@ -275,6 +283,29 @@ def test_routes_refuse_malformed_generator_keys_alike(singular_window, gen):
                 call()
             messages.add(str(err.value))
         assert len(messages) == 1
+        if gen in MALFORMED_KEYS:
+            assert messages == {f"unknown generator key {gen}"}
+
+
+def test_certify_rank_grows_the_family_once(singular_point, monkeypatch):
+    # eight degree steps, with the family cache cold and the elementary
+    # symmetric polynomials warm: one product per member after the unit 1,
+    # none rebuilt at a later step
+    w = ModuleWindow(singular_point, 2)
+    for i, s in enumerate(w.ring.shape, start=1):
+        for d in range(1, s + 1):
+            elementary_symmetric(w.ring, i, d)
+    skewops._family.cache_clear()
+    mul, calls = Polynomial.__mul__, []
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    w.certify_rank()
+    assert len(w.rank_history) == 8
+    assert len(calls) == len(w.family) - 1
 
 
 def test_act_solves_once_then_reports_leakage(singular_point, monkeypatch):

@@ -18,6 +18,7 @@ from ogzkit import (
     agree_on_invariants,
     apply_to_invariant,
     commutator,
+    elementary_symmetric,
     generators_ddiff_form,
     invariant_family,
     is_row_symmetric,
@@ -249,6 +250,40 @@ def test_invariant_family_prefix_property():
         assert fam4[: len(fam3)] == fam3
         assert all(is_row_symmetric(f) for f in fam4)
         assert len({str(f) for f in fam4}) == len(fam4)
+
+
+def reference_family(ring, max_degree):
+    """The family built from scratch, each member as its left-to-right
+    product of factors: the definition the grown family must equal."""
+    gens = [((i, d), d) for i in range(1, ring.rows + 1) for d in range(1, ring.shape[i - 1] + 1)]
+    combos = []
+
+    def rec(idx, remaining, current):
+        combos.append(tuple(current))
+        for t in range(idx, len(gens)):
+            if gens[t][1] <= remaining:
+                current.append(t)
+                rec(t, remaining - gens[t][1], current)
+                current.pop()
+
+    rec(0, max_degree, [])
+    combos.sort(key=lambda c: (sum(gens[t][1] for t in c), c))
+    out = []
+    for combo in combos:
+        p = ring.one()
+        for t in combo:
+            p = p * elementary_symmetric(ring, *gens[t][0])
+        out.append(p)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (3, 1), (3, 2), (2, 2, 1), (1, 2, 3)])
+def test_invariant_family_equals_the_reference(shape):
+    ring = Ring(shape, 0)
+    for degree in range(8):
+        got = invariant_family(ring, degree)
+        want = reference_family(ring, degree)
+        assert [(f.terms, f.den) for f in got] == [(f.terms, f.den) for f in want]
 
 
 def test_agree_on_invariants():
