@@ -32,6 +32,7 @@ from .exactalg import RationalFunction, Ring, is_row_symmetric
 from .gzmod import (
     MAX_WINDOW_POINTS,
     EvalPoint,
+    ModuleWindow,
     build_basis_B,
     component_graph,
     simplicity_probe,
@@ -85,12 +86,12 @@ MAX_TOKEN_CHARS = 1000
 # exhaust memory.
 MAX_PARAMS = 100
 
-# A certified window has one functional per point, and building it costs
-# far more than its points: basis takes 1.0 s on (2,1) at radius 3 (49
-# points), 3.4 s on (2,2,1) at radius 1 and 3.5 s on (2,1) at radius 4 (81
-# points each), and 39 s and 171 MB on (3,1) at radius 2 (125 points).
-# basis, action, blocks and probe refuse larger windows; graph, which
-# certifies nothing, keeps gzmod.MAX_WINDOW_POINTS.
+# basis certifies its window, action on its first solve: basis takes 1.0 s
+# on (2,1) at radius 3 (49 points), 3.4 s on (2,2,1) at radius 1 and 3.5 s
+# on (2,1) at radius 4 (81 points each), 39 s and 171 MB on (3,1) at radius
+# 2 (125 points).  blocks, probe and action --routes structural certify
+# nothing (blocks at the cap, on (4,1) at radius 1: 0.24-0.28 s) but keep
+# the cap as contract.  graph keeps gzmod.MAX_WINDOW_POINTS.
 MAX_CERTIFIED_POINTS = 81
 
 # ---------------------------------------------------------------------------
@@ -397,8 +398,8 @@ JOBSPEC_SCHEMA = {
 
 def load_jobspec(path: str, certified: bool = False) -> Tuple[EvalPoint, int, int]:
     """Read and validate a window job specification file; everything is
-    checked before any computation starts.  A window to be ``certified``
-    has the smaller point cap :data:`MAX_CERTIFIED_POINTS`."""
+    checked before any computation starts.  ``certified`` sets the contract
+    cap of basis, action, blocks and probe, :data:`MAX_CERTIFIED_POINTS`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -571,11 +572,8 @@ def _cmd_basis(args) -> str:
     return "\n".join(lines)
 
 
-def _act_line(win, b: int, vec: dict) -> str:
-    bits = []
-    for tgt in sorted(vec):
-        bits.append(f"{tgt}:({vec[tgt]})")
-    return f"b {b} -> " + (" ".join(bits) if bits else "0")
+def _act_line(b: int, vec: dict) -> str:
+    return f"b {b} -> " + (" ".join(f"{tgt}:({vec[tgt]})" for tgt in sorted(vec)) or "0")
 
 
 def _cmd_action(args) -> str:
@@ -588,27 +586,24 @@ def _cmd_action(args) -> str:
         Generators(point.ring(params)).op(gen)
     except ValueError as e:
         raise ParseError(f"generator {tok} out of range for the shape: {e}") from None
-    win = build_basis_B(point, radius, nparams=params)
+    win = ModuleWindow(point, radius, nparams=params)
     lines = [f"point {point}", f"radius {radius}", f"op {tok}", f"routes {args.routes}"]
     for b in range(len(win.basis)):
         if win.on_boundary(gen, b):
             lines.append(f"b {b} -> boundary(skipped)")
             continue
-        if args.routes == "solve":
-            lines.append(_act_line(win, b, win.act(gen, b)))
-        elif args.routes == "structural":
-            lines.append(_act_line(win, b, win.act_structural(gen, b)))
-        else:
-            vec = win.act(gen, b)
-            svec = win.act_structural(gen, b)
+        vec = (win.act_structural if args.routes == "structural" else win.act)(gen, b)
+        line = _act_line(b, vec)
+        if args.routes == "both":
             # rational functions are canonical, so == is exact equality
-            lines.append(_act_line(win, b, vec) + f" agree={'yes' if vec == svec else 'NO'}")
+            line += f" agree={'yes' if vec == win.act_structural(gen, b) else 'NO'}"
+        lines.append(line)
     return "\n".join(lines)
 
 
 def _cmd_blocks(args) -> str:
     point, radius, params = load_jobspec(args.spec, certified=True)
-    win = build_basis_B(point, radius, nparams=params)
+    win = ModuleWindow(point, radius, nparams=params)
     decomp = win.block_decompose()
     lines = [f"point {point}", f"radius {radius}"]
     for entry in decomp:
@@ -700,7 +695,7 @@ def _cmd_probe(args) -> str:
     if args.max_visited < 2:
         raise ParseError(f"--max-visited must be at least 2, got {args.max_visited}")
     point, radius, params = load_jobspec(args.spec, certified=True)
-    win = build_basis_B(point, radius, nparams=params)
+    win = ModuleWindow(point, radius, nparams=params)
     rep = simplicity_probe(win, max_visited=args.max_visited)
     lines = [f"point {point}", f"radius {radius}"]
     lines.append(f"hypothesis {'ok' if rep.hypothesis_ok else 'FAIL'}")

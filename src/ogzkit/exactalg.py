@@ -474,13 +474,14 @@ class PointMap:
         self._monos: dict = {}
 
     def _power(self, slot: int, e: int) -> tuple:
-        pe = self._powers.get((slot, e))
-        if pe is None:
-            img = self._images[slot]
-            if e > 1:
-                prev = self._power(slot, e - 1)
-                img = (_product(prev[0], img[0]), prev[1] * img[1], prev[2] + img[2])
-            pe = self._powers[(slot, e)] = img
+        """The image of x_slot^e, built up from the highest memoised power."""
+        powers, img = self._powers, self._images[slot]
+        k = e
+        while k > 1 and (slot, k) not in powers:
+            k -= 1
+        pe = powers.get((slot, k), img)
+        for j in range(k + 1, e + 1):
+            pe = powers[(slot, j)] = (_product(pe[0], img[0]), pe[1] * img[1], pe[2] + img[2])
         return pe
 
     def _monomial(self, m: tuple) -> tuple:

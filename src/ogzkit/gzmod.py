@@ -24,9 +24,9 @@ stabilizer block (:meth:`ModuleWindow._ladder_targets`), and the refusal of
 a ladder on a boundary orbit (:meth:`ModuleWindow.on_boundary`).  Each
 computes its coefficients on its own:
 
-* :meth:`ModuleWindow.act` — evaluate against an invariant test family and
-  solve exactly, once, for the columns of the target blocks, fully
-  verified; a right-hand side they do not span is a
+* :meth:`ModuleWindow.act` — certify on first use, evaluate against the
+  invariant test family and solve exactly, once, for the columns of the
+  target blocks, fully verified; a right-hand side they do not span is a
   :class:`WindowLeakage`.  The solve (:func:`_linalg.solve_columns`) is
   fraction-free and checks every family member without a gcd;
 * :meth:`ModuleWindow.act_structural` — push the generator through the
@@ -41,8 +41,10 @@ computes its coefficients on its own:
   its coefficients stay independent of the first.
 
 Both routes must agree coefficient for coefficient; tests enforce this.
+The window's own reports read the structural route and certify nothing:
 :meth:`ModuleWindow.block_decompose` gives, per orbit, the multiplier
-matrices, their nilpotency check and the socle in one pass.
+matrices, their nilpotency check and the socle in one pass, and
+:func:`simplicity_probe` walks the ladder images.
 """
 
 from __future__ import annotations
@@ -678,7 +680,8 @@ class ModuleWindow:
     def act(self, gen: tuple, idx: int) -> dict:
         """Coefficients of basis functionals in (basis[idx] ∘ generator),
         solved exactly against the invariant family and verified on every
-        family member.
+        family member.  The first call on an uncertified window runs
+        :meth:`certify_rank`.
 
         The right-hand side evaluates the generator images through the
         point's memoised map x_c -> z_tag + offset.  The rank certificate
@@ -691,7 +694,7 @@ class ModuleWindow:
         if hit is not None:
             return hit
         if not self.family:
-            raise WindowRankError("certify_rank must run before act()")
+            self.certify_rank()
         self._refuse_boundary(gen, idx)
         func = self.basis[idx]
         rhs = [
@@ -773,15 +776,13 @@ class ModuleWindow:
 
     def block_matrix(self, orbit_idx: int, gen: tuple) -> list:
         """Matrix of the multiplier on the orbit's block: column c holds the
-        coefficients of (block basis c) ∘ gen."""
+        coefficients of (block basis c) ∘ gen, by the structural route."""
         idxs = self.block_indices(orbit_idx)
         pos = {b: r for r, b in enumerate(idxs)}
         n = len(idxs)
         mat = [[self._zero() for _ in range(n)] for _ in range(n)]
         for c, b in enumerate(idxs):
-            for tgt, val in self.act(gen, b).items():
-                if tgt not in pos:
-                    raise WindowLeakage(f"multiplier leaked outside block {orbit_idx}")
+            for tgt, val in self.act_structural(gen, b).items():
                 mat[pos[tgt]][c] = val
         return mat
 
@@ -1029,7 +1030,7 @@ def simplicity_probe(window: ModuleWindow, max_visited: int = 4000) -> ProbeRepo
         rep_idx = window.index_of(orb.index, RowPermutation.identity(shape))
         for kind in ("raising", "lowering"):
             for i in ladder_rows:
-                vec = window.act((kind, i), rep_idx)
+                vec = window.act_structural((kind, i), rep_idx)
                 for tgt in window.target_orbits(orb.index, (kind, i)):
                     block = set(window.block_indices(tgt))
                     nz = any(b in block for b in vec)
@@ -1081,7 +1082,9 @@ def simplicity_probe(window: ModuleWindow, max_visited: int = 4000) -> ProbeRepo
             _, _, cur_orbit, vec, depth = heapq.heappop(heap)
             for g in gensarr:
                 img: Dict[int, RationalFunction] = merge_terms({}, (
-                    (t, c * val) for b, c in vec.items() for t, val in window.act(g, b).items()
+                    (t, c * val)
+                    for b, c in vec.items()
+                    for t, val in window.act_structural(g, b).items()
                 ))
                 if target_idx in img:
                     reached = True

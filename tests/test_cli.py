@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ogzkit
-from ogzkit import QQ, ParseError, Ring, SkewOperator
+from ogzkit import QQ, ModuleWindow, ParseError, Ring, SkewOperator
 from ogzkit.cli import (
     MAX_CERTIFIED_POINTS,
     MAX_DDIFF_DEGREE,
@@ -397,9 +397,9 @@ def test_action_rerun_identical(capsys, spec_file):
 def test_action_bad_generator_token(capsys, spec_file, monkeypatch, tok):
     # the token is checked before the window is built
     def no_build(*args, **kwargs):
-        raise AssertionError("build_basis_B ran before the --op check")
+        raise AssertionError("a window was built before the --op check")
 
-    monkeypatch.setattr("ogzkit.cli.build_basis_B", no_build)
+    monkeypatch.setattr("ogzkit.cli.ModuleWindow", no_build)
     rc, out, err = run(capsys, "action", "--spec", spec_file, "--op", tok)
     assert rc == 2 and out == ""
     assert error_payload(err)["type"] == "ParseError"
@@ -409,9 +409,9 @@ def test_action_bad_generator_token(capsys, spec_file, monkeypatch, tok):
 def test_probe_max_visited_below_two_exits_2(capsys, spec_file, monkeypatch, n):
     # the bound is checked before the window is built
     def no_build(*args, **kwargs):
-        raise AssertionError("build_basis_B ran before the --max-visited check")
+        raise AssertionError("a window was built before the --max-visited check")
 
-    monkeypatch.setattr("ogzkit.cli.build_basis_B", no_build)
+    monkeypatch.setattr("ogzkit.cli.ModuleWindow", no_build)
     rc, out, err = run(capsys, "probe", "--spec", spec_file, f"--max-visited={n}")
     assert rc == 2 and out == ""
     assert len(err.strip().splitlines()) == 1
@@ -436,6 +436,108 @@ def test_probe_output(capsys, spec_file):
     rc, out, _ = run(capsys, "probe", "--spec", spec_file)
     assert rc == 0
     assert out.rstrip().endswith("probe PASS")
+
+
+def test_window_commands_certify_only_where_the_family_is_read(capsys, spec_file, monkeypatch):
+    # blocks, probe and the structural route read no family, so they certify
+    # nothing; basis prints the certificate and the solve route reads the
+    # family, so each certifies once
+    unread = [["blocks"], ["probe"], ["action", "--routes", "structural", "--op", "E1"]]
+    outputs = [run(capsys, *argv, "--spec", spec_file) for argv in unread]
+    certify, calls = ModuleWindow.certify_rank, []
+
+    def refuse(self):
+        raise AssertionError("certify_rank ran for a command that reads no family")
+
+    monkeypatch.setattr(ModuleWindow, "certify_rank", refuse)
+    for argv, (rc, out, err) in zip(unread, outputs):
+        assert rc == 0 and err == ""
+        assert run(capsys, *argv, "--spec", spec_file) == (rc, out, err), argv
+
+    def counted(self):
+        calls.append(self)
+        return certify(self)
+
+    monkeypatch.setattr(ModuleWindow, "certify_rank", counted)
+    for argv in [["basis"]] + [["action", "--routes", r, "--op", "E1"] for r in ("solve", "both")]:
+        calls.clear()
+        assert run(capsys, *argv, "--spec", spec_file)[0] == 0
+        assert len(calls) == 1, argv
+
+
+# the 2,2,1 point has two doubled rows, the 4,1 point one quadrupled row
+WINDOW_SPECS = {
+    "r2": SPEC_R2,
+    "r2-half": SPEC_R2_HALF,
+    "2,2,1-two-doubled": {
+        "lambda": [2, 2, 1],
+        "point": {
+            "1,1": {"tag": 1, "offset": 0},
+            "1,2": {"tag": 1, "offset": 0},
+            "2,1": {"tag": 2, "offset": 0},
+            "2,2": {"tag": 2, "offset": 0},
+            "3,1": {"tag": 3, "offset": 0},
+        },
+        "radius": 1,
+    },
+    "4,1-quadruple": {
+        "lambda": [4, 1],
+        "point": {
+            **{f"1,{j}": {"tag": 1, "offset": 0} for j in range(1, 5)},
+            "2,1": {"tag": 2, "offset": 0},
+        },
+        "radius": 1,
+    },
+}
+
+# sha256 of stdout, recorded when every window command still certified its
+# window first
+WINDOW_OUTPUT_SHA256 = {
+    ("r2", "basis"):
+        "9abe80938b4cce49a29e6c6abcc0dff0116fc114e5df51d72b0e5a9ba410c8ee",
+    ("r2", "action --routes both --op E1"):
+        "a99df0b1df80f30618e1473e7750529516f364603060bdce87bf6621468fed60",
+    ("r2", "action --routes both --op F1"):
+        "33283e98f979b6a22d78c623371c3a58afc9bbb7d9cf202e50aed31868b9b385",
+    ("r2", "action --routes both --op gamma[1,1]"):
+        "5250cd848a08b3591418d4e0ef7b36d0112d9856478e7bb8978b5ec681d42daa",
+    ("r2", "action --routes both --op gamma[1,2]"):
+        "1bdc43c852f17415bc5054949202a453b3e3707f0cdd053b916eb416c0ce9c40",
+    ("r2", "blocks"):
+        "819247c7f4fbd28aa2054e24f01b9005d169f70bb8c31082a576130b1b5f52bf",
+    ("r2", "probe"):
+        "9f5c8986e8176a30752ba2a9cbbf28e3658473999d87ef33982f1923de7c28b7",
+    ("r2-half", "basis"):
+        "1d5acea95d653897410a3b3e0b9c7af8c445454be067fc9bc6086939f97b445c",
+    ("r2-half", "action --routes both --op E1"):
+        "4f1958db2de36e2783a96ab0fff42631bf81df5ece4ecb13806b6cebf7a6e7e6",
+    ("r2-half", "action --routes both --op F1"):
+        "132db39763d67c0f0609a438fc12175ea8b5e0d81c169670ae2b9d86d7896c24",
+    ("r2-half", "action --routes both --op gamma[1,1]"):
+        "ed688e719e88b6d1441495b72071516985e9ff02dacce94850a11833bd389f3b",
+    ("r2-half", "action --routes both --op gamma[1,2]"):
+        "9aee020ca81a160d1852f4d2d47f22d12ceffcd4c488192d3d8e63adc2dec15f",
+    ("r2-half", "blocks"):
+        "776eeae0233001ccf03d349e6deceb2c071681ff7e1af45279031749bdc389cd",
+    ("r2-half", "probe"):
+        "c117b8a72fd688bae0d4de006ea46ec544852f39dcdc76b2981788d738b356ed",
+    ("2,2,1-two-doubled", "blocks"):
+        "19df3b75999a9e96437e209fd0b556fec561ea9e4de25c0f468c3de0c7cac45a",
+    ("2,2,1-two-doubled", "probe"):
+        "943c797681c0959ffd21816b9240bc1cbd79300ef045254964f43601d1334a05",
+    ("4,1-quadruple", "blocks"):
+        "587aa28dfeda88fb8d9c84e6495bc4bae50f79a3f7752f4836daffc530cf0a79",
+    ("4,1-quadruple", "probe"):
+        "abe67657c712698dc033aa278364f8893d2546f81bff8e863bfdffdf00dac25a",
+}
+
+
+def test_window_outputs_are_pinned(capsys, tmp_path):
+    for (name, command), digest in WINDOW_OUTPUT_SHA256.items():
+        path = write_spec(tmp_path, WINDOW_SPECS[name], f"{name}.json")
+        rc, out, err = run(capsys, *command.split(), "--spec", path)
+        assert rc == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, command)
 
 
 # ---------------------------------------------------------------------------
@@ -800,8 +902,9 @@ def test_certified_window_over_its_cap_exits_2(capsys, tmp_path, monkeypatch, ar
     # radius 5 on (2,1) has 121 points: under MAX_WINDOW_POINTS but over the
     # cap of a certified window, so it is refused before any window is built
     def no_build(*args, **kwargs):
-        raise AssertionError("build_basis_B ran on a window over the certified cap")
+        raise AssertionError("a window over the certified cap was built")
 
+    monkeypatch.setattr("ogzkit.cli.ModuleWindow", no_build)
     monkeypatch.setattr("ogzkit.cli.build_basis_B", no_build)
     spec = write_spec(tmp_path, dict(SPEC_R2, radius=5))
     rc, out, err = run(capsys, argv[0], "--spec", spec, *argv[1:])

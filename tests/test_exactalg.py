@@ -175,6 +175,18 @@ def test_point_map_refuses_exponents_past_the_field():
     assert common and all(next(m for m in a.terms if m == n) is n for n in common)
 
 
+def test_point_map_builds_high_powers_without_recursion():
+    # one exponent step per power: x[1,1]^2000 once raised RecursionError;
+    # the lower power is a memo hit, the higher one two steps past the memo
+    ring = Ring((2, 1), 1)
+    pm = PointMap(ring, {(1, 1): ring.z(1) + ring.const(1)})
+    for e in (2000, 1999, 2002):
+        binomial = Polynomial(ring, {(k, 0, 0, 0): math.comb(e, k) for k in range(e + 1)})
+        assert pm(Polynomial(ring, {(0, e, 0, 0): 1})) == binomial
+    with pytest.raises(ValueError, match="overflows"):
+        pm(Polynomial(ring, {(0, 1 << PointMap.FIELD_BITS, 0, 0): 1}))
+
+
 def test_derivative_reads_the_taylor_coefficients():
     # sum_beta c_beta d^beta f / beta! against f(x + t) with t = (z[1], z[2])
     # on the cells (1,1), (1,2): the coefficient of t^beta is d^beta f / beta!

@@ -308,6 +308,26 @@ def test_certify_rank_grows_the_family_once(singular_point, monkeypatch):
     assert len(calls) == len(w.family) - 1
 
 
+def test_act_certifies_an_uncertified_window_on_first_use(singular_point, monkeypatch):
+    # the first act on a plain ModuleWindow certifies it, once, and solves
+    # what act solves after build_basis_B
+    ready = build_basis_B(singular_point, 2)
+    w = ModuleWindow(singular_point, 2)
+    certify, calls = ModuleWindow.certify_rank, []
+
+    def counted(self):
+        calls.append(self)
+        return certify(self)
+
+    monkeypatch.setattr(ModuleWindow, "certify_rank", counted)
+    for gen in [("raising", 1), ("lowering", 1), ("multiplier", 1, 2), ("multiplier", 2, 1)]:
+        for b in range(len(w.basis)):
+            if not w.on_boundary(gen, b):
+                assert w.act(gen, b) == ready.act(gen, b), (gen, b)
+    assert calls == [w]
+    assert w.rank_history == ready.rank_history
+
+
 def test_act_solves_once_then_reports_leakage(singular_point, monkeypatch):
     # with its target orbits cut down to the source orbit, the raising image
     # of the center cannot be solved: act raises after one solve, with no
@@ -891,6 +911,22 @@ def test_target_orbits_match_the_per_cell_rule(name):
             else:
                 assert w.target_orbits(oi, gen) == want, (oi, gen)
     assert 0 < leaks < len(w.orbits) * len(ladders)
+
+
+@pytest.mark.parametrize("name", ["2,1-doubled-r3", "3,1-triple", "2,2,1-two-doubled"])
+def test_window_commands_read_the_same_through_either_route(name, singular_window, monkeypatch):
+    # block_decompose and simplicity_probe read act_structural and certify
+    # nothing; with the solve route swapped in, they give the same reports
+    if name == "2,1-doubled-r3":
+        w = singular_window
+    else:
+        shape, values, radius = {**PUSH_WINDOWS, "3,1-triple": EVALUATION_WINDOWS["triple"]}[name]
+        w = ModuleWindow(EvalPoint.make(shape, values), radius)
+    structural = w.block_decompose(), simplicity_probe(w)
+    assert structural[1].ok
+    assert name == "2,1-doubled-r3" or not w.family
+    monkeypatch.setattr(w, "act_structural", w.act)
+    assert (w.block_decompose(), simplicity_probe(w)) == structural
 
 
 OFFSETS = [QQ(0), QQ(1, 2), QQ(-1, 3), QQ(2, 3), QQ(1), QQ(-1)]
