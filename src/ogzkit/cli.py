@@ -22,8 +22,6 @@ import re
 import sys
 from typing import Optional, Tuple
 
-import jsonschema
-
 from . import divdiff, latwalk
 from ._ratio import QQ
 from .combinat import check_shape
@@ -86,12 +84,12 @@ MAX_TOKEN_CHARS = 1000
 # exhaust memory.
 MAX_PARAMS = 100
 
-# basis certifies its window, action on its first solve: basis takes 1.0 s
-# on (2,1) at radius 3 (49 points), 3.4 s on (2,2,1) at radius 1 and 3.5 s
-# on (2,1) at radius 4 (81 points each), 39 s and 171 MB on (3,1) at radius
-# 2 (125 points).  blocks, probe and action --routes structural certify
-# nothing (blocks at the cap, on (4,1) at radius 1: 0.24-0.28 s) but keep
-# the cap as contract.  graph keeps gzmod.MAX_WINDOW_POINTS.
+# basis certifies its window, action on its first solve.  basis takes 0.7 s
+# on (2,1) at radius 3 (49 points), 3.0 s on (2,2,1) at radius 1 and 2.2 s
+# and 59 MB on (2,1) at radius 4 (81 points each); build_basis_B takes 25 s
+# and 166 MB on (3,1) at radius 2 (125 points), on a 2-CPU Xeon.  blocks,
+# probe and action --routes structural certify nothing (blocks at the cap,
+# (4,1) at radius 1: 0.24-0.28 s) but keep the cap; graph keeps MAX_WINDOW_POINTS.
 MAX_CERTIFIED_POINTS = 81
 
 # ---------------------------------------------------------------------------
@@ -365,53 +363,85 @@ def parse_op(ring: Ring, text: str) -> SkewOperator:
 # job specifications
 
 
-JOBSPEC_SCHEMA = {
-    "type": "object",
-    "required": ["lambda", "point", "radius"],
-    "additionalProperties": False,
-    "properties": {
-        "lambda": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 1},
-            "minItems": 1,
-        },
-        "point": {
-            "type": "object",
-            "patternProperties": {
-                r"^\d+,\d+$": {
-                    "type": "object",
-                    "required": ["tag", "offset"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "tag": {"type": "integer", "minimum": 1},
-                        "offset": {"type": ["string", "integer"]},
-                    },
-                }
-            },
-            "additionalProperties": False,
-        },
-        "radius": {"type": "integer", "minimum": 1},
-        "params": {"type": "integer", "minimum": 0},
-    },
-}
+def _spec_faults(data):
+    """Yield each fault of a job spec as ``(path, message)`` in the order of
+    jsonschema 4.26, which reports the shallowest, then the last path, then the first."""
+    cell_key = r"^\d+,\d+$"
+
+    def integer(path, v, low=None, kinds=("integer",)):
+        # JSON Schema counts an integral float such as 2.0 as an integer, and no bool
+        if not (type(v) is int or type(v) is float and v.is_integer()
+                or type(v) is str and "string" in kinds):
+            yield path, f"{v!r} is not of type {', '.join(map(repr, kinds))}"
+        if low is not None and type(v) in (int, float) and v < low:
+            yield path, f"{v!r} is less than the minimum of {low}"
+
+    def shape(path, v):
+        if type(v) is not list:
+            yield path, f"{v!r} is not of type 'array'"
+            return
+        for i, part in enumerate(v):
+            yield from integer(path + (i,), part, 1)
+        if not v:
+            yield path, "[] should be non-empty"
+
+    def record(path, v, required, fields, cells=None):
+        if type(v) is not dict:
+            yield path, f"{v!r} is not of type 'object'"
+            return
+        for name in required:
+            if name not in v:
+                yield path, f"{name!r} is a required property"
+        matched = [key for key in v if cells and re.search(cell_key, key)]
+        for key in matched:
+            yield from cells[0](path + (key,), v[key], *cells[1:])
+        extras = sorted(v.keys() - fields.keys() - set(matched))
+        one, names = len(extras) == 1, ", ".join(map(repr, extras))
+        if extras and cells:
+            verb = "does" if one else "do"
+            yield path, f"{names} {verb} not match any of the regexes: {cell_key!r}"
+        elif extras:
+            verb = "was" if one else "were"
+            yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+        for name, (check, *args) in fields.items():
+            if name in v:
+                yield from check(path + (name,), v[name], *args)
+
+    offset = (integer, None, ("string", "integer"))
+    cell = (record, ("tag", "offset"), {"tag": (integer, 1), "offset": offset})
+    yield from record((), data, ("lambda", "point", "radius"), {
+        "lambda": (shape,), "point": (record, (), {}, cell),
+        "radius": (integer, 1), "params": (integer, 0),
+    })
 
 
 def load_jobspec(path: str, certified: bool = False) -> Tuple[EvalPoint, int, int]:
     """Read and validate a window job specification file; everything is
     checked before any computation starts.  ``certified`` sets the contract
     cap of basis, action, blocks and probe, :data:`MAX_CERTIFIED_POINTS`."""
+
+    def unique(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise JobSpecError(f"job spec {path} repeats the key {key!r}")
+            seen.add(key)
+        return dict(pairs)
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as e:
-        raise JobSpecError(f"cannot read job spec {path}: {e}") from None
+            data = json.load(fh, object_pairs_hook=unique)
+    except JobSpecError:
+        raise
     except json.JSONDecodeError as e:
         raise JobSpecError(f"job spec {path} is not valid JSON: {e}") from None
-    try:
-        jsonschema.validate(data, JOBSPEC_SCHEMA)
-    except jsonschema.ValidationError as e:
-        where = "/".join(str(p) for p in e.absolute_path) or "(root)"
-        raise JobSpecError(f"job spec invalid at {where}: {e.message}") from None
+    except (OSError, ValueError, RecursionError) as e:
+        # also text that is not UTF-8, an over-long integer, too deep nesting
+        raise JobSpecError(f"cannot read job spec {path}: {e}") from None
+    fault = max(_spec_faults(data), key=lambda f: (-len(f[0]), f[0]), default=None)
+    if fault:
+        where = "/".join(map(str, fault[0])) or "(root)"
+        raise JobSpecError(f"job spec invalid at {where}: {fault[1]}")
     shape = tuple(data["lambda"])
     values, keys = {}, {}
     for key, entry in data["point"].items():
@@ -431,7 +461,6 @@ def load_jobspec(path: str, certified: bool = False) -> Tuple[EvalPoint, int, in
         point = EvalPoint.make(shape, values)
     except ValueError as e:
         raise JobSpecError(str(e)) from None
-    # JSON Schema counts an integral float such as 2.0 as an integer
     radius, params = int(data["radius"]), int(data.get("params", 0))
     _check_params(max(params, point.max_tag()), "the job spec", JobSpecError)
     cap = MAX_CERTIFIED_POINTS if certified else MAX_WINDOW_POINTS
