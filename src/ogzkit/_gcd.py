@@ -14,49 +14,19 @@ makes the heuristic sound; the fallback makes it total.
 """
 
 import math
-from operator import sub
 
-from ._kernel import p_deg_in, p_divmod, p_eval_int, p_lead, p_mul, p_mul_term, p_sub
+from ._kernel import mono_min, p_collect, p_deg_in, p_divmod, p_eval_int, p_lead, p_mul
+from ._kernel import p_mul_term, p_sub, p_support, var
 
 _HEU_ATTEMPTS = 6
 
 
-def _one(nvars):
-    return {(0,) * nvars: 1}
-
-
 def _is_one(a):
-    if len(a) != 1:
-        return False
-    ((m, c),) = a.items()
-    return c == 1 and not any(m)
-
-
-def _vars_of(a, nvars):
-    live = [False] * nvars
-    for m in a:
-        for i, e in enumerate(m):
-            if e:
-                live[i] = True
-    return frozenset(i for i in range(nvars) if live[i])
+    return len(a) == 1 and a.get(0) == 1
 
 
 def _divexact_scalar(a, c):
     return {m: v // c for m, v in a.items()}
-
-
-def _mono_min(a):
-    it = iter(a)
-    mins = list(next(it))
-    for m in it:
-        for i, e in enumerate(m):
-            if e < mins[i]:
-                mins[i] = e
-    return tuple(mins)
-
-
-def _shift_down(a, mono):
-    return {tuple(map(sub, m, mono)): c for m, c in a.items()}
 
 
 def _pos(a):
@@ -75,33 +45,28 @@ def _divexact(a, b):
     return None if r else q
 
 
-def _coeff_wrt(a, v, e):
-    """Coefficient polynomial of x_v^e (with slot v zeroed)."""
-    return {m[:v] + (0,) + m[v + 1 :]: c for m, c in a.items() if m[v] == e}
-
-
 def _content_wrt(a, v, nvars):
     """The gcd of the coefficient polynomials of ``a`` in x_v."""
     content = None
-    for e in range(p_deg_in(a, v) + 1):
-        ce = _coeff_wrt(a, v, e)
-        if ce:
-            content = ce if content is None else gcd_qq(content, ce, nvars)
-            if _is_one(content):
-                break
+    coeffs = p_collect(a, v, nvars)
+    for e in sorted(coeffs):
+        ce = coeffs[e]
+        content = ce if content is None else gcd_qq(content, ce, nvars)
+        if _is_one(content):
+            break
     return content
 
 
 def _content_primitive_wrt(a, v, nvars):
     """Split ``a = content * primitive`` with respect to variable v."""
-    if p_deg_in(a, v) <= 0:
-        return dict(a), _one(nvars)
+    if p_deg_in(a, v, nvars) <= 0:
+        return dict(a), {0: 1}
     content = _content_wrt(a, v, nvars)
     return content, dict(a) if _is_one(content) else _divexact(a, content)
 
 
-def _pow(a, n, nvars):
-    r = _one(nvars)
+def _pow(a, n):
+    r = {0: 1}
     base = a
     while n:
         if n & 1:
@@ -116,7 +81,7 @@ def _max_norm(a):
     return max(abs(c) for c in a.values())
 
 
-def _interp_wrt(g, v, x):
+def _interp_wrt(g, v, x, nvars):
     """Reassemble base-x digits (symmetric residues) into variable v."""
     r = {}
     f = dict(g)
@@ -124,15 +89,17 @@ def _interp_wrt(g, v, x):
     half = x // 2
     while f:
         nf = {}
+        digits = {}
         for m, c in f.items():
             d = c % x
             if d > half:
                 d -= x
             if d:
-                r[m[:v] + (e,) + m[v + 1 :]] = d
+                digits[m] = d
             c2 = (c - d) // x
             if c2:
                 nf[m] = c2
+        r.update(p_mul_term(digits, var(v, nvars, e), 1))
         f = nf
         e += 1
     return r
@@ -146,10 +113,10 @@ def _heu_gcd(a, b, v, nvars):
     bound = 2 * min(na, nb) + 29
     x = max(min(bound, 99 * math.isqrt(bound)), 2 * min(na // abs(lca), nb // abs(lcb)) + 4)
     for _ in range(_HEU_ATTEMPTS):
-        ff = p_eval_int(a, v, x)
-        gg = p_eval_int(b, v, x)
+        ff = p_eval_int(a, v, nvars, x)
+        gg = p_eval_int(b, v, nvars, x)
         if ff and gg:
-            h = _interp_wrt(gcd_qq(ff, gg, nvars), v, x)
+            h = _interp_wrt(gcd_qq(ff, gg, nvars), v, x, nvars)
             if h:
                 ch = math.gcd(*h.values())
                 if ch > 1:
@@ -163,22 +130,20 @@ def _heu_gcd(a, b, v, nvars):
 def _prem(f, g, v, nvars):
     """Pseudo-remainder of f by g in variable v (both with positive v-degree,
     deg_v f >= deg_v g)."""
-    df = p_deg_in(f, v)
-    dg = p_deg_in(g, v)
-    lc_g = _coeff_wrt(g, v, dg)
+    df = p_deg_in(f, v, nvars)
+    dg = p_deg_in(g, v, nvars)
+    lc_g = p_collect(g, v, nvars)[dg]
     n = df - dg + 1
     r = dict(f)
     while r:
-        dr = p_deg_in(r, v)
+        dr = p_deg_in(r, v, nvars)
         if dr < dg:
             break
-        lc_r = _coeff_wrt(r, v, dr)
-        shift = [0] * nvars
-        shift[v] = dr - dg
-        r = p_sub(p_mul(lc_g, r), p_mul(p_mul_term(lc_r, tuple(shift), 1), g))
+        lc_r = p_collect(r, v, nvars)[dr]
+        r = p_sub(p_mul(lc_g, r), p_mul(p_mul_term(lc_r, var(v, nvars, dr - dg), 1), g))
         n -= 1
     if n > 0 and r:
-        r = p_mul(r, _pow(lc_g, n, nvars))
+        r = p_mul(r, _pow(lc_g, n))
     return r
 
 
@@ -187,9 +152,9 @@ def _prs_gcd(a, b, v, nvars):
     ca, f = _content_primitive_wrt(a, v, nvars)
     cb, g = _content_primitive_wrt(b, v, nvars)
     c = gcd_qq(ca, cb, nvars)
-    if p_deg_in(f, v) < p_deg_in(g, v):
+    if p_deg_in(f, v, nvars) < p_deg_in(g, v, nvars):
         f, g = g, f
-    while p_deg_in(g, v) > 0:
+    while p_deg_in(g, v, nvars) > 0:
         r = _prem(f, g, v, nvars)
         if not r:
             _, g = _content_primitive_wrt(g, v, nvars)
@@ -202,7 +167,7 @@ def _prs_gcd(a, b, v, nvars):
 
 def gcd_qq(a, b, nvars):
     """Gcd in Z[x] of integer dicts, with a positive graded-lex leading
-    coefficient; ``{(0,) * nvars: 1}`` when it is trivial.
+    coefficient; ``{0: 1}`` when it is trivial.
 
     Given the numerators of two polynomials over Q, this is their gcd up to
     a rational unit, and this normalization of it is canonical."""
@@ -213,16 +178,14 @@ def gcd_qq(a, b, nvars):
     # a nonzero constant side: the gcd is an integer, that constant's gcd
     # with the other side's content
     for x, y in ((a, b), (b, a)):
-        if len(x) == 1:
-            ((m, c),) = x.items()
-            if not any(m):
-                return {m: math.gcd(c, *y.values())}
-    ma, mb = _mono_min(a), _mono_min(b)
-    mg = tuple(min(x, y) for x, y in zip(ma, mb))
-    if any(ma):
-        a = _shift_down(a, ma)
-    if any(mb):
-        b = _shift_down(b, mb)
+        if len(x) == 1 and 0 in x:
+            return {0: math.gcd(x[0], *y.values())}
+    ma, mb = mono_min(a, nvars), mono_min(b, nvars)
+    mg = mono_min((ma, mb), nvars)
+    if ma:
+        a = {m - ma: c for m, c in a.items()}
+    if mb:
+        b = {m - mb: c for m, c in b.items()}
     ca, cb = math.gcd(*a.values()), math.gcd(*b.values())
     c = math.gcd(ca, cb)
     if ca > 1:
@@ -232,8 +195,8 @@ def gcd_qq(a, b, nvars):
     # align variable sets: a variable missing on one side reduces the other
     # side to its content with respect to that variable
     while True:
-        va = _vars_of(a, nvars)
-        vb = _vars_of(b, nvars)
+        va = p_support(a, nvars)
+        vb = p_support(b, nvars)
         if va == vb:
             break
         for v in va - vb:
@@ -241,11 +204,11 @@ def gcd_qq(a, b, nvars):
         for v in vb - va:
             b = _content_wrt(b, v, nvars)
     if not va:
-        g = _one(nvars)
+        g = {0: 1}
     elif a == b:
         g = dict(a)
     else:
-        v = min(va, key=lambda i: (min(p_deg_in(a, i), p_deg_in(b, i)), i))
+        v = min(va, key=lambda i: (min(p_deg_in(a, i, nvars), p_deg_in(b, i, nvars)), i))
         g = _heu_gcd(a, b, v, nvars)
         if g is None:
             g = _prs_gcd(a, b, v, nvars)

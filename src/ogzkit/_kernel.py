@@ -1,22 +1,143 @@
 """The polynomial kernel, in pure Python.
 
-A polynomial lives in a fixed variable universe of size ``nvars`` and is a
-dict mapping dense exponent tuples to nonzero coefficients.  The library
-passes integer coefficients, the numerators of a polynomial over its one
-denominator (see :class:`~ogzkit.exactalg.Polynomial`).  Every helper but
-:func:`p_divmod` is coefficient-agnostic and works on any exact ring of
-coefficients.
+A polynomial in n variables is a dict mapping monomials to nonzero
+coefficients; the library passes the integer numerators of a
+:class:`~ogzkit.exactalg.Polynomial`.  Every helper but :func:`p_divmod`
+works on any exact ring of coefficients.
+
+A monomial is one int, and only this module knows its layout (Monagan and
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007): fields of ``FIELD_BITS + 1`` bits, the total
+degree highest, then slots 0 to n - 1.  So a monomial product is one ``+``,
+an exact quotient one ``-``, the monomial 1 is ``0``, int order is
+graded-lex order, and the degree is the highest nonzero field.  The top bit
+of a field is a guard, 0 in every monomial: ``b`` divides ``m`` when no
+field of ``(m | G) - b`` clears its guard bit G.  A degree past
+``MAX_DEGREE`` raises :class:`~ogzkit.errors.DegreeOverflow` (a
+``ValueError``) and never wraps.  Exponent tuples appear only in
+:func:`pack` and :func:`unpack`.
 """
 
+from functools import lru_cache, reduce
 from heapq import heappop, heappush
-from operator import add, sub
+from math import comb
+from operator import or_
+
+from .errors import DegreeOverflow
 
 KERNEL_NAME = "pure"
 
+FIELD_BITS = 16
+MAX_DEGREE = (1 << FIELD_BITS) - 1
+_W = FIELD_BITS + 1  # a field: the exponent and the guard bit above it
 
-def grlex_key(mono):
-    """Sort key for graded lexicographic term order."""
-    return (sum(mono), mono)
+
+@lru_cache(maxsize=None)
+def _guards(k):
+    """The guard bits of the k lowest fields."""
+    return sum(1 << (_W * i + FIELD_BITS) for i in range(k))
+
+
+def _guard(m):
+    """The guard bits of every field up to the highest of ``m``."""
+    return _guards((m.bit_length() + FIELD_BITS) // _W)
+
+
+def check_degree(d):
+    """Refuse a total degree past ``MAX_DEGREE``."""
+    if d > MAX_DEGREE:
+        raise DegreeOverflow(f"a monomial of degree {d} overflows the {FIELD_BITS}-bit exponent field")
+
+
+def pack(exponents, n):
+    """The monomial of n exponents; ``ValueError`` for another length, an
+    exponent that is not an int >= 0, or a degree above ``MAX_DEGREE``."""
+    exponents = tuple(exponents)
+    if len(exponents) != n or not all(isinstance(e, int) and e >= 0 for e in exponents):
+        raise ValueError(f"{exponents!r} is not a monomial of {n} integer exponents >= 0")
+    m = sum(exponents)
+    check_degree(m)
+    for e in exponents:
+        m = m << _W | e
+    return m
+
+
+def unpack(m, n):
+    """The exponent tuple of the monomial ``m`` in n variables."""
+    return tuple(m >> (_W * (n - 1 - s)) & MAX_DEGREE for s in range(n))
+
+
+def var(s, n, e=1):
+    """The monomial x_s^e in n variables."""
+    check_degree(e)
+    return e * (1 << (_W * n) | 1 << (_W * (n - 1 - s)))
+
+
+def exponent(m, s, n):
+    """The exponent of x_s in ``m``."""
+    return m >> (_W * (n - 1 - s)) & MAX_DEGREE
+
+
+def degree(m):
+    """The total degree of ``m``: its highest nonzero field."""
+    return m >> (_W * ((m.bit_length() - 1) // _W)) if m else 0
+
+
+def divides(b, m):
+    """Whether the monomial ``b`` divides ``m``."""
+    g = _guard(m if m > b else b)
+    return (m | g) - b & g == g
+
+
+@lru_cache(maxsize=4096)
+def _fields(m, n):
+    """(shift, exponent) of each nonzero exponent of ``m``."""
+    return tuple((_W * (n - 1 - s), e) for s, e in enumerate(unpack(m, n)) if e)
+
+
+def mono_min(monos, n):
+    """The gcd of nonempty monomials, their exponent-wise minimum."""
+    return 0 if 0 in monos else pack(map(min, zip(*(unpack(m, n) for m in monos))), n)
+
+
+def p_support(a, n):
+    """The slots of the variables that occur in ``a``."""
+    acc = reduce(or_, a, 0)
+    return frozenset(s for s in range(n) if exponent(acc, s, n))
+
+
+def p_collect(a, s, n):
+    """``a`` as a polynomial in x_s: {e: the coefficient of x_s^e}, each
+    coefficient free of x_s."""
+    sh, unit = _W * (n - 1 - s), var(s, n)
+    out = {}
+    for m, c in a.items():
+        e = m >> sh & MAX_DEGREE
+        part = out.get(e)
+        if part is None:
+            part = out[e] = {}
+        part[m - e * unit if e else m] = c
+    return out
+
+
+def p_derivative(a, op, n):
+    """sum_beta c_beta d^beta a / beta!, for ``op`` pairs (beta, c_beta) of
+    a monomial and a coefficient (see :meth:`Polynomial.derivative`)."""
+    op = [(beta, _fields(beta, n), c) for beta, c in op]
+    if not a or not op:
+        return {}
+    g = _guards(n + 1)  # every field of the ring's monomials
+    acc = {}
+    get = acc.get
+    for m, c in a.items():
+        mg = m | g
+        for beta, fields, cb in op:
+            if mg - beta & g == g:
+                for sh, e in fields:
+                    cb *= comb(m >> sh & MAX_DEGREE, e)
+                key = m - beta
+                acc[key] = get(key, 0) + c * cb
+    return {m: c for m, c in acc.items() if c}
 
 
 def p_add(a, b):
@@ -59,46 +180,34 @@ def p_sub(a, b):
     return r
 
 
-def p_mul(a, b):
+def p_mul(a, b, into=None):
+    """The product a*b; or, given a dict ``into``, a*b added to it in place
+    and ``into`` returned, with the zeros that cancellations leave."""
     if not a or not b:
-        return {}
+        return {} if into is None else into
     if len(a) > len(b):
         a, b = b, a
-    r = {}
+    if len(a) == 1 and into is None:  # the product of nonzero terms is nonzero
+        ((ma, ca),) = a.items()
+        return p_mul_term(b, ma, ca)
+    check_degree(degree(max(a) + max(b)))
+    r = {} if into is None else into
+    get = r.get
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = tuple(map(add, ma, mb))
-            c = r.get(m)
-            if c is None:
-                c = ca * cb
-            else:
-                c = c + ca * cb
-            if c:
-                r[m] = c
-            elif m in r:
-                del r[m]
-    return r
+            m = ma + mb
+            r[m] = get(m, 0) + ca * cb
+    if into is not None:
+        return r
+    return {m: c for m, c in r.items() if c}
 
 
 def p_mul_term(a, mono, coeff):
     """Multiply by a single term ``coeff * x^mono``."""
     if not a or not coeff:
         return {}
-    return {tuple(map(add, m, mono)): c * coeff for m, c in a.items()}
-
-
-def p_addmul_packed(acc, a, b):
-    """Add a*b into ``acc`` in place and return it, for monomials packed into
-    one int each with every exponent in its own bit field, so that a
-    monomial product is one integer addition.  The caller keeps the
-    exponents inside their fields, and drops the zeros that cancellations
-    leave."""
-    get = acc.get
-    for mb, cb in b.items():
-        for ma, ca in a.items():
-            m = ma + mb
-            acc[m] = get(m, 0) + ca * cb
-    return acc
+    check_degree(degree(max(a) + mono))
+    return {m + mono: c * coeff for m, c in a.items()}
 
 
 def p_mul_scalar(a, coeff):
@@ -109,28 +218,23 @@ def p_mul_scalar(a, coeff):
 
 def p_lead(a):
     """Leading (mono, coeff) in graded-lex order.  ``a`` must be nonzero."""
-    best = None
-    bk = None
-    for m in a:
-        k = (sum(m), m)
-        if bk is None or k > bk:
-            bk = k
-            best = m
-    return best, a[best]
+    m = max(a)
+    return m, a[m]
 
 
 def p_total_degree(a):
     """Total degree; -1 for the zero polynomial."""
     if not a:
         return -1
-    return max(sum(m) for m in a)
+    return degree(max(a))
 
 
-def p_deg_in(a, i):
-    """Degree in variable ``i``; -1 for the zero polynomial."""
+def p_deg_in(a, s, n):
+    """Degree in variable ``s``; -1 for the zero polynomial."""
     if not a:
         return -1
-    return max(m[i] for m in a)
+    sh = _W * (n - 1 - s)
+    return max(m >> sh & MAX_DEGREE for m in a)
 
 
 def p_divmod(a, b):
@@ -156,63 +260,51 @@ def p_divmod(a, b):
     mb, cb = p_lead(b)
     tail = [(m, c) for m, c in b.items() if m != mb]
     f = dict(a)
-    order = sorted(((sum(m), m) for m in f), reverse=True)
+    order = sorted(f, reverse=True)
+    # every monomial of the run is at most the dividend's leading one
+    g = _guard(max(order[0], mb) if order else mb)
     i, n = 0, len(order)
     heap = []
     q = {}
     r = {}
     while True:
-        if heap and (i == n or (-heap[0][0], heap[0][2]) > order[i]):
-            mf = heappop(heap)[2]
+        if heap and (i == n or -heap[0] > order[i]):
+            mf = -heappop(heap)
         elif i < n:
-            mf = order[i][1]
+            mf = order[i]
             i += 1
         else:
             return q, r
         cf = f.pop(mf)
         if not cf:
             continue
-        d = tuple(map(sub, mf, mb))
         qc, rc = divmod(cf, cb)
-        if rc or min(d, default=0) < 0:
+        if rc or (mf | g) - mb & g != g:
             r[mf] = cf
             continue
+        d = mf - mb
         q[d] = qc
         # every monomial made here is below mf, so none was popped before
         for m, c in tail:
-            m = tuple(map(add, m, d))
+            m += d
             s = f.get(m)
             if s is None:
                 f[m] = -(c * qc)
-                heappush(heap, (-sum(m), tuple(-x for x in m), m))
+                heappush(heap, -m)
             else:
                 f[m] = s - c * qc
 
 
-def p_eval_int(a, i, val):
-    """Substitute the integer ``val`` for variable ``i``.
+def p_eval_int(a, s, n, val):
+    """Substitute the integer ``val`` for variable ``s``.
 
-    Returns a dict whose monomials have a zero in slot ``i``.  Used with int
-    coefficients by the heuristic gcd.
+    Returns a dict free of x_s.  Used with int coefficients by the
+    heuristic gcd.
     """
-    if not a:
-        return {}
-    powers = {0: 1}
     r = {}
-    for m, c in a.items():
-        e = m[i]
-        p = powers.get(e)
-        if p is None:
-            p = val**e
-            powers[e] = p
-        mm = m[:i] + (0,) + m[i + 1 :]
-        s = r.get(mm)
-        if s is None:
-            s = c * p
-        else:
-            s = s + c * p
-        if s:
-            r[mm] = s
-        elif mm in r:
-            del r[mm]
-    return r
+    get = r.get
+    for e, part in p_collect(a, s, n).items():
+        p = val**e
+        for m, c in part.items():
+            r[m] = get(m, 0) + c * p
+    return {m: c for m, c in r.items() if c}

@@ -61,24 +61,24 @@ def prime_to(n: int) -> int:
     return p
 
 
-def _terms(v, nvars: int) -> tuple:
+def _terms(v) -> tuple:
     """An entry as (N, s, D) with value N/(s*D): N and D integer dicts (D
-    None for 1) and s a positive integer.  A rational number is a constant
-    at the zero monomial of width ``nvars``."""
+    None for 1) and s a positive integer.  A rational number is a constant,
+    at the monomial 1."""
     if isinstance(v, RationalFunction):
         num, den = v.num, v.den
         if den.is_one():
             return num.terms, num.den, None
         return K.p_mul_scalar(num.terms, den.den), num.den, den.terms
-    return ({(0,) * nvars: v.numerator} if v else {}), v.denominator, None
+    return ({0: v.numerator} if v else {}), v.denominator, None
 
 
-def integer_row(entries: list, nvars: int) -> tuple:
-    """``entries`` (rational functions in ``nvars`` variables, or rational
-    numbers) scaled by one nonzero factor to integer polynomials: by the
-    product of their distinct polynomial denominators and by the lcm L of
-    their integer denominators.  Returns the integer dicts and L."""
-    parts = [_terms(v, nvars) for v in entries]
+def integer_row(entries: list) -> tuple:
+    """``entries`` (rational functions of one ring, or rational numbers)
+    scaled by one nonzero factor to integer polynomials: by the product of
+    their distinct polynomial denominators and by the lcm L of their integer
+    denominators.  Returns the integer dicts and L."""
+    parts = [_terms(v) for v in entries]
     dens: list = []
     for _, _, den in parts:
         if den is not None and den not in dens:
@@ -95,22 +95,6 @@ def integer_row(entries: list, nvars: int) -> tuple:
     return row, lcm
 
 
-def _width(rows) -> int:
-    """The number of variables of the rational functions among ``rows``."""
-    return next((v.ring.nvars for row in rows for v in row if isinstance(v, RationalFunction)), 0)
-
-
-def _mod_eval(terms: dict, zv: list, p: int) -> int:
-    """Value mod p of an integer dict at the integer point ``zv``."""
-    acc = 0
-    for m, c in terms.items():
-        for slot, e in enumerate(m):
-            if e:
-                c = c * pow(zv[slot], e, p) % p
-        acc += c
-    return acc % p
-
-
 class ModEchelon:
     """Incremental row echelon form of integer rows, taken at the integer
     point of ``attempt`` modulo ``prime``.  ``len`` is the rank of the rows
@@ -120,14 +104,26 @@ class ModEchelon:
         self.prime = prime
         self.point = [1009 + 7919 * attempt + 104729 * slot for slot in range(nvars)]
         self._rows: list = []  # (pivot column, row scaled to 1 there)
+        self._values: dict = {}  # monomial -> its value at the point mod p
 
     def __len__(self) -> int:
         return len(self._rows)
 
+    def _mod_eval(self, terms: dict) -> int:
+        """Value mod p of an integer dict at the point."""
+        p, values, n = self.prime, self._values, len(self.point)
+        acc = 0
+        for m, c in terms.items():
+            v = values.get(m)
+            if v is None:
+                v = values[m] = math.prod(pow(z, e, p) for z, e in zip(self.point, K.unpack(m, n))) % p
+            acc += c * v
+        return acc % p
+
     def add(self, row: list) -> bool:
         """Specialise and reduce ``row``; True when it raised the rank."""
         p = self.prime
-        vals = [_mod_eval(t, self.point, p) for t in row]
+        vals = [self._mod_eval(t) for t in row]
         for pc, prow in self._rows:
             f = vals[pc]
             if f:
@@ -210,8 +206,7 @@ def rank(rows: List[list]) -> int:
     elimination."""
     if not rows:
         return 0
-    nvars = _width(rows)
-    m = [integer_row(row, nvars)[0] for row in rows]
+    m = [integer_row(row)[0] for row in rows]
     return len(_eliminate(m, len(m[0])))
 
 
@@ -220,7 +215,7 @@ def is_nilpotent(matrix: List[list]) -> bool:
     tested as (L*N)^n = 0 for one common nonzero scalar L that makes L*N
     integer polynomials."""
     n = len(matrix)
-    flat, _ = integer_row([v for row in matrix for v in row], _width(matrix))
+    flat, _ = integer_row([v for row in matrix for v in row])
     LN = [flat[r * n : (r + 1) * n] for r in range(n)]
     cols = list(zip(*LN))
     power = LN
@@ -244,7 +239,7 @@ def solve_columns(columns: List[list], rhs: list, zero) -> Optional[list]:
     ring = zero.ring
     if not ncols:
         return [] if all(v.is_zero() for v in rhs) else None
-    scaled = [integer_row([col[r] for col in columns] + [rhs[r]], ring.nvars) for r in range(nrows)]
+    scaled = [integer_row([col[r] for col in columns] + [rhs[r]]) for r in range(nrows)]
     eqs = [row for row, _ in scaled]
     rows = _independent_rows(eqs, ncols, ring.nvars, prime_to(math.lcm(*(s for _, s in scaled))))
     if rows is None:

@@ -8,8 +8,9 @@ probe.  All output is deterministic: rerunning a command byte-for-byte
 reproduces its output.
 
 Exit codes: 0 success; 2 input validation (argument, expression, job-spec
-errors, and an output too large to print); 3 domain errors raised by the
-library.  Errors are reported as a single JSON line on stderr.
+errors, a total degree past the kernel's exponent field, and an output too
+large to print); 3 domain errors raised by the library.  Errors are reported
+as a single JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Optional, Tuple
 from . import divdiff, latwalk
 from ._ratio import QQ
 from .combinat import check_shape
-from .errors import JobSpecError, OgzError, ParseError
+from .errors import DegreeOverflow, JobSpecError, OgzError, ParseError
 from .exactalg import RationalFunction, Ring, is_row_symmetric
 from .gzmod import (
     MAX_WINDOW_POINTS,
@@ -870,7 +871,7 @@ def main(argv: Optional[list] = None) -> int:
             return 2
     try:
         text = args.func(args)
-    except (ParseError, JobSpecError, NameError) as e:
+    except (ParseError, JobSpecError, NameError, DegreeOverflow) as e:
         _emit_error(2, e)
         return 2
     except OgzError as e:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from . import _kernel as K
 from .combinat import RowPermutation, canonical_word, word_to_perm
 from .errors import InvalidComposition, InvalidPair
 from .exactalg import Polynomial, RationalFunction, Ring, merge_terms
@@ -112,30 +113,31 @@ def partial_apply_rf(ring: Ring, a, b, g: RationalFunction) -> RationalFunction:
     return RationalFunction._over_coprime(_ddiff(n * et, *slots), c, e * et)
 
 
-def _ddiff_int(terms: dict, sa: int, sb: int) -> dict:
+def _ddiff_int(terms: dict, sa: int, sb: int, nvars: int) -> dict:
     """(f - f^t)/(x_a - x_b) on an integer dict, with a, b in slots sa, sb:
     (x_a^p x_b^q - x_a^q x_b^p)/(x_a - x_b) is x_a^q x_b^q times the sum of
     the p-q monomials of degree p-q-1 in x_a, x_b (p > q), and antisymmetric
     in p, q."""
+    ua, ub = K.var(sa, nvars), K.var(sb, nvars)
     acc: dict = {}
     get = acc.get
     for m, c in terms.items():
-        ea, eb = m[sa], m[sb]
+        ea, eb = K.exponent(m, sa, nvars), K.exponent(m, sb, nvars)
         if ea == eb:
             continue
         low, n = min(ea, eb), abs(ea - eb)
         if ea < eb:
             c = -c
-        mm = list(m)
-        for t in range(n):
-            mm[sa], mm[sb] = low + t, low + n - 1 - t
-            key = tuple(mm)
+        # x_a^(low+t) x_b^(low+n-1-t) times the rest of m, from t = 0 up
+        key = m + (low - ea) * ua + (low + n - 1 - eb) * ub
+        for _ in range(n):
             acc[key] = get(key, 0) + c
+            key += ua - ub
     return {m: c for m, c in acc.items() if c}
 
 
 def _ddiff(f: Polynomial, sa: int, sb: int) -> Polynomial:
-    return Polynomial._reduced(f.ring, _ddiff_int(f.terms, sa, sb), f.den)
+    return Polynomial._reduced(f.ring, _ddiff_int(f.terms, sa, sb, f.ring.nvars), f.den)
 
 
 def apply_word(ring: Ring, word: Iterable, f: Polynomial) -> Polynomial:
@@ -145,7 +147,7 @@ def apply_word(ring: Ring, word: Iterable, f: Polynomial) -> Polynomial:
     terms = f.terms
     for i, p in reversed(list(word)):
         a, b = _pair_cells(ring, (i, p), (i, p + 1))
-        terms = _ddiff_int(terms, ring.index[("x",) + a], ring.index[("x",) + b])
+        terms = _ddiff_int(terms, ring.index[("x",) + a], ring.index[("x",) + b], ring.nvars)
     return Polynomial._reduced(ring, terms, f.den)
 
 

@@ -70,3 +70,7 @@ class ParseError(ValueError):
 
 class JobSpecError(ValueError):
     """CLI job description failed validation."""
+
+
+class DegreeOverflow(ValueError):
+    """A monomial's total degree passed the kernel's exponent field."""

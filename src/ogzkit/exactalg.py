@@ -7,10 +7,13 @@ cell of the shape, row-major.  A polynomial is stored in one coefficient
 format, integer numerators over one positive denominator with no common
 factor (the layout of FLINT's ``fmpq_poly``), so shifts, divided
 differences, evaluation at points and the gcd all run on integers; a
-rational ``QQ`` appears only at the boundary (constants, rendering).  All
-polynomial values are canonical (no zero coefficients, graded-lex term order
-for rendering) and all rational functions are stored fully reduced with a
-monic denominator, so structural equality is mathematical equality.
+rational ``QQ`` appears only at the boundary (constants, rendering).  A
+monomial is the kernel's int (:mod:`ogzkit._kernel`), whose order is
+graded-lex order; exponent tuples appear only as the input of the
+:class:`Polynomial` constructor and where rendering unpacks a monomial.
+All polynomial values are canonical (no zero coefficients, graded-lex term
+order for rendering) and all rational functions are stored fully reduced
+with a monic denominator, so structural equality is mathematical equality.
 """
 
 from __future__ import annotations
@@ -55,9 +58,9 @@ class Ring:
         self.nvars = len(names)
         self._key = key
         # polynomials are immutable, so one unit serves every quotient
-        self._one = Polynomial._wrap(self, {(0,) * self.nvars: 1})
-        # packed int -> the one shared tuple per monomial a PointMap emits
-        self._monomials = _MonomialTable(self.nvars)
+        self._one = Polynomial._wrap(self, {0: 1})
+        # the one int object per monomial that the PointMaps of the ring emit
+        self._monomials: dict = {}
         cls._CACHE[key] = self
         return self
 
@@ -86,18 +89,16 @@ class Ring:
     def z(self, t: int) -> "Polynomial":
         return Polynomial._wrap(self, {self._unit_mono(("z", t)): 1})
 
-    def _unit_mono(self, vid: VarId) -> tuple:
+    def _unit_mono(self, vid: VarId) -> int:
         slot = self.index.get(vid)
         if slot is None:
             raise ValueError(f"unknown variable {vid} in {self!r}")
-        m = [0] * self.nvars
-        m[slot] = 1
-        return tuple(m)
+        return K.var(slot, self.nvars)
 
     def const(self, c) -> "Polynomial":
         """The constant c: an int, a QQ or the text of a QQ."""
         q = c if isinstance(c, int) else QQ(c)
-        return Polynomial._wrap(self, {(0,) * self.nvars: q.numerator} if q else {}, q.denominator)
+        return Polynomial._wrap(self, {0: q.numerator} if q else {}, q.denominator)
 
     def zero(self) -> "Polynomial":
         return Polynomial._wrap(self, {})
@@ -115,16 +116,19 @@ def _var_name(vid: VarId) -> str:
 class Polynomial:
     """Immutable sparse polynomial over QQ in a fixed :class:`Ring`.
 
-    ``terms`` maps monomials to nonzero integer numerators and ``den`` is
-    one positive integer denominator; the coefficient of m is
-    ``QQ(terms[m], den)``.  The form is canonical: gcd(content(terms), den)
-    is 1, and den is 1 for the zero polynomial."""
+    ``terms`` maps monomials, the kernel's ints, to nonzero integer
+    numerators and ``den`` is one positive integer denominator; the
+    coefficient of m is ``QQ(terms[m], den)``.  The form is canonical:
+    gcd(content(terms), den) is 1, and den is 1 for the zero polynomial."""
 
     __slots__ = ("ring", "terms", "den", "_hash")
 
     def __init__(self, ring: Ring, terms: Mapping):
-        """Build from coefficients given as ints, QQs or their text."""
-        coeffs = {tuple(m): QQ(c) for m, c in terms.items()}
+        """Build from exponent tuples of length ``ring.nvars`` with
+        coefficients given as ints, QQs or their text.  Raises ValueError
+        for a tuple of another length, an exponent that is not an int >= 0,
+        or a total degree past the kernel's bound."""
+        coeffs = {K.pack(m, ring.nvars): QQ(c) for m, c in terms.items()}
         den = math.lcm(*(c.denominator for c in coeffs.values()))
         self.ring = ring
         self.terms = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items() if c}
@@ -161,17 +165,16 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and (0,) * self.ring.nvars in self.terms)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def is_one(self) -> bool:
-        return self.den == 1 and len(self.terms) == 1 and self.terms.get((0,) * self.ring.nvars) == 1
+        return self.den == 1 and len(self.terms) == 1 and self.terms.get(0) == 1
 
     def total_degree(self) -> int:
         return K.p_total_degree(self.terms)
 
     def uses_only_params(self) -> bool:
-        np_ = self.ring.nparams
-        return all(not any(m[np_:]) for m in self.terms)
+        return all(s < self.ring.nparams for s in K.p_support(self.terms, self.ring.nvars))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -261,21 +264,7 @@ class Polynomial:
         applied to self, for ``op`` pairs (beta, c_beta) of a monomial and an
         integer.  d^beta x^m / beta! is C(m, beta) x^(m - beta), so the
         numerators stay integers over the same denominator."""
-        op = [(tuple((s, e) for s, e in enumerate(beta) if e), c) for beta, c in op]
-        acc: dict = {}
-        get = acc.get
-        for m, c in self.terms.items():
-            for beta, cb in op:
-                mm = list(m)
-                for s, e in beta:
-                    if m[s] < e:
-                        break
-                    cb *= math.comb(m[s], e)
-                    mm[s] -= e
-                else:
-                    key = tuple(mm)
-                    acc[key] = get(key, 0) + c * cb
-        return Polynomial._reduced(self.ring, {m: v for m, v in acc.items() if v}, self.den)
+        return Polynomial._reduced(self.ring, K.p_derivative(self.terms, op, self.ring.nvars), self.den)
 
     # -- substitution --------------------------------------------------------
 
@@ -288,7 +277,7 @@ class Polynomial:
             return self
         terms = self.terms
         for slot, n in shifts:
-            terms = _shift_slot(terms, slot, n)
+            terms = _shift_slot(terms, slot, self.ring.nvars, n)
         return Polynomial._wrap(self.ring, terms, self.den)
 
     def permute_cells(self, mapping: Mapping) -> "Polynomial":
@@ -304,12 +293,10 @@ class Polynomial:
             return self
         if set(slot_map) != set(slot_map.values()):
             raise ValueError("cell mapping is not a bijection on the moved cells")
-        out = {}
-        for m, c in self.terms.items():
-            mm = list(m)
-            for s, d in slot_map.items():
-                mm[d] = m[s]
-            out[tuple(mm)] = c
+        n = ring.nvars
+        # x_s^e moves to x_d^e: the monomial changes by e * (x_d - x_s)
+        moves = [(s, K.var(d, n) - K.var(s, n)) for s, d in slot_map.items()]
+        out = {m + sum(K.exponent(m, s, n) * step for s, step in moves): c for m, c in self.terms.items()}
         return Polynomial._wrap(self.ring, out, self.den)
 
     def substitute(self, images: Mapping) -> "RationalFunction":
@@ -327,7 +314,7 @@ class Polynomial:
         pow_cache: dict = {}
         for m, c in self.terms.items():
             factor = RationalFunction.from_poly(ring.const(QQ(c, self.den)))
-            for slot, e in enumerate(m):
+            for slot, e in enumerate(K.unpack(m, ring.nvars)):
                 if not e:
                     continue
                 if slot in imgs:
@@ -338,9 +325,7 @@ class Polynomial:
                         pow_cache[key] = pe
                     factor = factor * pe
                 else:
-                    mono = [0] * ring.nvars
-                    mono[slot] = e
-                    factor = factor * Polynomial._wrap(ring, {tuple(mono): 1})
+                    factor = factor * Polynomial._wrap(ring, {K.var(slot, ring.nvars, e): 1})
             out = out + factor
         return out
 
@@ -387,21 +372,23 @@ class Polynomial:
         return f"Polynomial({render_poly(self)})"
 
 
-def _shift_slot(terms: dict, slot: int, n: int) -> dict:
+def _shift_slot(terms: dict, slot: int, nvars: int, n: int) -> dict:
     """Integer dict with x_slot -> x_slot + n, by the binomial expansion of
     (x+n)^e term by term."""
+    unit = K.var(slot, nvars)
     acc: dict = {}
     get = acc.get
     for m, c in terms.items():
-        e = m[slot]
+        e = K.exponent(m, slot, nvars)
         binom = 1
         power = c
+        mm = m
         for t in range(e, -1, -1):
             # term x^t * C(e, e-t) * n^(e-t)
-            mm = m[:slot] + (t,) + m[slot + 1 :]
             acc[mm] = get(mm, 0) + binom * power
             binom = binom * t // (e - t + 1)
             power *= n
+            mm -= unit
     return {m: v for m, v in acc.items() if v}
 
 
@@ -412,14 +399,14 @@ def render_poly(p: Polynomial) -> str:
         return "0"
     ring = p.ring
     bits = []
-    for m in sorted(p.terms, key=K.grlex_key, reverse=True):
+    for m in sorted(p.terms, reverse=True):
         c = QQ(p.terms[m], p.den)
         neg = c < 0
         mag = -c if neg else c
         factors = []
-        if mag != 1 or not any(m):
+        if mag != 1 or not m:
             factors.append(str(mag))
-        for slot, e in enumerate(m):
+        for slot, e in enumerate(K.unpack(m, ring.nvars)):
             if e:
                 name = _var_name(ring.vars[slot])
                 factors.append(name if e == 1 else f"{name}^{e}")
@@ -446,28 +433,18 @@ class PointMap:
     denominator, so the sums run on integers and the output is reduced
     once.
 
-    Inside the memo a monomial is one int: the exponent of slot s sits in
-    bits [W*s, W*(s+1)) for the field width W = ``FIELD_BITS`` (16), so a
-    monomial product is one integer addition (Monagan and Pearce, "Polynomial
-    division using dynamic arrays, heaps, and packed exponent vectors",
-    CASC 2007).  Every memo image carries its total degree.  A total degree
-    that does not fit one field raises ``ValueError`` when the image is
-    built, and so does a head whose degree plus that of its power of y does
-    not, before the head sums are multiplied by the powers of y; so no
-    exponent ever carries into the next field.  The output goes back
-    through one table per ring, ``Ring._monomials``, from packed int to the
-    ring's shared tuple, so that the values built at every point of the
-    ring hold one tuple per distinct monomial.  Input monomials stay
-    tuples."""
-
-    FIELD_BITS = 16
+    A degree past the kernel's bound raises ``ValueError`` before a
+    product is built, and before the powers of an image are built up.  The
+    keys of the memo and of the output go through one dict per ring,
+    ``Ring._monomials``: the maps and values of the ring hold one int
+    object per distinct monomial."""
 
     __slots__ = ("ring", "_images", "_powers", "_monos")
 
     def __init__(self, ring: Ring, images: Mapping):
         self.ring = ring
         self._images = {
-            ring.index[("x",) + tuple(cell)]: (_pack(p.terms), p.den, max(p.total_degree(), 0))
+            ring.index[("x",) + tuple(cell)]: (p.terms, p.den, max(p.total_degree(), 0))
             for cell, p in images.items()
         }
         self._powers: dict = {}
@@ -475,36 +452,36 @@ class PointMap:
 
     def _power(self, slot: int, e: int) -> tuple:
         """The image of x_slot^e, built up from the highest memoised power."""
-        powers, img = self._powers, self._images[slot]
+        terms, den, deg = self._images[slot]
+        K.check_degree(e * deg)
+        powers = self._powers
         k = e
         while k > 1 and (slot, k) not in powers:
             k -= 1
-        pe = powers.get((slot, k), img)
+        pe = powers.get((slot, k), (terms, den))
         for j in range(k + 1, e + 1):
-            pe = powers[(slot, j)] = (_product(pe[0], img[0]), pe[1] * img[1], pe[2] + img[2])
+            pe = powers[(slot, j)] = (self._shared(K.p_mul(pe[0], terms)), pe[1] * den)
         return pe
 
-    def _monomial(self, m: tuple) -> tuple:
-        """The image of x^m, as (packed terms, denominator, degree): the image
-        of its prefix (m without its last nonzero exponent, memoised too)
-        times the image of that power."""
+    def _monomial(self, m: int) -> tuple:
+        """The image of x^m, as (terms, denominator): the image of its
+        prefix (m without its last variable, memoised too) times the image
+        of the power of that variable."""
         img = self._monos.get(m)
         if img is None:
-            slot = max((s for s, e in enumerate(m) if e), default=None)
-            if slot is None:
-                img = ({0: 1}, 1, 0)
+            if not m:
+                img = ({0: 1}, 1)
             else:
-                e = m[slot]
-                terms, den, deg = self._monomial(m[:slot] + (0,) + m[slot + 1 :])
-                image = self._images.get(slot)
-                deg += e * (1 if image is None else image[2])
-                _check_fields(deg)
-                if image is None:
-                    shift = e << (PointMap.FIELD_BITS * slot)
-                    img = ({t + shift: c for t, c in terms.items()}, den, deg)
+                n = self.ring.nvars
+                slot = max(K.p_support((m,), n))
+                e = K.exponent(m, slot, n)
+                power = K.var(slot, n, e)
+                terms, den = self._monomial(m - power)
+                if slot in self._images:
+                    pe, pd = self._power(slot, e)
+                    img = (self._shared(K.p_mul(terms, pe)), den * pd)
                 else:
-                    pe, pd, _ = self._power(slot, e)
-                    img = (_product(terms, pe), den * pd, deg)
+                    img = (self._shared(K.p_mul_term(terms, power, 1)), den)
             self._monos[m] = img
         return img
 
@@ -519,13 +496,12 @@ class PointMap:
         last = ring.nvars - 1
         monos = self._monos
         parts = []
-        for m, c in p.terms.items():
-            k = m[last]
-            head = m[:last] + (0,) if k else m
-            parts.append((k, c, monos.get(head) or self._monomial(head)))
+        for k, heads in K.p_collect(p.terms, last, ring.nvars).items():
+            for head, c in heads.items():
+                parts.append((k, c, monos.get(head) or self._monomial(head)))
         lcm = math.lcm(*(img[1] for _, _, img in parts))
         sums: dict = {}
-        for k, c, (terms, d, _) in parts:
+        for k, c, (terms, d) in parts:
             acc = sums.get(k)
             if acc is None:
                 acc = sums[k] = {}
@@ -535,54 +511,23 @@ class PointMap:
                 acc[mm] = get(mm, 0) + s * v
         out = sums.pop(0, {})
         if sums:
-            tails = {k: self._monomial((0,) * last + (k,)) for k in sums}
-            _check_fields(max(img[2] + tails[k][2] for k, _, img in parts if k))
-            tlcm = math.lcm(*(d for _, d, _ in tails.values()))
+            tails = {k: self._monomial(K.var(last, ring.nvars, k)) for k in sums}
+            tlcm = math.lcm(*(d for _, d in tails.values()))
             if tlcm != 1:
                 out = {mm: tlcm * v for mm, v in out.items()}
                 lcm *= tlcm
             for k, acc in sums.items():
-                pe, pd, _ = tails[k]
+                pe, pd = tails[k]
                 if pd != tlcm:
                     pe = {mm: tlcm // pd * v for mm, v in pe.items()}
-                K.p_addmul_packed(out, acc, pe)
-        table = ring._monomials
-        return Polynomial._reduced(ring, {table[mm]: v for mm, v in out.items() if v}, lcm * p.den)
+                K.p_mul(acc, pe, out)
+        return Polynomial._reduced(ring, self._shared(out), lcm * p.den)
 
-
-class _MonomialTable(dict):
-    """Packed int -> the ring's shared exponent tuple, unpacked on first use."""
-
-    __slots__ = ("nvars",)
-
-    def __init__(self, nvars: int):
-        super().__init__()
-        self.nvars = nvars
-
-    def __missing__(self, m: int) -> tuple:
-        w = PointMap.FIELD_BITS
-        mask = (1 << w) - 1
-        t = self[m] = tuple((m >> (w * s)) & mask for s in range(self.nvars))
-        return t
-
-
-def _product(a: dict, b: dict) -> dict:
-    """The product of two packed integer dicts, without zeros."""
-    return {m: c for m, c in K.p_addmul_packed({}, a, b).items() if c}
-
-
-def _pack(terms: dict) -> dict:
-    """Integer dict with each exponent tuple packed into one int."""
-    w = PointMap.FIELD_BITS
-    return {sum(e << (w * s) for s, e in enumerate(m)): c for m, c in terms.items()}
-
-
-def _check_fields(degree: int):
-    """Refuse a memo image whose exponents might not fit their fields."""
-    if degree >> PointMap.FIELD_BITS:
-        raise ValueError(
-            f"evaluation image of degree {degree} overflows the {PointMap.FIELD_BITS}-bit exponent field"
-        )
+    def _shared(self, terms: dict) -> dict:
+        """``terms`` without zeros, keyed by the ring's one int object per
+        monomial."""
+        keys = self.ring._monomials
+        return {keys.setdefault(m, m): c for m, c in terms.items() if c}
 
 
 class RationalFunction:

@@ -56,6 +56,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional
 
+from . import _kernel as K
 from . import _linalg
 from ._ratio import QQ
 from .combinat import (
@@ -330,14 +331,9 @@ def _word_cells(perm: RowPermutation) -> list:
 
 
 def _monomials(ring: Ring, cells, degree: int) -> list:
-    """The exponent tuples of the monomials of the given degree in the cells."""
-    out = []
-    for combo in itertools.combinations_with_replacement(cells, degree):
-        m = [0] * ring.nvars
-        for cell in combo:
-            m[ring.index[("x",) + cell]] += 1
-        out.append(tuple(m))
-    return out
+    """The monomials of the given degree in the cells."""
+    units = [K.var(ring.index[("x",) + cell], ring.nvars) for cell in cells]
+    return [sum(combo) for combo in itertools.combinations_with_replacement(units, degree)]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -354,20 +350,21 @@ def push_table(ring: Ring, perm: RowPermutation) -> tuple:
     c_{w',y',s beta} when y = y's with l(y) = l(y') + 1."""
     word = canonical_word(perm)
     if not word:
-        return ((perm, (((0,) * ring.nvars, 1),)),)
+        return ((perm, ((0, 1),)),)
     i, p = word[-1]
     s = RowPermutation.simple(ring.shape, i, p)
+    n = ring.nvars
     sa, sb = ring.index[("x", i, p)], ring.index[("x", i, p + 1)]
+    step = K.var(sa, n) - K.var(sb, n)
     rows: Dict[RowPermutation, dict] = {}
-    by_gamma: Dict[tuple, list] = {}
+    by_gamma: Dict[int, list] = {}
     for y, entries in push_table(ring, perm * s):
         ys = y * s
         for gamma, c in entries:
             by_gamma.setdefault(gamma, []).append((y, c))
             if ys.length() > y.length():
-                swapped = list(gamma)
-                swapped[sa], swapped[sb] = gamma[sb], gamma[sa]
-                beta = tuple(swapped)
+                # gamma with the exponents of slots sa and sb swapped
+                beta = gamma + (K.exponent(gamma, sb, n) - K.exponent(gamma, sa, n)) * step
                 row = rows.setdefault(ys, {})
                 row[beta] = row.get(beta, 0) + c
     cells = _word_cells(perm)
@@ -401,11 +398,10 @@ def taylor_jet(ring: Ring, f, point: EvalPoint, cells, order: int) -> tuple:
     dens = [(delta, c) for delta, c in dens if not c.is_zero()]
     powers = [d**k for k in range(order + 1)]
     for gamma in betas[1:]:  # by degree, so every P_(gamma - delta) is known
-        p = jet[gamma] * powers[sum(gamma)]
+        p = jet[gamma] * powers[K.degree(gamma)]
         for delta, c in dens:
-            rest = tuple(g - e for g, e in zip(gamma, delta))
-            if min(rest) >= 0:
-                p = p - jet[rest] * c * powers[sum(delta) - 1]
+            if K.divides(delta, gamma):
+                p = p - jet[gamma - delta] * c * powers[K.degree(delta) - 1]
         jet[gamma] = p
     return d, jet
 
@@ -602,7 +598,7 @@ class ModuleWindow:
         while True:
             self.extend_family(D)
             while fed < len(self.family) and len(echelon) < n:
-                echelon.add(_linalg.integer_row([col[fed] for col in self.columns], self.ring.nvars)[0])
+                echelon.add(_linalg.integer_row([col[fed] for col in self.columns])[0])
                 fed += 1
             rk = len(echelon)
             self.rank_history.append(rk)

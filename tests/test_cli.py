@@ -165,6 +165,21 @@ def test_out_of_range_variable_exits_2(capsys):
     assert error_payload(err)["type"] == "NameError"
 
 
+def test_degree_overflow_exits_2(capsys):
+    # each factor is under the exponent cap, but the product's degree, 65 544,
+    # passes the kernel's 16-bit exponent field
+    expr = "*".join(["x[1,1]^24"] * 2731)
+    rc, out, err = run(capsys, "apply", "--shape", "2,1", "--op", "gamma[2,1]", f"--expr={expr}")
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    e = error_payload(err)
+    assert e["code"] == 2 and e["type"] == "DegreeOverflow" and "overflows" in e["message"]
+    # the largest degree that fits comes back exactly
+    expr = "*".join(["x[1,1]^24"] * 2730 + ["x[1,1]^14"])
+    rc, out, _ = run(capsys, "apply", "--shape", "2,1", "--op", "gamma[2,1]", f"--expr={expr}")
+    assert rc == 0 and out == "x[1,1]^65534*x[2,1]\n"
+
+
 def test_bad_setup_exits_3(capsys, tmp_path):
     spec = dict(SPEC_R2)
     spec["point"] = {

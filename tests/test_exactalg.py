@@ -20,9 +20,8 @@ from ogzkit import (
     elementary_symmetric,
     is_row_symmetric,
 )
-from ogzkit import _kernel
+from ogzkit import _gcd, _kernel
 from ogzkit.exactalg import PointMap
-from ogzkit._gcd import gcd_qq
 
 
 def random_poly2(ring: Ring, rng: random.Random, max_degree: int = 4) -> Polynomial:
@@ -158,7 +157,7 @@ def test_point_map_refuses_exponents_past_the_field():
     # x[1,1] is mapped, x[1,2] and x[2,1] map to themselves
     ring = Ring((2, 1), 1)
     pm = PointMap(ring, {(1, 1): ring.z(1) + ring.const(1)})
-    top = 1 << PointMap.FIELD_BITS
+    top = 1 << _kernel.FIELD_BITS
     for m in [(0, top, 0, 0), (0, 0, top, 0), (1, 0, 0, top), (0, 0, top // 2, top // 2)]:
         # a mapped and a fixed head image, a tail image, a head x tail product
         with pytest.raises(ValueError, match="overflows"):
@@ -168,11 +167,45 @@ def test_point_map_refuses_exponents_past_the_field():
         f = Polynomial(ring, {m: 3, (0, 0, 0, 1): -2})
         assert pm(f) == f
     assert pm(ring.x(1, 1) ** 2 * ring.x(2, 1)) == (ring.z(1) + ring.const(1)) ** 2 * ring.x(2, 1)
-    # every map of the ring emits the ring's one tuple per monomial
+    # every map of the ring emits the ring's one int object per monomial
     other = PointMap(ring, {(1, 1): ring.z(1) - ring.const(1)})
     a, b = (f(ring.x(1, 1) * ring.x(2, 1) ** 2) for f in (pm, other))
     common = a.terms.keys() & b.terms.keys()
     assert common and all(next(m for m in a.terms if m == n) is n for n in common)
+
+
+def test_constructor_refuses_malformed_monomials():
+    # a short tuple once multiplied as if cut to its length, and a negative
+    # exponent once cancelled a variable: x[1,1]^-1 * x[1,1] was one
+    ring = Ring((2, 1), 1)
+    bad = [(1,), (0, 1, 0), (0, 1, 0, 0, 0), (0, -1, 0, 0), (0, 1.0, 0, 0), (0, "1", 0, 0)]
+    for m in bad + [(0, 1 << 16, 0, 0), (1, 40000, 30000, 0)]:
+        with pytest.raises(ValueError):
+            Polynomial(ring, {m: 1})
+    with pytest.raises(ValueError, match="overflows"):
+        Polynomial(ring, {(0, 0, 1 << 15, 1 << 15): 1})
+    top = Polynomial(ring, {(0, 0, 1 << 15, (1 << 15) - 1): 1})
+    assert top.total_degree() == _kernel.MAX_DEGREE
+
+
+def test_operations_refuse_degrees_past_the_bound():
+    # products, powers, a product with a term and the gcd's interpolation
+    # raise instead of carrying into the next exponent field
+    ring = Ring((2, 1), 1)
+    n = ring.nvars
+    top = ring.x(1, 1) ** _kernel.MAX_DEGREE
+    assert top.total_degree() == _kernel.MAX_DEGREE
+    (m,) = top.terms
+    # 32 is 3 * 10 + 2 in base 10: its digit 3 lands on x[2,1]^1
+    for make in (
+        lambda: top * ring.x(2, 1),
+        lambda: ring.x(1, 1) ** (_kernel.MAX_DEGREE + 1),
+        lambda: RationalFunction.from_any(ring, top) ** 2,
+        lambda: _kernel.p_mul_term(top.terms, _kernel.var(0, n), 1),
+        lambda: _gcd._interp_wrt({m: 32}, 3, 10, n),
+    ):
+        with pytest.raises(ValueError, match="overflows"):
+            make()
 
 
 def test_point_map_builds_high_powers_without_recursion():
@@ -184,7 +217,7 @@ def test_point_map_builds_high_powers_without_recursion():
         binomial = Polynomial(ring, {(k, 0, 0, 0): math.comb(e, k) for k in range(e + 1)})
         assert pm(Polynomial(ring, {(0, e, 0, 0): 1})) == binomial
     with pytest.raises(ValueError, match="overflows"):
-        pm(Polynomial(ring, {(0, 1 << PointMap.FIELD_BITS, 0, 0): 1}))
+        pm(Polynomial(ring, {(0, 1 << _kernel.FIELD_BITS, 0, 0): 1}))
 
 
 def test_derivative_reads_the_taylor_coefficients():
@@ -198,11 +231,12 @@ def test_derivative_reads_the_taylor_coefficients():
     def beta(i, j):
         m = [0] * ring.nvars
         m[sa], m[sb] = i, j
-        return tuple(m)
+        return _kernel.pack(m, ring.nvars)
 
     def taylor(f, i, j):
         moved = f.substitute({("x", 1, 1): gens[0] + ring.z(1), ("x", 1, 2): gens[1] + ring.z(2)}).num
-        terms = {(0, 0) + m[2:]: QQ(c, moved.den) for m, c in moved.terms.items() if m[:2] == (i, j)}
+        exponents = {_kernel.unpack(m, ring.nvars): c for m, c in moved.terms.items()}
+        terms = {(0, 0) + m[2:]: QQ(c, moved.den) for m, c in exponents.items() if m[:2] == (i, j)}
         return Polynomial(ring, terms)
 
     for _ in range(20):
@@ -354,15 +388,15 @@ qq_dict = st.dictionaries(
 @given(qq_coeff, qq_dict)
 def test_gcd_with_constant_is_integer_content_gcd(c, b):
     # the numerators of b over their least common denominator
-    zero = (0,) * NV
+    zero = _kernel.pack((0,) * NV, NV)
     den = math.lcm(*(v.denominator for v in b.values()))
-    num = {m: int(v * den) for m, v in b.items()}
+    num = {_kernel.pack(m, NV): int(v * den) for m, v in b.items()}
     content = 0
     for v in num.values():
         content = math.gcd(content, v)
     want = {zero: QQ(math.gcd(c.numerator, content))}
-    assert gcd_qq({zero: c.numerator}, num, NV) == want
-    assert gcd_qq(num, {zero: c.numerator}, NV) == want
+    assert _gcd.gcd_qq({zero: c.numerator}, num, NV) == want
+    assert _gcd.gcd_qq(num, {zero: c.numerator}, NV) == want
     ring = Ring((NV,), 0)
     assert ring.const(c).gcd(Polynomial(ring, b)).terms == want
 
@@ -484,7 +518,7 @@ KERNEL_OPS = (
 
 def test_kernel_surface():
     # the tracer wraps these by name in the kernel module itself
-    for name in KERNEL_OPS + ("grlex_key",):
+    for name in KERNEL_OPS:
         fn = _kernel.__dict__.get(name)
         assert inspect.isfunction(fn) and fn.__module__ == _kernel.__name__, name
     # results record the kernel and the rational type, and are compared only

@@ -1,12 +1,14 @@
 """Layout guards, read from the source text: modules keep to each other's
-public names, no file imports a name it never uses, and every private
-definition is named somewhere in the library.  The guards that
+public names, no file imports a name it never uses, every private
+definition is named somewhere in the library, and only the kernel builds
+or takes apart a monomial.  The guards that
 import the library check that the benchmark tracer's patch points exist and
 are restored, and that the structural route and polynomial division do not
 fall back to their costly paths."""
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -132,6 +134,33 @@ def test_no_module_defines_or_imports_clear_den(path):
     assert "clear_den" not in imported(tree) | defined(tree)
 
 
+# one monomial format: a monomial is the kernel's int, and only _kernel.py
+# knows its layout; no other module builds or takes one apart by hand, and
+# the tuple format's conversions stay deleted
+BY_HAND = {
+    "a zero exponent tuple": r"\(0,\)\s*\*",
+    "an exponent tuple built by map": r"tuple\(map\(",
+    "an exponent list of the ring's width": r"\[0\]\s*\*\s*[\w.]*nvars",
+    "the field width": r"\bFIELD_BITS\b|\b_W\b",
+    "a shift into a field": r"<<",
+}
+SECOND_FORMAT = {"grlex_key", "p_addmul_packed", "_pack", "_product", "_MonomialTable", "_width"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "_kernel.py"], ids=lambda p: p.name)
+def test_only_the_kernel_builds_or_takes_apart_a_monomial(path):
+    text = path.read_text(encoding="utf-8")
+    assert [what for what, pattern in BY_HAND.items() if re.search(pattern, text)] == []
+
+
+def test_the_tuple_format_conversions_stay_deleted():
+    names = set()
+    for path in MODULES:
+        tree = parse(path)
+        names |= defined(tree) | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert names & SECOND_FORMAT == set()
+
+
 def test_tracer_patch_points_exist_and_are_restored():
     # perfbench/tracer.py patches names through each class's and module's own
     # __dict__; a renamed patched name must fail here, not in a traced run
@@ -196,8 +225,8 @@ def test_division_neither_scans_nor_copies_the_running_dividend(monkeypatch):
     # dividend per quotient term
     from ogzkit import _kernel as K
 
-    b = {(1, 0, 0): 3, (0, 1, 0): -2, (0, 0, 1): 1, (0, 0, 0): 5}
-    q = {(i, j, k): (i + 2 * j - k) or 1 for i in range(7) for j in range(7) for k in range(5)}
+    b = {K.pack(m, 3): c for m, c in {(1, 0, 0): 3, (0, 1, 0): -2, (0, 0, 1): 1, (0, 0, 0): 5}.items()}
+    q = {K.pack((i, j, k), 3): (i + 2 * j - k) or 1 for i in range(7) for j in range(7) for k in range(5)}
     a = K.p_mul(q, b)
     calls = []
     for name in ("p_lead", "p_sub"):

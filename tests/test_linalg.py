@@ -42,7 +42,7 @@ def solve(columns, rhs):
 
 
 def integer(row):
-    return _linalg.integer_row(row, RING.nvars)[0]
+    return _linalg.integer_row(row)[0]
 
 
 def integer_rows(columns):
@@ -222,7 +222,7 @@ M61 = 2**61 - 1
 def echelon(rows):
     """A ModEchelon fed ``rows`` scaled to integer rows, at the first point
     modulo the prime to their scales (the way a solve picks its rows)."""
-    scaled, scales = zip(*(_linalg.integer_row(row, RING.nvars) for row in rows))
+    scaled, scales = zip(*(_linalg.integer_row(row) for row in rows))
     out = _linalg.ModEchelon(_linalg.prime_to(math.lcm(*scales)), RING.nvars)
     for row in scaled:
         out.add(row)
