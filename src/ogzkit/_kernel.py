@@ -89,10 +89,15 @@ def divides(b, m):
     return (m | g) - b & g == g
 
 
-@lru_cache(maxsize=4096)
 def _fields(m, n):
-    """(shift, exponent) of each nonzero exponent of ``m``."""
-    return tuple((_W * (n - 1 - s), e) for s, e in enumerate(unpack(m, n)) if e)
+    """(shift, exponent) of each nonzero exponent of ``m``, highest first."""
+    m &= (1 << (_W * n)) - 1  # without the degree
+    out = []
+    while m:
+        sh = (m.bit_length() - 1) // _W * _W
+        out.append((sh, m >> sh))
+        m &= (1 << sh) - 1
+    return out
 
 
 def mono_min(monos, n):
@@ -124,8 +129,6 @@ def p_derivative(a, op, n):
     """sum_beta c_beta d^beta a / beta!, for ``op`` pairs (beta, c_beta) of
     a monomial and a coefficient (see :meth:`Polynomial.derivative`)."""
     op = [(beta, _fields(beta, n), c) for beta, c in op]
-    if not a or not op:
-        return {}
     g = _guards(n + 1)  # every field of the ring's monomials
     acc = {}
     get = acc.get
@@ -187,9 +190,6 @@ def p_mul(a, b, into=None):
         return {} if into is None else into
     if len(a) > len(b):
         a, b = b, a
-    if len(a) == 1 and into is None:  # the product of nonzero terms is nonzero
-        ((ma, ca),) = a.items()
-        return p_mul_term(b, ma, ca)
     check_degree(degree(max(a) + max(b)))
     r = {} if into is None else into
     get = r.get

@@ -320,6 +320,13 @@ def test_kernel_ops_match_the_tuple_kernel(nv):
         assert tupled(K.p_eval_int(pa, s, nv, val), nv) == T.p_eval_int(a, s, val)
         q, r = K.p_divmod(pa, pb)
         assert (tupled(q, nv), tupled(r, nv)) == T.p_divmod(a, b)
+        # c d^mono a / mono!: distinct monomials have distinct quotients
+        want = {
+            tuple(x - y for x, y in zip(m, mono)): c * v * math.prod(map(math.comb, m, mono))
+            for m, v in a.items()
+            if all(x >= y for x, y in zip(m, mono))
+        }
+        assert tupled(K.p_derivative(pa, [(K.pack(mono, nv), c)], nv), nv) == want
         # int order is graded-lex order
         assert [K.unpack(m, nv) for m in sorted(pa)] == sorted(a, key=T.grlex_key)
     assert K.p_total_degree({}) == T.p_total_degree({}) == -1

@@ -154,19 +154,27 @@ def test_eval_cells_matches_substitute():
 
 def test_point_map_refuses_exponents_past_the_field():
     # z[1], x[1,1], x[1,2], x[2,1]: x[2,1] is the last variable, the tail;
-    # x[1,1] is mapped, x[1,2] and x[2,1] map to themselves
+    # x[1,1] is mapped to an image of degree 2, x[1,2] and x[2,1] map to
+    # themselves, so the inputs below fit and only their images overflow
     ring = Ring((2, 1), 1)
-    pm = PointMap(ring, {(1, 1): ring.z(1) + ring.const(1)})
+    image = ring.z(1) ** 2 + ring.const(1)
+    pm = PointMap(ring, {(1, 1): image})
     top = 1 << _kernel.FIELD_BITS
-    for m in [(0, top, 0, 0), (0, 0, top, 0), (1, 0, 0, top), (0, 0, top // 2, top // 2)]:
-        # a mapped and a fixed head image, a tail image, a head x tail product
+    # a power of the mapped image, refused before a power is built
+    with pytest.raises(ValueError, match="overflows"):
+        pm(Polynomial(ring, {(0, top // 2, 0, 0): 1}))
+    assert not pm._powers
+    for m in [(0, 2, top - 4, 0), (0, 2, 0, top - 4)]:
+        # a mapped times a fixed head image, a head image times a tail image
         with pytest.raises(ValueError, match="overflows"):
             pm(Polynomial(ring, {m: 1}))
     # the largest degrees that fit come back exactly, after the refusals
     for m in [(top - 1, 0, 0, 0), (0, 0, top // 2, top // 2 - 1), (0, 0, 1, top - 2)]:
         f = Polynomial(ring, {m: 3, (0, 0, 0, 1): -2})
         assert pm(f) == f
-    assert pm(ring.x(1, 1) ** 2 * ring.x(2, 1)) == (ring.z(1) + ring.const(1)) ** 2 * ring.x(2, 1)
+    for m, rest in [((0, 2, top - 5, 0), ring.x(1, 2) ** (top - 5)), ((0, 2, 0, top - 5), ring.x(2, 1) ** (top - 5))]:
+        assert pm(Polynomial(ring, {m: 1})) == image**2 * rest
+    assert pm(ring.x(1, 1) ** 2 * ring.x(2, 1)) == image**2 * ring.x(2, 1)
     # every map of the ring emits the ring's one int object per monomial
     other = PointMap(ring, {(1, 1): ring.z(1) - ring.const(1)})
     a, b = (f(ring.x(1, 1) * ring.x(2, 1) ** 2) for f in (pm, other))
@@ -216,8 +224,13 @@ def test_point_map_builds_high_powers_without_recursion():
     for e in (2000, 1999, 2002):
         binomial = Polynomial(ring, {(k, 0, 0, 0): math.comb(e, k) for k in range(e + 1)})
         assert pm(Polynomial(ring, {(0, e, 0, 0): 1})) == binomial
+    # an image of degree 2 refuses x[1,1]^32768 before it builds a power
+    wide = PointMap(ring, {(1, 1): ring.z(1) ** 2 + ring.const(1)})
+    assert wide(ring.x(1, 1) ** 3) == (ring.z(1) ** 2 + ring.const(1)) ** 3
+    built = dict(wide._powers)
     with pytest.raises(ValueError, match="overflows"):
-        pm(Polynomial(ring, {(0, 1 << _kernel.FIELD_BITS, 0, 0): 1}))
+        wide(Polynomial(ring, {(0, 1 << (_kernel.FIELD_BITS - 1), 0, 0): 1}))
+    assert wide._powers == built
 
 
 def test_derivative_reads_the_taylor_coefficients():
