@@ -78,12 +78,26 @@ MAX_SHIFT = 10**6
 # Python's int() refuses more than 4300 digits with a ValueError.
 MAX_TOKEN_CHARS = 1000
 
-# Parameters z[1..n] come first among a ring's variables, so each one adds a
-# slot to every monomial and slows all arithmetic.  blocks on the radius-2
-# (2,1) window takes 0.6 s with none, 2.4 s at the cap and 14.6 s with 1000;
-# apply of E1 to z[100000] alone takes 0.4 s and 60 MB, and z[99999999] would
-# exhaust memory.
+# A ring has a variable z[t] for each t up to the largest tag of a job
+# spec's point, or up to the largest z[t] in the text of apply, and each one
+# widens every monomial by a field: apply of E1 to z[100] takes 0.07 s in
+# process, to z[100000] 23 s and 41 MB, and z[99999999] would exhaust
+# memory.  A spec's params and apply's --params add no variable; they are
+# checked against the cap too.
 MAX_PARAMS = 100
+
+# The ladder coefficients and the row symmetric polynomials grow with the
+# length of a row, the relation battery and the invariant family with the
+# number of cells.  In fresh processes, one run each: at the caps,
+# check-relations takes at most 0.6 s on (4,2,1), (1,4,2) and (3,3,1), and
+# ddiff-compare --degree 8 17 s on (4,3).  Past them, apply of E1 to x[1,1]
+# takes 1.2 s on (7,1) and 12 s on (8,1); check-relations takes 2.0 s on
+# (4,3,1), 13 s on (4,4,2), and over 60 s on (5,5) and (4,4,4).  The caps
+# bound the shape, not the cost: apply of E1^4 to x[1,1] runs past 60 s on
+# (4,1).  They hold for every command that does ring arithmetic; graph only
+# lays out the lattice and keeps the point caps.
+MAX_ROW_CELLS = 4
+MAX_SHAPE_CELLS = 7
 
 # basis certifies its window, action on its first solve.  basis takes 0.7 s
 # on (2,1) at radius 3 (49 points), 3.0 s on (2,2,1) at radius 1 and 2.2 s
@@ -349,6 +363,14 @@ def _check_params(n: int, what: str, error=ParseError):
         raise error(f"{what} asks for {n} parameters, above the cap of {MAX_PARAMS}")
 
 
+def _check_shape_cells(shape: tuple, error=ParseError):
+    if max(shape) > MAX_ROW_CELLS or sum(shape) > MAX_SHAPE_CELLS:
+        raise error(
+            f"shape ({','.join(map(str, shape))}) is above the cap of {MAX_ROW_CELLS} cells "
+            f"in a row and {MAX_SHAPE_CELLS} in all"
+        )
+
+
 def parse_expr(ring: Ring, text: str) -> RationalFunction:
     """Parse a rational-function expression over the ring."""
     return _value(ring, text, allow_ops=False)
@@ -416,10 +438,11 @@ def _spec_faults(data):
     })
 
 
-def load_jobspec(path: str, certified: bool = False) -> Tuple[EvalPoint, int, int]:
+def load_jobspec(path: str, certified: bool = False) -> Tuple[EvalPoint, int]:
     """Read and validate a window job specification file; everything is
     checked before any computation starts.  ``certified`` sets the contract
-    cap of basis, action, blocks and probe, :data:`MAX_CERTIFIED_POINTS`."""
+    caps of basis, action, blocks and probe: :data:`MAX_CERTIFIED_POINTS`,
+    and :data:`MAX_ROW_CELLS` and :data:`MAX_SHAPE_CELLS` on ``lambda``."""
 
     def unique(pairs):
         seen = set()
@@ -467,7 +490,9 @@ def load_jobspec(path: str, certified: bool = False) -> Tuple[EvalPoint, int, in
     cap = MAX_CERTIFIED_POINTS if certified else MAX_WINDOW_POINTS
     if window_points(shape, radius) > cap:
         raise JobSpecError(f"a radius-{radius} window has more points than the cap of {cap}")
-    return point, radius, params
+    if certified:
+        _check_shape_cells(shape, JobSpecError)
+    return point, radius
 
 
 # ---------------------------------------------------------------------------
@@ -477,16 +502,17 @@ def load_jobspec(path: str, certified: bool = False) -> Tuple[EvalPoint, int, in
 
 def _parse_shape(text: str) -> tuple:
     try:
-        shape = tuple(int(t) for t in text.split(","))
-        return check_shape(shape)
+        shape = check_shape(int(t) for t in text.split(","))
     except ValueError as e:
         raise ParseError(f"bad shape {text!r}: {e}") from None
+    _check_shape_cells(shape)
+    return shape
 
 
 def _cmd_apply(args) -> str:
     shape = _parse_shape(args.shape)
-    nparams = max(args.params, _max_param(args.op), _max_param(args.expr))
-    _check_params(nparams, "apply")
+    nparams = max(_max_param(args.op), _max_param(args.expr))
+    _check_params(max(args.params, nparams), "apply")
     ring = Ring(shape, nparams)
     op = parse_op(ring, args.op)
     val = parse_expr(ring, args.expr)
@@ -582,8 +608,8 @@ def _fmt_char(character) -> str:
 
 
 def _cmd_basis(args) -> str:
-    point, radius, params = load_jobspec(args.spec, certified=True)
-    win = build_basis_B(point, radius, nparams=params)
+    point, radius = load_jobspec(args.spec, certified=True)
+    win = build_basis_B(point, radius)
     lines = [f"point {point}", f"radius {radius}", f"window_size {win.report.window_size}"]
     lines.append(f"orbits {len(win.orbits)}")
     lines.append(f"basis {len(win.basis)}")
@@ -607,16 +633,16 @@ def _act_line(b: int, vec: dict) -> str:
 
 
 def _cmd_action(args) -> str:
-    point, radius, params = load_jobspec(args.spec, certified=True)
+    point, radius = load_jobspec(args.spec, certified=True)
     tok = args.op.strip()
     gen = _generator_key(tok)
     if gen is None:
         raise ParseError(f"operator {tok!r} is not a generator token (E<i>, F<i>, gamma[i,d])")
     try:
-        Generators(point.ring(params)).op(gen)
+        Generators(point.ring()).op(gen)
     except ValueError as e:
         raise ParseError(f"generator {tok} out of range for the shape: {e}") from None
-    win = ModuleWindow(point, radius, nparams=params)
+    win = ModuleWindow(point, radius)
     lines = [f"point {point}", f"radius {radius}", f"op {tok}", f"routes {args.routes}"]
     for b in range(len(win.basis)):
         if win.on_boundary(gen, b):
@@ -632,8 +658,8 @@ def _cmd_action(args) -> str:
 
 
 def _cmd_blocks(args) -> str:
-    point, radius, params = load_jobspec(args.spec, certified=True)
-    win = ModuleWindow(point, radius, nparams=params)
+    point, radius = load_jobspec(args.spec, certified=True)
+    win = ModuleWindow(point, radius)
     decomp = win.block_decompose()
     lines = [f"point {point}", f"radius {radius}"]
     for entry in decomp:
@@ -656,7 +682,7 @@ def _cmd_blocks(args) -> str:
 
 
 def _cmd_graph(args) -> str:
-    point, radius, _ = load_jobspec(args.spec)
+    point, radius = load_jobspec(args.spec)
     g = component_graph(point, radius, edge_rule=args.edge_rule)
     present = sum(1 for e in g.edges if e[3])
     lines = [
@@ -724,8 +750,8 @@ def _cmd_walk(args) -> str:
 def _cmd_probe(args) -> str:
     if args.max_visited < 2:
         raise ParseError(f"--max-visited must be at least 2, got {args.max_visited}")
-    point, radius, params = load_jobspec(args.spec, certified=True)
-    win = ModuleWindow(point, radius, nparams=params)
+    point, radius = load_jobspec(args.spec, certified=True)
+    win = ModuleWindow(point, radius)
     rep = simplicity_probe(win, max_visited=args.max_visited)
     lines = [f"point {point}", f"radius {radius}"]
     lines.append(f"hypothesis {'ok' if rep.hypothesis_ok else 'FAIL'}")

@@ -27,10 +27,6 @@ def check_shape(shape) -> tuple:
     return shape
 
 
-def cells_of(shape) -> list:
-    return [(i, j) for i, s in enumerate(shape, start=1) for j in range(1, s + 1)]
-
-
 @dataclass(frozen=True)
 class RowPermutation:
     """Product of one permutation per row, in one-line notation (1-based)."""
@@ -79,15 +75,6 @@ class RowPermutation:
         )
         return RowPermutation(self.shape, rows)
 
-    def inverse(self) -> "RowPermutation":
-        rows = []
-        for r in self.rows:
-            inv = [0] * len(r)
-            for p, img in enumerate(r, start=1):
-                inv[img - 1] = p
-            rows.append(tuple(inv))
-        return RowPermutation(self.shape, tuple(rows))
-
     def is_identity(self) -> bool:
         return all(r == tuple(range(1, len(r) + 1)) for r in self.rows)
 
@@ -135,10 +122,6 @@ def word_to_perm(shape, word) -> RowPermutation:
     return perm
 
 
-def word_is_reduced(shape, word) -> bool:
-    return len(word) == word_to_perm(shape, word).length()
-
-
 def canonical_word(perm: RowPermutation) -> tuple:
     """Canonical reduced word: rows in ascending order; within a row, the
     word produced by repeatedly clearing the smallest descent."""
@@ -181,19 +164,6 @@ class YoungSubgroup:
             for row in raw_blocks
         )
         return YoungSubgroup(tuple(shape), blocks)
-
-    @staticmethod
-    def full_rows(shape, rows: Iterable) -> "YoungSubgroup":
-        """One block per listed row, singletons elsewhere."""
-        shape = check_shape(shape)
-        rows = set(rows)
-        raw = []
-        for i, s in enumerate(shape, start=1):
-            if i in rows:
-                raw.append([tuple(range(1, s + 1))])
-            else:
-                raw.append([(p,) for p in range(1, s + 1)])
-        return YoungSubgroup._canon(shape, raw)
 
     @staticmethod
     def from_values(shape, values: Mapping, rows: Optional[Iterable] = None) -> "YoungSubgroup":
@@ -272,17 +242,6 @@ class YoungSubgroup:
         out = [RowPermutation(self.shape, rows) for rows in itertools.product(*per_row)]
         out.sort(key=RowPermutation.sort_key)
         return out
-
-    def longest_element(self) -> RowPermutation:
-        """Order-reversing permutation within each block."""
-        rows = []
-        for s, row_blocks in zip(self.shape, self.blocks):
-            one_line = [0] * s
-            for b in row_blocks:
-                for p, q in zip(b, reversed(b)):
-                    one_line[p - 1] = q
-            rows.append(tuple(one_line))
-        return RowPermutation(self.shape, tuple(rows))
 
 
 def shortest_coset_reps(big: YoungSubgroup, small: YoungSubgroup) -> list:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import _kernel as K
-from .combinat import RowPermutation, canonical_word, word_to_perm
+from .combinat import RowPermutation, canonical_word
 from .errors import InvalidComposition, InvalidPair
 from .exactalg import Polynomial, RationalFunction, Ring, merge_terms
 from .skewops import AffineSymmetry, LinearCombination, SkewOperator, ladder_coefficient
@@ -151,20 +151,6 @@ def apply_word(ring: Ring, word: Iterable, f: Polynomial) -> Polynomial:
     return Polynomial._reduced(ring, terms, f.den)
 
 
-def leibniz_parts(ring: Ring, a, b, f, gamma: AffineSymmetry):
-    """Both sides of the coefficient-passing rule
-    diff∘(f·gamma) = diff(f)·gamma + f^t·(diff∘gamma), returned as
-    (lhs, rhs) skew operators for comparison."""
-    a, b = _pair_cells(ring, a, b)
-    f = RationalFunction.from_any(ring, f)
-    d = partial(ring, a, b)
-    gam = SkewOperator.of_symmetry(ring, gamma)
-    lhs = d @ (f * gam)
-    swap = {a: b, b: a}
-    rhs = partial_apply_rf(ring, a, b, f) * gam + f.permute_cells(swap) * (d @ gam)
-    return lhs, rhs
-
-
 def _block_bounds(shape_row: int, mu) -> list:
     mu = tuple(int(m) for m in mu)
     if any(m < 1 for m in mu) or sum(mu) != shape_row:
@@ -233,13 +219,6 @@ class NilHecke(LinearCombination):
     def generator(ring: Ring, i: int, p: int) -> "NilHecke":
         _pair_cells(ring, (i, p), (i, p + 1))
         return NilHecke(ring, {RowPermutation.simple(ring.shape, i, p): 1})
-
-    @staticmethod
-    def from_word(ring: Ring, word: Iterable) -> "NilHecke":
-        """diff_word: its permutation when the word is reduced, else zero."""
-        word = tuple(word)
-        perm = word_to_perm(ring.shape, word)
-        return NilHecke(ring, {perm: 1} if perm.length() == len(word) else {})
 
     @staticmethod
     def _key_product(v: RowPermutation, u: RowPermutation):
@@ -329,13 +308,4 @@ class NilHecke(LinearCombination):
             if sign < 0:
                 coeff = -coeff
             out = out + factor.mul_left_fun(coeff)
-        return out
-
-    def to_skew(self) -> SkewOperator:
-        """Expand into the permutation-symmetry normal form (for checks on
-        generic ground; this direction can introduce the poles that the
-        divided-difference basis avoids)."""
-        out = SkewOperator.zero(self.ring)
-        for w, f in self.terms.items():
-            out = out + f * partial_for_perm(self.ring, w)
         return out

@@ -16,10 +16,6 @@ class DivisionByZero(OgzError):
     """Denominator is the zero polynomial."""
 
 
-class SingularSubstitution(OgzError):
-    """A substitution sent some denominator to zero."""
-
-
 class InvalidSubgroup(OgzError):
     """Row-block partition is malformed or too large to enumerate."""
 
@@ -54,10 +50,6 @@ class WindowLeakage(OgzError):
 
 class HypothesisViolation(OgzError):
     """A genericity hypothesis failed (vanishing denominator at the point)."""
-
-
-class RegularityError(OgzError):
-    """Point is not regular where regularity is required."""
 
 
 class InvalidMove(OgzError):

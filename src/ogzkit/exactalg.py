@@ -26,7 +26,7 @@ from typing import Iterable, Mapping
 from . import _kernel as K
 from ._gcd import gcd_qq
 from ._ratio import QQ
-from .errors import DivisionByZero, SingularSubstitution
+from .errors import DivisionByZero
 
 VarId = tuple
 
@@ -298,36 +298,6 @@ class Polynomial:
         moves = [(s, K.var(d, n) - K.var(s, n)) for s, d in slot_map.items()]
         out = {m + sum(K.exponent(m, s, n) * step for s, step in moves): c for m, c in self.terms.items()}
         return Polynomial._wrap(self.ring, out, self.den)
-
-    def substitute(self, images: Mapping) -> "RationalFunction":
-        """General substitution; images may be rational, so the result is a
-        :class:`RationalFunction`.  Raises SingularSubstitution if a
-        denominator vanishes."""
-        ring = self.ring
-        imgs = {}
-        for vid, val in images.items():
-            vid = tuple(vid)
-            if vid not in ring.index:
-                raise ValueError(f"unknown variable {vid}")
-            imgs[ring.index[vid]] = RationalFunction.from_any(ring, val)
-        out = RationalFunction.from_any(ring, 0)
-        pow_cache: dict = {}
-        for m, c in self.terms.items():
-            factor = RationalFunction.from_poly(ring.const(QQ(c, self.den)))
-            for slot, e in enumerate(K.unpack(m, ring.nvars)):
-                if not e:
-                    continue
-                if slot in imgs:
-                    key = (slot, e)
-                    pe = pow_cache.get(key)
-                    if pe is None:
-                        pe = imgs[slot] ** e
-                        pow_cache[key] = pe
-                    factor = factor * pe
-                else:
-                    factor = factor * Polynomial._wrap(ring, {K.var(slot, ring.nvars, e): 1})
-            out = out + factor
-        return out
 
     def eval_cells(self, images: "PointMap | Mapping") -> "Polynomial":
         """Substitute parameter-only polynomials for cell variables (the fast
@@ -696,13 +666,6 @@ class RationalFunction:
         if self._hash is None:
             self._hash = hash((self.num, self.den))
         return self._hash
-
-    def substitute(self, images: Mapping) -> "RationalFunction":
-        num = self.num.substitute(images)
-        den = self.den.substitute(images)
-        if den.is_zero():
-            raise SingularSubstitution(f"substitution sent denominator {self.den} to zero")
-        return num / den
 
     def shift_cells(self, offsets: Mapping) -> "RationalFunction":
         return RationalFunction(self.num.shift_cells(offsets), self.den.shift_cells(offsets))

@@ -72,7 +72,6 @@ from .divdiff import NilHecke, apply_word, chain_word
 from .errors import (
     HypothesisViolation,
     InvalidSingularSetup,
-    RegularityError,
     WindowLeakage,
     WindowRankError,
 )
@@ -85,7 +84,6 @@ from .exactalg import (
     merge_terms,
 )
 from .skewops import (
-    AffineSymmetry,
     Generators,
     invariant_family,
     ladder_coefficient,
@@ -152,8 +150,8 @@ class EvalPoint:
     def max_tag(self) -> int:
         return max(t for _, (t, _) in self.entries)
 
-    def ring(self, nparams: int = 0) -> Ring:
-        return Ring(self.shape, max(nparams, self.max_tag()))
+    def ring(self) -> Ring:
+        return Ring(self.shape, self.max_tag())
 
     def value_poly(self, ring: Ring, cell) -> Polynomial:
         tag, off = self.pair(cell)
@@ -194,18 +192,6 @@ class EvalPoint:
         hit = self._translates[moves] = EvalPoint(self.shape, tuple(sorted(vals.items())))
         return hit
 
-    def acted(self, sym: AffineSymmetry) -> "EvalPoint":
-        """The point sym·v, pinned by ev_{sym·v} = ev_v ∘ sym^{-1}:
-        (sym·v)(a) = v(perm^{-1}(a)) - shift_a."""
-        vals = self._map()
-        pinv = sym.perm.inverse()
-        smap = sym.shift_map()
-        out = {}
-        for cell in vals:
-            tag, off = vals[pinv(cell)]
-            out[cell] = (tag, off - QQ(smap.get(cell, 0)))
-        return EvalPoint(self.shape, tuple(sorted(out.items())))
-
     def integer_diff(self, a, b) -> Optional[int]:
         ta, oa = self.pair(a)
         tb, ob = self.pair(b)
@@ -235,17 +221,6 @@ def gamma_eigenvalue(ring: Ring, point: EvalPoint, i: int, d: int) -> RationalFu
     symmetric function of the row's values, as a parameter polynomial."""
     e = elementary_symmetric(ring, i, d)
     return RationalFunction.from_poly(e.eval_cells(point.point_map(ring)))
-
-
-def eval_rf_at(ring: Ring, rf: RationalFunction, point: EvalPoint, err=RegularityError):
-    """Evaluate a rational function at the point (cells -> values); raises
-    ``err`` when the denominator vanishes there."""
-    pm = point.point_map(ring)
-    den = rf.den.eval_cells(pm)
-    if den.is_zero():
-        raise err(f"denominator {rf.den} vanishes at point {point}")
-    num = rf.num.eval_cells(pm)
-    return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -483,14 +458,14 @@ class Orbit:
 class ModuleWindow:
     """The windowed basis with cached generator actions."""
 
-    def __init__(self, point: EvalPoint, radius: int, nparams: int = 0):
+    def __init__(self, point: EvalPoint, radius: int):
         report = singularity_setup_check(point, radius)
         if not report.ok:
             raise InvalidSingularSetup("; ".join(report.issues()))
         self.report = report
         self.point = point
         self.radius = radius
-        self.ring = point.ring(nparams)
+        self.ring = point.ring()
         self.gens = Generators(self.ring)
         self.stab = report.stabilizer
         self.cells = self.ring.shiftable_cells()
@@ -813,10 +788,10 @@ class ModuleWindow:
         return [entry["socle"] for entry in self.block_decompose()]
 
 
-def build_basis_B(point: EvalPoint, radius: int, nparams: int = 0) -> ModuleWindow:
+def build_basis_B(point: EvalPoint, radius: int) -> ModuleWindow:
     """Construct the windowed basis and certify it spans: returns a ready
     :class:`ModuleWindow` with the rank certificate computed."""
-    win = ModuleWindow(point, radius, nparams=nparams)
+    win = ModuleWindow(point, radius)
     win.certify_rank()
     return win
 
@@ -861,25 +836,6 @@ def conjugation_check(window: ModuleWindow, orbit_idx: int, rho: RowPermutation)
             if not (func.evaluate(ring, f) - rhs).is_zero():
                 return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# regular (trivial-stabilizer) expansions
-
-
-def ladder_point_expansion(ring: Ring, point: EvalPoint, i: int, up: bool) -> list:
-    """ev_point ∘ ladder operator as a combination of evaluations at
-    translates: [(target point, coefficient)], zero terms dropped.  Needs the
-    row values pairwise distinct (else the coefficients have poles, and
-    :func:`eval_rf_at` raises :class:`RegularityError`)."""
-    if not 1 <= i <= len(point.shape) - 1:
-        raise ValueError(f"ladder row {i} out of range")
-    out = []
-    for cell in ring.row_cells(i):
-        coeff = eval_rf_at(ring, ladder_coefficient(ring, i, cell[1], cell[1], up), point)
-        if not coeff.is_zero():
-            out.append((point.translated({cell: 1 if up else -1}), coeff))
-    return out
 
 
 # ---------------------------------------------------------------------------

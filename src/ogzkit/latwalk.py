@@ -40,14 +40,6 @@ def _check_state(state) -> tuple:
     return out
 
 
-def state_partition(state) -> tuple:
-    """Coordinate indices grouped by equal value, blocks sorted by minimum."""
-    groups: dict = {}
-    for idx, v in enumerate(_check_state(state)):
-        groups.setdefault(v, []).append(idx)
-    return tuple(sorted(tuple(g) for g in groups.values()))
-
-
 def classify_move(src, dst) -> str:
     """Kind of the move src -> dst; raises :class:`InvalidMove` otherwise."""
     return _classify(_check_state(src), _check_state(dst))

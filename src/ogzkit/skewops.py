@@ -82,9 +82,6 @@ class AffineSymmetry:
     def shape(self) -> tuple:
         return self.perm.shape
 
-    def shift_map(self) -> dict:
-        return dict(self.shifts)
-
     def is_identity(self) -> bool:
         return self.perm.is_identity() and not self.shifts
 
@@ -104,13 +101,6 @@ class AffineSymmetry:
             elif tgt in merged:
                 del merged[tgt]
         return AffineSymmetry(self.perm * other.perm, tuple(sorted(merged.items())))
-
-    def inverse(self) -> "AffineSymmetry":
-        pinv = self.perm.inverse()
-        inv_shifts = {}
-        for cell, n in self.shifts:
-            inv_shifts[pinv(cell)] = -n
-        return AffineSymmetry(pinv, tuple(sorted(inv_shifts.items())))
 
     def act_poly(self, p: Polynomial) -> Polynomial:
         """x_a -> x_{perm(a)} + shift_{perm(a)} on a polynomial."""
@@ -376,8 +366,8 @@ class Generators:
         self._cache: dict = {}
 
     @staticmethod
-    def for_shape(shape, nparams: int = 0) -> "Generators":
-        return Generators(Ring(check_shape(shape), nparams))
+    def for_shape(shape) -> "Generators":
+        return Generators(Ring(check_shape(shape)))
 
     def op(self, key: tuple) -> SkewOperator:
         """The generator named by a window key: ``("raising", i)``,
@@ -421,19 +411,6 @@ class Generators:
     def shift_op(self, cell, n: int = 1) -> SkewOperator:
         sym = AffineSymmetry.shift(self.ring.shape, {tuple(cell): n})
         return SkewOperator.of_symmetry(self.ring, sym)
-
-    def all_named(self) -> list:
-        """Deterministic (token, operator) list of the full generator family."""
-        out = []
-        k = len(self.ring.shape)
-        for i in range(1, k):
-            out.append((f"E{i}", self.raising(i)))
-        for i in range(1, k):
-            out.append((f"F{i}", self.lowering(i)))
-        for i in range(1, k + 1):
-            for d in range(1, self.ring.shape[i - 1] + 1):
-                out.append((f"gamma[{i},{d}]", self.multiplier(i, d)))
-        return out
 
 
 def invariant_family(ring: Ring, max_degree: int) -> list:

@@ -21,10 +21,13 @@ from ogzkit.cli import (
     MAX_FUNCTION_EXPONENT,
     MAX_OPERATOR_EXPONENT,
     MAX_PARAMS,
+    MAX_ROW_CELLS,
+    MAX_SHAPE_CELLS,
     MAX_SHIFT,
     MAX_TOKEN_CHARS,
     MAX_WALK_COORDS,
     MAX_WALK_VALUE,
+    _parse_shape,
     _parser,
     main,
     parse_expr,
@@ -993,6 +996,96 @@ def test_jobspec_parameter_count_over_the_cap_exits_2(capsys, tmp_path, mutate):
     assert rc == 2 and out == ""
     e = error_payload(err)
     assert e["type"] == "JobSpecError" and f"above the cap of {MAX_PARAMS}" in e["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["basis"], ["action", "--op", "E1", "--routes", "both"], ["blocks"], ["probe"], ["graph", "--dot"]],
+)
+def test_jobspec_params_change_no_output(capsys, tmp_path, argv):
+    # params is read and held to the cap, but a window's ring takes its
+    # parameters from the tags of the point alone
+    outs = []
+    for params in (None, 5, MAX_PARAMS):
+        spec = dict(SPEC_R2, radius=1)
+        if params is not None:
+            spec["params"] = params
+        outs.append(run(capsys, argv[0], "--spec", write_spec(tmp_path, spec), *argv[1:]))
+    assert outs[0][0] == 0 and outs[0][1] and outs[1:] == [outs[0]] * 2
+
+
+def test_apply_params_change_no_output(capsys):
+    argv = ["apply", "--shape", "2,1", "--op", "E1", "--expr", "z[1]*x[1,1]"]
+    outs = [run(capsys, *argv, *params) for params in ([], ["--params", "4"], ["--params", str(MAX_PARAMS)])]
+    want = "(z[1]*x[1,1]^2-z[1]*x[1,1]*x[1,2]+z[1]*x[1,1]-z[1]*x[2,1])/(x[1,1]-x[1,2])\n"
+    assert outs[0] == (0, want, "") and outs[1:] == [outs[0]] * 2
+
+
+# ---------------------------------------------------------------------------
+# the shape: one short token could ask for a row or a cell count whose ring
+# arithmetic never ends
+
+
+SHAPES_IN_USE = ["1,1", "1,2", "2,1", "3,1", "4,1", "3,2", "1,2,1", "2,2,1", "1,2,3", "3,2,1", "1,2,3,1"]
+
+
+def test_shape_caps_admit_every_shape_in_use():
+    assert [_parse_shape(text) for text in SHAPES_IN_USE] == [
+        tuple(int(t) for t in text.split(",")) for text in SHAPES_IN_USE
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-relations", "--shape", "16"],
+        ["check-relations", "--shape", "6,6"],
+        ["check-relations", "--shape", "4,4"],
+        ["check-relations", "--shape", "1,2,3,4"],
+        ["apply", "--shape", "8,1", "--op", "E1", "--expr=x[1,1]"],
+        ["apply", "--shape", "12,1", "--op", "E1", "--expr=x[1,1]"],
+        ["apply", "--shape", "30", "--op", "gamma[1,15]", "--expr=1"],
+        ["ddiff-compare", "--shape", "8,1", "--row", "1", "--mu", "8", "--degree", "2"],
+        ["apply", "--shape", str(10**6), "--op", "E1", "--expr=1"],
+    ],
+)
+def test_shape_over_the_cap_exits_2_before_any_arithmetic(capsys, monkeypatch, argv):
+    def no_ring(*args, **kwargs):
+        raise AssertionError("a ring was built for a shape over the cap")
+
+    monkeypatch.setattr("ogzkit.cli.Ring", no_ring)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    e = error_payload(err)
+    assert e["type"] == "ParseError"
+    assert f"above the cap of {MAX_ROW_CELLS} cells in a row and {MAX_SHAPE_CELLS} in all" in e["message"]
+
+
+def spec_with_a_long_top_row(n):
+    # a 3-point window: only the one cell of row 1 moves
+    point = {"1,1": {"tag": 1, "offset": 0}}
+    point.update({f"2,{j}": {"tag": 2, "offset": j} for j in range(1, n + 1)})
+    return {"lambda": [1, n], "point": point, "radius": 1}
+
+
+@pytest.mark.parametrize("argv", [["basis"], ["action", "--op", "E1"], ["blocks"], ["probe"]])
+def test_jobspec_shape_over_the_cap_exits_2_before_any_arithmetic(capsys, tmp_path, monkeypatch, argv):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a ring or window was built for a shape over the cap")
+
+    for name in ("ModuleWindow", "build_basis_B", "Generators"):
+        monkeypatch.setattr(f"ogzkit.cli.{name}", no_build)
+    spec = write_spec(tmp_path, spec_with_a_long_top_row(30))
+    rc, out, err = run(capsys, argv[0], "--spec", spec, *argv[1:])
+    assert rc == 2 and out == ""
+    e = error_payload(err)
+    assert e["type"] == "JobSpecError" and "shape (1,30) is above the cap" in e["message"]
+
+
+def test_graph_lays_out_a_shape_over_the_cap(capsys, tmp_path):
+    # graph does no ring arithmetic, so only the point caps hold for it
+    rc, out, _ = run(capsys, "graph", "--spec", write_spec(tmp_path, spec_with_a_long_top_row(30)))
+    assert rc == 0 and "vertices 3\n" in out
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ from ogzkit import (
     find_path,
     parse_walk,
     render_walk,
-    state_partition,
     validate_walk,
 )
+from reference import state_partition
 
 # a long hand-checked tour with one deliberate stutter at index 4
 REFERENCE_STATES = [

@@ -1,10 +1,10 @@
 """Layout guards, read from the source text: modules keep to each other's
 public names, no file imports a name it never uses, every private
-definition is named somewhere in the library, and only the kernel builds
-or takes apart a monomial.  The guards that
-import the library check that the benchmark tracer's patch points exist and
-are restored, and that the structural route and polynomial division do not
-fall back to their costly paths."""
+definition is named somewhere in the library, every public one there or by
+a caller of the library, and only the kernel builds or takes apart a
+monomial.  The guards that import the library check that the benchmark
+tracer's patch points exist and are restored, and that the structural route
+and polynomial division do not fall back to their costly paths."""
 
 import ast
 import importlib.util
@@ -75,23 +75,45 @@ def test_no_unused_imports(path):
     assert unused_imports(parse(path)) == []
 
 
-def test_every_private_definition_is_referenced():
-    # a private function or class that nothing in the library names is dead
-    # code: no caller outside the package may reach it; a reference inside
-    # its own body (recursion) does not count
+def unreferenced(keep) -> list:
+    """(name, module) of each function, class or method whose name passes
+    ``keep`` and that nothing in the library names outside the definition's
+    own body (a recursive call does not count)."""
     defs, uses = [], []
     for path in MODULES:
         for node in ast.walk(parse(path)):
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and is_private(node.name):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and keep(node.name):
                 defs.append((node.name, path.name, node.lineno, node.end_lineno))
             elif isinstance(node, (ast.Name, ast.Attribute)):
                 uses.append((getattr(node, "id", None) or node.attr, path.name, node.lineno))
-    dead = [
+    assert defs
+    return [
         (name, where)
         for name, where, first, last in defs
         if not any(u == name and (f != where or not first <= line <= last) for u, f, line in uses)
     ]
-    assert defs and dead == []
+
+
+def test_every_private_definition_is_referenced():
+    # a private function or class that nothing in the library names is dead
+    # code: no caller outside the package may reach it
+    assert unreferenced(is_private) == []
+
+
+# the callers of the library besides the library itself: the benchmark, the
+# acceptance battery and the README's examples
+CALLERS = [p for p in sorted((ROOT / "perfbench").iterdir()) if p.is_file()] + [
+    ROOT / "tests" / "test_acceptance.py",
+    ROOT / "README.md",
+]
+
+
+def test_every_public_definition_has_a_caller():
+    # a public definition that neither the library nor one of its callers
+    # names serves only the tests: it belongs in tests/reference.py
+    named = set(re.findall(r"\w+", "\n".join(p.read_text(encoding="utf-8") for p in CALLERS)))
+    unused = unreferenced(lambda name: not name.startswith("_"))
+    assert [(name, where) for name, where in unused if name not in named] == []
 
 
 # one coefficient format: these layers work on integer numerators and never
