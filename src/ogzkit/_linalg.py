@@ -20,6 +20,7 @@ normalised once per column.  Pivots are chosen first-come in row order and
 the specialisation points come from a fixed list.
 """
 
+import functools
 import math
 from typing import List, Optional
 
@@ -53,8 +54,10 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=256)
 def prime_to(n: int) -> int:
-    """The largest prime up to 2^61 - 1 that does not divide ``n`` (n > 0)."""
+    """The largest prime up to 2^61 - 1 that does not divide ``n`` (n > 0).
+    Memoised: every solve of a window asks again for the same scales."""
     p = 2**61 - 1
     while n % p == 0 or not _is_prime(p):
         p -= 2

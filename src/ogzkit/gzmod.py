@@ -25,10 +25,12 @@ a ladder on a boundary orbit (:meth:`ModuleWindow.on_boundary`).  Each
 computes its coefficients on its own:
 
 * :meth:`ModuleWindow.act` — certify on first use, evaluate against the
-  invariant test family and solve exactly, once, for the columns of the
-  target blocks, fully verified; a right-hand side they do not span is a
-  :class:`WindowLeakage`.  The solve (:func:`_linalg.solve_columns`) is
-  fraction-free and checks every family member without a gcd;
+  invariant test family (a multiplier image that is itself a family member
+  is read from the window's own column) and solve exactly, once, for the
+  columns of the target blocks, fully verified; a right-hand side they do
+  not span is a :class:`WindowLeakage`.  The solve
+  (:func:`_linalg.solve_columns`) is fraction-free and checks every family
+  member without a gcd;
 * :meth:`ModuleWindow.act_structural` — push the generator through the
   functional in the divided-difference basis, one term per (coefficient,
   chain word, target): a multiplier is a single term that stays on its
@@ -85,6 +87,7 @@ from .exactalg import (
 )
 from .skewops import (
     Generators,
+    family_closure,
     invariant_family,
     ladder_coefficient,
 )
@@ -489,6 +492,7 @@ class ModuleWindow:
         self.family_degree = 0
         self.rank_history: List[int] = []
         self._gen_image_cache: Dict[tuple, Polynomial] = {}
+        self._closure_cache: Dict[tuple, dict] = {}
         self._act_cache: Dict[tuple, dict] = {}
 
     # -- construction helpers -------------------------------------------------
@@ -598,6 +602,17 @@ class ModuleWindow:
             self._gen_image_cache[key] = img
         return img
 
+    def _closure(self, gen: tuple) -> dict:
+        """For a multiplier e_{i,d}, the members t whose image e_{i,d} * f_t
+        is the family member f_{t'}, as t -> t' (built on first use from
+        :func:`skewops.family_closure`); a ladder has none."""
+        if gen[0] != "multiplier":
+            return {}
+        hit = self._closure_cache.get(gen)
+        if hit is None:
+            hit = self._closure_cache[gen] = family_closure(self.ring, self.family_degree, gen[1], gen[2])
+        return hit
+
     def index_of(self, orbit_idx: int, perm: RowPermutation) -> int:
         return self._index_of[(orbit_idx, perm.rows)]
 
@@ -651,25 +666,30 @@ class ModuleWindow:
     def act(self, gen: tuple, idx: int) -> dict:
         """Coefficients of basis functionals in (basis[idx] ∘ generator),
         solved exactly against the invariant family and verified on every
-        family member.  The first call on an uncertified window runs
+        family member.  A malformed key or a ladder on a boundary functional
+        is refused first; then the first call on an uncertified window runs
         :meth:`certify_rank`.
 
-        The right-hand side evaluates the generator images through the
+        The right-hand side at member t is basis[idx] of the generator image
+        of f_t.  A multiplier image e_{i,d} * f_t that is itself a family
+        member f_{t'} (:meth:`_closure`) is read from the window's column,
+        ``columns[idx][t']``; every other image is evaluated through the
         point's memoised map x_c -> z_tag + offset.  The rank certificate
         makes the window's columns independent, so the solution of
-        :func:`_linalg.solve_columns` is unique.  The solve runs once, over
-        the blocks of the theory-predicted target orbits; when those do not
-        solve, :class:`WindowLeakage` is raised."""
+        :func:`_linalg.solve_columns` is unique, and the solve checks it on
+        every family member.  The solve runs once, over the blocks of the
+        theory-predicted target orbits; when those do not solve,
+        :class:`WindowLeakage` is raised."""
         key = (gen, idx)
         hit = self._act_cache.get(key)
         if hit is not None:
             return hit
+        self._refuse_boundary(gen, idx)
         if not self.family:
             self.certify_rank()
-        self._refuse_boundary(gen, idx)
-        func = self.basis[idx]
+        func, column, closure = self.basis[idx], self.columns[idx], self._closure(gen)
         rhs = [
-            func.evaluate(self.ring, self.gen_image(gen, t))
+            column[closure[t]] if t in closure else func.evaluate(self.ring, self.gen_image(gen, t))
             for t in range(len(self.family))
         ]
         cand = [b for j in self.target_orbits(self.basis_meta[idx][0], gen) for b in self.block_indices(j)]

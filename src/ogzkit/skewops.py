@@ -424,6 +424,12 @@ def invariant_family(ring: Ring, max_degree: int) -> list:
     return list(_family(ring, max_degree).values())
 
 
+def _factors(ring: Ring) -> list:
+    """The factors (i, d) of the family members, row by row; a member's
+    factor indices point into this list."""
+    return [(i, d) for i in range(1, ring.rows + 1) for d in range(1, ring.shape[i - 1] + 1)]
+
+
 @functools.lru_cache(maxsize=64)
 def _family(ring: Ring, max_degree: int) -> dict:
     """The family up to ``max_degree`` as factor indices -> member, in
@@ -432,7 +438,7 @@ def _family(ring: Ring, max_degree: int) -> dict:
     if max_degree <= 0:
         return {(): ring.one()}
     out = dict(_family(ring, max_degree - 1))
-    gens = [(i, d) for i in range(1, ring.rows + 1) for d in range(1, ring.shape[i - 1] + 1)]
+    gens = _factors(ring)
 
     def rec(idx, remaining, current):
         # depth first in increasing index: tuple order
@@ -447,6 +453,21 @@ def _family(ring: Ring, max_degree: int) -> dict:
                 current.pop()
 
     rec(0, max_degree, [])
+    return out
+
+
+def family_closure(ring: Ring, max_degree: int, i: int, d: int) -> dict:
+    """Where multiplication by e_{i,d} keeps :func:`invariant_family`: the
+    map t -> t' of family positions with member t' = e_{i,d} * member t, for
+    every member t whose product has degree at most ``max_degree``.  Member
+    t' is the one whose factor indices are t's plus that of (i, d)."""
+    g = _factors(ring).index((i, d))
+    pos = {factors: t for t, factors in enumerate(_family(ring, max_degree))}
+    out = {}
+    for factors, t in pos.items():
+        t2 = pos.get(tuple(sorted(factors + (g,))))
+        if t2 is not None:
+            out[t] = t2
     return out
 
 

@@ -354,6 +354,74 @@ def test_act_solves_once_then_reports_leakage(singular_point, monkeypatch):
     assert len(calls) == 1
 
 
+def test_act_refuses_a_malformed_key_or_a_boundary_ladder_before_certifying(singular_point, monkeypatch):
+    # on a plain window the key and the boundary are checked first: the
+    # usual errors, and no rank certificate run
+    def fail(self):
+        raise AssertionError("certify_rank ran")
+
+    monkeypatch.setattr(ModuleWindow, "certify_rank", fail)
+    w = ModuleWindow(singular_point, 2)
+    center = w.block_indices(find_orbit(w, (0, 0)))[0]
+    for gen in MALFORMED_KEYS:
+        with pytest.raises(ValueError) as err:
+            w.act(gen, center)
+        assert str(err.value) == f"unknown generator key {gen}"
+    corner = w.block_indices(find_orbit(w, (2, 2)))[0]
+    for kind in ("raising", "lowering"):
+        with pytest.raises(WindowLeakage) as err:
+            w.act((kind, 1), corner)
+        assert str(err.value) == (
+            f"functional {corner} sits on the window boundary; its {kind} image "
+            "may involve translates outside the window"
+        )
+    assert not w.family and not w.rank_history
+
+
+def closure_pairs(w, gen) -> dict:
+    """t -> t' with e_{i,d} * f_t = f_{t'} on the window's family."""
+    return skewops.family_closure(w.ring, w.family_degree, gen[1], gen[2])
+
+
+@pytest.mark.parametrize("name", ["2,1-doubled-r2", "2,2,1-two-doubled"])
+def test_multiplier_images_in_the_family_read_the_same_column(name):
+    # the right-hand sides act reads from the columns: for every multiplier,
+    # functional and member of the closure, the stored value at t' is the
+    # functional of the generator image of t
+    shape, values, radius = PUSH_WINDOWS[name]
+    w = build_basis_B(EvalPoint.make(shape, values), radius)
+    for gen in w.multiplier_gens():
+        pairs = closure_pairs(w, gen)
+        assert pairs
+        for t, t2 in pairs.items():
+            assert w.gen_image(gen, t) == w.family[t2]
+        for idx, func in enumerate(w.basis):
+            column = w.columns[idx]
+            for t, t2 in pairs.items():
+                assert column[t2] == func.evaluate(w.ring, w.gen_image(gen, t)), (gen, idx, t)
+
+
+def test_multiplier_act_evaluates_only_outside_the_closure(singular_point, monkeypatch):
+    # of the 125 members of the radius-2 window, 95, 70 and 95 have their
+    # image in the family; one multiplier act evaluates only the others
+    w = build_basis_B(singular_point, 2)
+    evaluate, calls = Functional.evaluate, []
+
+    def counted(self, ring, f):
+        calls.append(f)
+        return evaluate(self, ring, f)
+
+    monkeypatch.setattr(Functional, "evaluate", counted)
+    counts = {}
+    for gen in w.multiplier_gens():
+        calls.clear()
+        w.act(gen, 0)
+        counts[gen] = len(calls)
+        assert len(calls) == len(w.family) - len(closure_pairs(w, gen))
+    assert len(w.family) == 125
+    assert counts == {("multiplier", 1, 1): 30, ("multiplier", 1, 2): 55, ("multiplier", 2, 1): 30}
+
+
 def test_multiplier_keeps_blocks(singular_window):
     w = singular_window
     for oi in range(len(w.orbits)):

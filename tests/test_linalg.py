@@ -229,6 +229,20 @@ def echelon(rows):
     return out
 
 
+def test_prime_to_table():
+    # 2^61 - 1 unless it divides n, then the primes below it, 2^61 - 31 and
+    # 2^61 - 45; every other odd number in between has a Fermat witness
+    table = {
+        1: M61, 6: M61, 2**64: M61, M61 - 30: M61,
+        M61: M61 - 30, 3 * M61: M61 - 30, M61 * (M61 - 30): M61 - 44,
+    }
+    for n, p in table.items():
+        assert _linalg.prime_to(n) == p, n
+        assert _linalg.prime_to(n) == p, n  # again, from the memo
+    for m in set(range(M61 - 42, M61, 2)) - {M61 - 30}:
+        assert any(pow(a, m - 1, m) != 1 for a in (2, 3, 5, 7)), m
+
+
 def random_rf(rng: random.Random):
     num = random_zpoly(rng, 2)
     if rng.random() < 0.3:
