@@ -386,19 +386,22 @@ def closure_pairs(w, gen) -> dict:
 @pytest.mark.parametrize("name", ["2,1-doubled-r2", "2,2,1-two-doubled"])
 def test_multiplier_images_in_the_family_read_the_same_column(name):
     # the right-hand sides act reads from the columns: for every multiplier,
-    # functional and member of the closure, the stored value at t' is the
-    # functional of the generator image of t
+    # functional and member t of the closure, the stored value at t' is the
+    # functional of the generator image of t.  Images equal to the same f_t'
+    # (checked as polynomials) are evaluated once, from the first (gen, t)
     shape, values, radius = PUSH_WINDOWS[name]
     w = build_basis_B(EvalPoint.make(shape, values), radius)
+    first = {}
     for gen in w.multiplier_gens():
         pairs = closure_pairs(w, gen)
         assert pairs
         for t, t2 in pairs.items():
-            assert w.gen_image(gen, t) == w.family[t2]
-        for idx, func in enumerate(w.basis):
-            column = w.columns[idx]
-            for t, t2 in pairs.items():
-                assert column[t2] == func.evaluate(w.ring, w.gen_image(gen, t)), (gen, idx, t)
+            assert w.gen_image(gen, t) == w.family[t2], (gen, t)
+            first.setdefault(t2, (gen, t))
+    for idx, func in enumerate(w.basis):
+        column = w.columns[idx]
+        for t2, (gen, t) in first.items():
+            assert column[t2] == func.evaluate(w.ring, w.gen_image(gen, t)), (gen, idx, t)
 
 
 def test_multiplier_act_evaluates_only_outside_the_closure(singular_point, monkeypatch):
