@@ -5,9 +5,10 @@ tuple kernel in ``tuple_kernel`` (plus a field division loop of the test's
 own).  Every operation is compared term by term and through its rendering,
 on random rationals with non-trivial denominators.  The packed kernel
 ``_kernel`` is compared with the tuple kernel op by op through ``pack`` and
-``unpack``, gcd included, on random inputs and on the products of a large
-``apply``; its integer division ``p_divmod`` is compared with the
-scan-based loop it replaced, ``tuple_kernel.scan_divmod``."""
+``unpack``, gcd included, on random inputs, on the products of a large
+``apply`` and on the gcds of ``check-relations`` and ``ddiff-compare``; its
+integer division ``p_divmod`` is compared with the scan-based loop it
+replaced, ``tuple_kernel.scan_divmod``."""
 
 import math
 import random
@@ -20,7 +21,7 @@ from tuple_kernel import packed, tupled
 
 from ogzkit import QQ, Polynomial, RationalFunction, Ring
 from ogzkit import _kernel as K
-from ogzkit import _gcd
+from ogzkit import _gcd, exactalg
 from ogzkit.cli import main
 
 RING = Ring((2, 1), 1)  # z[1], x[1,1], x[1,2], x[2,1]
@@ -363,3 +364,29 @@ def test_products_of_a_large_apply_match_the_tuple_kernel(monkeypatch, capsys):
     assert len(calls) > 200
     for a, b, out in calls:
         assert tupled(out, nv) == T.p_mul(tupled(a, nv), tupled(b, nv))
+
+
+def test_gcds_of_check_relations_and_ddiff_compare_match_the_tuple_gcd(monkeypatch, capsys):
+    # every gcd, top-level and recursive, that the two commands take
+    calls = []
+    raw = _gcd.gcd_qq
+
+    def recorded(a, b, nvars):
+        out = raw(a, b, nvars)
+        calls.append((a, b, nvars, out))
+        return out
+
+    for module in (_gcd, exactalg):
+        monkeypatch.setattr(module, "gcd_qq", recorded)
+    assert main(["check-relations", "--shape", "3,2,1"]) == 0
+    assert main(["ddiff-compare", "--shape", "1,2,3", "--row", "2", "--mu", "2", "--degree", "3"]) == 0
+    capsys.readouterr()
+    # a and b over different variables, neither constant: the sides whose
+    # variable sets the gcd has to align
+    mixed = [
+        (a, b) for a, b, nv, _ in calls
+        if len(a) > 1 and len(b) > 1 and K.p_support(a, nv) != K.p_support(b, nv)
+    ]
+    assert len(calls) > 400 and len(mixed) > 100
+    for a, b, nv, out in calls:
+        assert tupled(out, nv) == T.gcd_qq(tupled(a, nv), tupled(b, nv), nv)
