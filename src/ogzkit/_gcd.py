@@ -6,11 +6,17 @@ polynomials is that of their numerators up to an integer, and
 :func:`gcd_qq` returns the gcd in Z[x] of the numerators.
 
 Strategy: a constant argument reduces to an integer gcd with the other
-side's content.  Otherwise strip monomial and integer content, align
-variable sets via content reduction, then try a heuristic gcd (evaluate at
-a large integer, recurse, interpolate base-x digits, verify by exact
-division) with a primitive pseudo-remainder-sequence fallback.  Verification by division
-makes the heuristic sound; the fallback makes it total.
+side's content.  Otherwise strip monomial and integer content.  When the
+two sides use different variables, their gcd uses only the shared ones and
+so divides the gcd of their images with every unshared variable set to a
+fixed integer (Brown, J. ACM 18, 1971): a constant image gcd proves the gcd
+trivial, and a primitive one that divides both sides is the gcd.  Only an
+unlucky image falls back to aligning the variable sets by content
+reduction.  Sides over the same variables go to a heuristic gcd (Char,
+Geddes and Gonnet, GCDHEU: evaluate at a large integer, recurse, interpolate
+base-x digits, verify by exact division) with a primitive
+pseudo-remainder-sequence fallback.  Verification by division makes the
+image and the heuristic sound; the fallbacks make it total.
 """
 
 import math
@@ -19,6 +25,9 @@ from ._kernel import mono_min, p_collect, p_deg_in, p_divmod, p_eval_int, p_lead
 from ._kernel import p_mul_term, p_sub, p_support, var
 
 _HEU_ATTEMPTS = 6
+# _image_gcd sets x_v to _SUBST * (v + 1): values far apart keep the images
+# of linear forms x_s - x_u + k and x_s - x_w + k' apart for |k - k'| < _SUBST
+_SUBST = 1000
 
 
 def _is_one(a):
@@ -103,6 +112,32 @@ def _interp_wrt(g, v, x, nvars):
         f = nf
         e += 1
     return r
+
+
+def _image_gcd(a, b, va, vb, nvars):
+    """The gcd of primitive ``a`` and ``b`` (variable sets va != vb) from
+    their images with every unshared variable set to an integer, or None
+    when the candidate does not divide both.
+
+    The gcd uses only shared variables, so it divides the gcd h of the
+    images: a constant h proves it trivial, and a primitive h that divides
+    a and b is the gcd up to sign."""
+    images = []
+    for f, unshared in ((a, va - vb), (b, vb - va)):
+        for v in unshared:
+            f = p_eval_int(f, v, nvars, _SUBST * (v + 1))
+        if not f:
+            return None
+        images.append(f)
+    h = gcd_qq(*images, nvars)
+    if len(h) == 1 and 0 in h:
+        return {0: 1}
+    ch = math.gcd(*h.values())
+    if ch > 1:
+        h = _divexact_scalar(h, ch)
+    if _divexact(a, h) is not None and _divexact(b, h) is not None:
+        return h
+    return None
 
 
 def _heu_gcd(a, b, v, nvars):
@@ -192,17 +227,19 @@ def gcd_qq(a, b, nvars):
         a = _divexact_scalar(a, ca)
     if cb > 1:
         b = _divexact_scalar(b, cb)
-    # align variable sets: a variable missing on one side reduces the other
-    # side to its content with respect to that variable
-    while True:
-        va = p_support(a, nvars)
-        vb = p_support(b, nvars)
-        if va == vb:
-            break
+    va, vb = p_support(a, nvars), p_support(b, nvars)
+    if va != vb:
+        g = _image_gcd(a, b, va, vb, nvars)
+        if g is not None:
+            return _pos(p_mul_term(g, mg, c))
+    # an unlucky image: align variable sets, a variable missing on one side
+    # reducing the other side to its content with respect to that variable
+    while va != vb:
         for v in va - vb:
             a = _content_wrt(a, v, nvars)
         for v in vb - va:
             b = _content_wrt(b, v, nvars)
+        va, vb = p_support(a, nvars), p_support(b, nvars)
     if not va:
         g = {0: 1}
     elif a == b:

@@ -101,8 +101,24 @@ def _fields(m, n):
 
 
 def mono_min(monos, n):
-    """The gcd of nonempty monomials, their exponent-wise minimum."""
-    return 0 if 0 in monos else pack(map(min, zip(*(unpack(m, n) for m in monos))), n)
+    """The gcd of nonempty monomials, their exponent-wise minimum.
+
+    Taken on the fields below the degree: ``(r | G) - m`` keeps a field's
+    guard bit exactly where r's exponent is >= m's, and the kept guards,
+    shifted down and times ``MAX_DEGREE``, mask the fields to take from m.
+    The degree is the sum of the fields, that is the low part modulo
+    ``2**_W - 1``, exact because it is at most ``MAX_DEGREE``."""
+    if 0 in monos:
+        return 0
+    low, g = (1 << (_W * n)) - 1, _guards(n)
+    it = iter(monos)
+    r = next(it) & low
+    for m in it:
+        m &= low
+        r ^= (r ^ m) & (((r | g) - m & g) >> FIELD_BITS) * MAX_DEGREE
+        if not r:
+            return 0
+    return r % ((1 << _W) - 1) << (_W * n) | r
 
 
 def p_support(a, n):

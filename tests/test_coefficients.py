@@ -346,6 +346,63 @@ def test_gcd_matches_the_tuple_gcd(nv):
             assert tupled(got, nv) == T.gcd_qq(x, y, nv)
 
 
+X0, X1, X2, ONE = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
+S1 = 2 * _gcd._SUBST  # the value of x1 in an image that sets it
+IMAGE_CASES = {
+    # the images 2000*x0 + 1 and x0 + 3003 are coprime
+    "trivial": ({(1, 1, 0): 1, ONE: 1}, {X0: 1, X2: 1, ONE: 3}, False),
+    # (x0 - 2)(x0 + x1) and (x0 - 2)(x2 + 5): the image gcd x0 - 2 divides both
+    "verified": (T.p_mul({X0: 1, ONE: -2}, {X0: 1, X1: 1}), T.p_mul({X0: 1, ONE: -2}, {X2: 1, ONE: 5}), False),
+    # x0 + x1 - 7 has the image x0 + S1 - 7, a factor of b's image that does not divide a
+    "unlucky": ({X0: 1, X1: 1, ONE: -7}, T.p_mul({X0: 1, ONE: S1 - 7}, {X2: 1, ONE: 1}), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IMAGE_CASES))
+def test_gcd_of_sides_over_different_variables_takes_the_image_gcd(case, monkeypatch):
+    # a uses x1 and b x2: a verified image gcd needs no content in x1 or x2
+    a, b, falls_back = IMAGE_CASES[case]
+    calls = []
+    raw = _gcd._content_wrt
+    monkeypatch.setattr(_gcd, "_content_wrt", lambda *args: calls.append(args) or raw(*args))
+    got = _gcd.gcd_qq(packed(a, 3), packed(b, 3), 3)
+    assert tupled(got, 3) == T.gcd_qq(a, b, 3)
+    assert (case == "verified") == (tupled(got, 3) != {(0, 0, 0): 1})
+    assert bool(calls) == falls_back
+
+
+def unpacked_mono_min(monos, n):
+    return K.pack(map(min, zip(*(K.unpack(m, n) for m in monos))), n)
+
+
+def test_mono_min_matches_the_unpacked_minimum(monkeypatch):
+    rng = random.Random(4400)
+    cases = []
+    for n in range(1, 9):
+        for _ in range(60):
+            # a common factor, so that the minimum is seldom 1
+            common = [rng.choice((0, 0, 1, 7)) for _ in range(n)]
+            monos = []
+            for _ in range(rng.randint(1, 5)):
+                left, exps = K.MAX_DEGREE - sum(common), []
+                for _ in range(n):
+                    e = min(left, rng.choice((0, 1, rng.randint(0, 40), K.MAX_DEGREE, rng.randint(0, left))))
+                    exps.append(e)
+                    left -= e
+                rng.shuffle(exps)
+                monos.append(K.pack(map(sum, zip(common, exps)), n))
+            cases.append((monos, n))
+        top = K.var(n - 1, n, K.MAX_DEGREE)
+        cases += [([0], n), ([top], n), ([top, top], n), ([top, 0, K.var(0, n)], n)]
+        cases.append(([K.var(s, n, K.MAX_DEGREE) for s in range(n)], n))
+    want = [unpacked_mono_min(monos, n) for monos, n in cases]
+    # the minimum is taken on the packed ints, without exponent tuples
+    for name in ("pack", "unpack"):
+        monkeypatch.setattr(K, name, None)
+    assert [K.mono_min(monos, n) for monos, n in cases] == want
+    assert [K.mono_min(set(monos), n) for monos, n in cases] == want
+
+
 def test_products_of_a_large_apply_match_the_tuple_kernel(monkeypatch, capsys):
     # every product that apply E1^4 on (3,2) makes, replayed term for term
     calls = []
