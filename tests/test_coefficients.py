@@ -352,7 +352,9 @@ IMAGE_CASES = {
     # the images 2000*x0 + 1 and x0 + 3003 are coprime
     "trivial": ({(1, 1, 0): 1, ONE: 1}, {X0: 1, X2: 1, ONE: 3}, False),
     # (x0 - 2)(x0 + x1) and (x0 - 2)(x2 + 5): the image gcd x0 - 2 divides both
-    "verified": (T.p_mul({X0: 1, ONE: -2}, {X0: 1, X1: 1}), T.p_mul({X0: 1, ONE: -2}, {X2: 1, ONE: 5}), False),
+    "verified": (
+        T.p_mul({X0: 1, ONE: -2}, {X0: 1, X1: 1}), T.p_mul({X0: 1, ONE: -2}, {X2: 1, ONE: 5}), False
+    ),
     # x0 + x1 - 7 has the image x0 + S1 - 7, a factor of b's image that does not divide a
     "unlucky": ({X0: 1, X1: 1, ONE: -7}, T.p_mul({X0: 1, ONE: S1 - 7}, {X2: 1, ONE: 1}), True),
 }
@@ -386,7 +388,8 @@ def test_mono_min_matches_the_unpacked_minimum(monkeypatch):
             for _ in range(rng.randint(1, 5)):
                 left, exps = K.MAX_DEGREE - sum(common), []
                 for _ in range(n):
-                    e = min(left, rng.choice((0, 1, rng.randint(0, 40), K.MAX_DEGREE, rng.randint(0, left))))
+                    pick = (0, 1, rng.randint(0, 40), K.MAX_DEGREE, rng.randint(0, left))
+                    e = min(left, rng.choice(pick))
                     exps.append(e)
                     left -= e
                 rng.shuffle(exps)
@@ -436,14 +439,15 @@ def test_gcds_of_check_relations_and_ddiff_compare_match_the_tuple_gcd(monkeypat
     for module in (_gcd, exactalg):
         monkeypatch.setattr(module, "gcd_qq", recorded)
     assert main(["check-relations", "--shape", "3,2,1"]) == 0
-    assert main(["ddiff-compare", "--shape", "1,2,3", "--row", "2", "--mu", "2", "--degree", "3"]) == 0
+    ddiff = ["ddiff-compare", "--shape", "1,2,3", "--row", "2", "--mu", "2", "--degree", "3"]
+    assert main(ddiff) == 0
     capsys.readouterr()
     # a and b over different variables, neither constant: the sides whose
     # variable sets the gcd has to align
-    mixed = [
-        (a, b) for a, b, nv, _ in calls
-        if len(a) > 1 and len(b) > 1 and K.p_support(a, nv) != K.p_support(b, nv)
-    ]
-    assert len(calls) > 400 and len(mixed) > 100
+    mixed = sum(
+        len(a) > 1 and len(b) > 1 and K.p_support(a, nv) != K.p_support(b, nv)
+        for a, b, nv, _ in calls
+    )
+    assert len(calls) > 400 and mixed > 100
     for a, b, nv, out in calls:
         assert tupled(out, nv) == T.gcd_qq(tupled(a, nv), tupled(b, nv), nv)
