@@ -693,8 +693,84 @@ def test_a_word_across_unequal_values_takes_the_word_route():
     assert derivative_differs
 
 
-# ---------------------------------------------------------------------------
-# a second window: the (3,1) triple point, stabiliser blocks of 3 cells
+# windows whose every column entry is checked against Functional.evaluate:
+# (rank history, sha256 of the column strings, the orbits whose multiplier
+# right-hand sides are checked, None for all)
+COLUMN_WINDOWS = {
+    "2,1-doubled-1,-1": (
+        EVALUATION_WINDOWS["doubled-1,-1"],
+        [4, 6, 9, 12, 16, 20, 25, 25],
+        "13cac430bc62d6a952d301ba3aac567caa6c146ba272a74562c4cbf3c86e9ee6",
+        None,
+    ),
+    "2,1-half": (
+        EVALUATION_WINDOWS["doubled-half"],
+        [4, 6, 9, 12, 16, 20, 25, 25],
+        "bb669240ee8e3f188fe075766c321a1a19d33bba4643ce066afe102eaddc81cd",
+        None,
+    ),
+    "2,1-doubled-r3": (
+        ((2, 1), {(1, 1): (1, 0), (1, 2): (1, 0), (2, 1): (2, 0)}, 3),
+        [4, 6, 9, 12, 16, 20, 25, 30, 36, 42, 49, 49],
+        "2f8120f87e3d09bf35cd7bcc2ea59b2fccc057c6a709080111ac4cc1274bd98f",
+        None,
+    ),
+    "3,1-triple-r1": (
+        EVALUATION_WINDOWS["triple"],
+        [7, 11, 16, 23, 26, 27, 27],
+        "ebbfb47e2c1347db698bae8f1b3ea1f0747796baf3206b46d2e511a0c115b47f",
+        None,
+    ),
+    "2,2,1-two-doubled": (
+        ((2, 2, 1), {(1, 1): (1, 0), (1, 2): (1, 0), (2, 1): (2, 0), (2, 2): (2, 0), (3, 1): (3, 0)}, 1),
+        [8, 16, 30, 44, 60, 72, 81, 81],
+        "90f638017734199b695a109e719cb9efa2972b881b4fe837fa7b9ccb26e45194",
+        # the centre, and an orbit with distinct values in both rows, whose
+        # functionals are ev, d[1,1] and d[2,1] (728 members: all of them
+        # take about 20 s)
+        [(0, 0, 0, 0), (1, 0, 1, 0)],
+    ),
+}
+
+
+class _RightHandSide(Exception):
+    pass
+
+
+def _capture_rhs(columns, rhs, zero):
+    raise _RightHandSide(rhs)
+
+
+@pytest.mark.parametrize("name", sorted(COLUMN_WINDOWS))
+def test_columns_and_multiplier_right_hand_sides_match_evaluate(name, monkeypatch):
+    # every column entry is the functional of its member, and the rank
+    # history and the column strings are as recorded; every right-hand side
+    # that act passes to the solve for a multiplier on a functional of word
+    # length <= 1 (on the listed orbits) is the functional of the generator
+    # image, member by member
+    (shape, values, radius), history, digest, orbits = COLUMN_WINDOWS[name]
+    w = build_basis_B(EvalPoint.make(shape, values), radius)
+    ring = w.ring
+    assert w.rank_history == history
+    text = "\n".join(" ".join(str(v) for v in col) for col in w.columns)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    for func, column in zip(w.basis, w.columns):
+        assert column == [func.evaluate(ring, f) for f in w.family], func.render()
+    picks = [
+        idx
+        for idx, (oi, perm) in enumerate(w.basis_meta)
+        if perm.length() <= 1 and (orbits is None or w.orbits[oi].rep_offsets in orbits)
+    ]
+    assert orbits is None or len(picks) == 4
+    monkeypatch.setattr(_linalg, "solve_columns", _capture_rhs)
+    for gen in w.multiplier_gens():
+        images = [w.gen_image(gen, t) for t in range(len(w.family))]
+        for idx in picks:
+            func = w.basis[idx]
+            with pytest.raises(_RightHandSide) as got:
+                w.act(gen, idx)
+            assert got.value.args[0] == [func.evaluate(ring, g) for g in images], (gen, func.render())
+
 
 
 @pytest.fixture(scope="module")
