@@ -99,12 +99,13 @@ MAX_PARAMS = 100
 MAX_ROW_CELLS = 4
 MAX_SHAPE_CELLS = 7
 
-# basis certifies its window, action on its first solve.  basis takes 0.7 s
-# on (2,1) at radius 3 (49 points), 3.0 s on (2,2,1) at radius 1 and 2.2 s
-# and 59 MB on (2,1) at radius 4 (81 points each); build_basis_B takes 25 s
-# and 166 MB on (3,1) at radius 2 (125 points), on a 2-CPU Xeon.  blocks,
-# probe and action --routes structural certify nothing (blocks at the cap,
-# (4,1) at radius 1: 0.24-0.28 s) but keep the cap; graph keeps MAX_WINDOW_POINTS.
+# basis certifies its window, action on its first solve.  In a fresh process
+# basis takes 0.2-0.4 s on (2,1) at radius 3 (49 points), 0.9-1.0 s on
+# (2,2,1) at radius 1 and 0.7 s and 54 MB on (2,1) at radius 4 (81 points
+# each); build_basis_B takes 7.4-8.4 s and 150 MB on (3,1) at radius 2 (125
+# points), on a 2-CPU Xeon with Python 3.11.  blocks, probe and action
+# --routes structural certify nothing (blocks at the cap, (4,1) at radius 1:
+# 0.24-0.28 s) but keep the cap; graph keeps MAX_WINDOW_POINTS.
 MAX_CERTIFIED_POINTS = 81
 
 # ---------------------------------------------------------------------------

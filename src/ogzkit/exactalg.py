@@ -106,6 +106,12 @@ class Ring:
     def one(self) -> "Polynomial":
         return self._one
 
+    def _shared(self, terms: dict) -> dict:
+        """``terms`` without zeros, keyed by the ring's one int object per
+        monomial."""
+        keys = self._monomials
+        return {keys.setdefault(m, m): c for m, c in terms.items() if c}
+
 
 def _var_name(vid: VarId) -> str:
     if vid[0] == "z":
@@ -407,7 +413,8 @@ class PointMap:
     product is built, and before the powers of an image are built up.  The
     keys of the memo and of the output go through one dict per ring,
     ``Ring._monomials``: the maps and values of the ring hold one int
-    object per distinct monomial."""
+    object per distinct monomial (:func:`sum_of_products` keys its sums
+    the same way)."""
 
     __slots__ = ("ring", "_images", "_powers", "_monos")
 
@@ -430,7 +437,7 @@ class PointMap:
             k -= 1
         pe = powers.get((slot, k), (terms, den))
         for j in range(k + 1, e + 1):
-            pe = powers[(slot, j)] = (self._shared(K.p_mul(pe[0], terms)), pe[1] * den)
+            pe = powers[(slot, j)] = (self.ring._shared(K.p_mul(pe[0], terms)), pe[1] * den)
         return pe
 
     def _monomial(self, m: int) -> tuple:
@@ -449,9 +456,9 @@ class PointMap:
                 terms, den = self._monomial(m - power)
                 if slot in self._images:
                     pe, pd = self._power(slot, e)
-                    img = (self._shared(K.p_mul(terms, pe)), den * pd)
+                    img = (self.ring._shared(K.p_mul(terms, pe)), den * pd)
                 else:
-                    img = (self._shared(K.p_mul_term(terms, power, 1)), den)
+                    img = (self.ring._shared(K.p_mul_term(terms, power, 1)), den)
             self._monos[m] = img
         return img
 
@@ -491,13 +498,7 @@ class PointMap:
                 if pd != tlcm:
                     pe = {mm: tlcm // pd * v for mm, v in pe.items()}
                 K.p_mul(acc, pe, out)
-        return Polynomial._reduced(ring, self._shared(out), lcm * p.den)
-
-    def _shared(self, terms: dict) -> dict:
-        """``terms`` without zeros, keyed by the ring's one int object per
-        monomial."""
-        keys = self.ring._monomials
-        return {keys.setdefault(m, m): c for m, c in terms.items() if c}
+        return Polynomial._reduced(ring, ring._shared(out), lcm * p.den)
 
 
 class RationalFunction:
@@ -683,6 +684,19 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({self})"
+
+
+def sum_of_products(ring: Ring, pairs) -> Polynomial:
+    """The sum of a * b over the pairs (a, b) of polynomials, taken on their
+    integer numerators over one denominator, with no :class:`Polynomial`
+    product; the keys go through ``Ring._monomials`` as :class:`PointMap`'s
+    do."""
+    lcm = math.lcm(*(a.den * b.den for a, b in pairs))
+    acc: dict = {}
+    for a, b in pairs:
+        s = lcm // (a.den * b.den)
+        K.p_mul(a.terms if s == 1 else K.p_mul_scalar(a.terms, s), b.terms, acc)
+    return Polynomial._reduced(ring, ring._shared(acc), lcm)
 
 
 def merge_terms(acc: dict, pairs) -> dict:

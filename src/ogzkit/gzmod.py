@@ -12,7 +12,12 @@ stabilizer-sorted canonical representative ``xi_j``, one functional per
 minimal coset representative ``w``; inside the stabilizer each functional
 is a constant-coefficient derivative at its translate ``v + xi_j`` (see
 :class:`Functional`).  The basis is certified by the rank of
-its evaluation matrix on an invariant test family: the rows are scaled to
+its evaluation matrix on an invariant test family.  The columns follow the
+family's recursion f_t = f_p * e_{i,d}: ev_u is a ring homomorphism and,
+for one letter s, ev_u ∘ D_s a derivation along it, so the entries of ev_u
+and ev_u ∘ D_s at t are products of their entries at p with e_{i,d} and
+D_s e_{i,d} at u (:meth:`ModuleWindow.extend_family`); only a longer word
+differentiates f_t, once per member and word.  The rows are scaled to
 integer polynomials and taken at an integer point of the parameters modulo a
 prime that divides no offset denominator, by one incremental echelon
 (:class:`_linalg.ModEchelon`, which also picks the solve's rows below); a
@@ -25,10 +30,11 @@ a ladder on a boundary orbit (:meth:`ModuleWindow.on_boundary`).  Each
 computes its coefficients on its own:
 
 * :meth:`ModuleWindow.act` — certify on first use, evaluate against the
-  invariant test family (a multiplier image that is itself a family member
-  is read from the window's own column) and solve exactly, once, for the
-  columns of the target blocks, fully verified; a right-hand side they do
-  not span is a :class:`WindowLeakage`.  The solve
+  invariant test family (a multiplier image by the same product rule on a
+  functional of word length <= 1, and on a longer word from the window's
+  own column where the image is itself a family member) and solve exactly,
+  once, for the columns of the target blocks, fully verified; a right-hand
+  side they do not span is a :class:`WindowLeakage`.  The solve
   (:func:`_linalg.solve_columns`) is fraction-free and checks every family
   member without a gcd;
 * :meth:`ModuleWindow.act_structural` — push the generator through the
@@ -84,10 +90,12 @@ from .exactalg import (
     Ring,
     elementary_symmetric,
     merge_terms,
+    sum_of_products,
 )
 from .skewops import (
     Generators,
     family_closure,
+    family_parents,
     invariant_family,
     ladder_coefficient,
 )
@@ -266,7 +274,12 @@ class Functional:
             return evaluate_by_word(ring, self, f)
         if not self.perm.is_identity():
             f = f.derivative(derivative_operator(ring, self.perm))
-        return RationalFunction.from_poly(f.eval_cells(self.translate.point_map(ring)))
+        return self.at_translate(ring, f)
+
+    def at_translate(self, ring: Ring, g: Polynomial) -> RationalFunction:
+        """ev_u(g) through the memo of u: the functional's value on f when
+        g = D_w f."""
+        return RationalFunction.from_poly(g.eval_cells(self.translate.point_map(ring)))
 
     def render(self) -> str:
         xi = "*".join(
@@ -487,6 +500,16 @@ class ModuleWindow:
                 self.basis.append(Functional(point, w, rep_sparse))
                 self.basis_meta.append((orb.index, w))
                 self._index_of[(orb.index, w.rows)] = idx
+        # every word of the basis lies in the point's stabilizer, so each
+        # functional is ev_u ∘ D_w; one with l(w) <= 1 -> its orbit's ev_u, for
+        # the product rule (:meth:`_times_factor`)
+        identity = RowPermutation.identity(point.shape)
+        self._leibniz: Dict[int, int] = {
+            idx: self.index_of(oi, identity)
+            for idx, (oi, w) in enumerate(self.basis_meta)
+            if w.length() <= 1
+        }
+        self._factor_cache: Dict[tuple, Polynomial] = {}
         self.family: List[Polynomial] = []
         self.columns: List[list] = [[] for _ in self.basis]
         self.family_degree = 0
@@ -549,15 +572,62 @@ class ModuleWindow:
         return RationalFunction.from_any(self.ring, 1)
 
     def extend_family(self, degree: int):
-        fam = invariant_family(self.ring, degree)
+        """Grow the family to ``degree`` and append each new member's entry to
+        every column, following the family's own recursion: member t is
+        f_t = f_p * e_{i,d} for an earlier member p (:func:`family_parents`).
+
+        The unit's entries are 1 on ev_u and 0 after any word.  A functional
+        ev_u ∘ D_w with l(w) <= 1 reads f_t from the entries at p by the
+        product rule (:meth:`_times_factor`), with no derivative of f_t and no
+        memo of u.  A longer word takes D_w f_t once per member, shared by
+        every orbit, and evaluates it through the memo of each translate."""
+        ring = self.ring
+        fam = invariant_family(ring, degree)
         if len(fam) < len(self.family):
             return
-        new = fam[len(self.family) :]
-        for f in new:
+        parents = family_parents(ring, degree)
+        for t in range(len(self.family), len(fam)):
+            f, step, derived = fam[t], parents[t], {}
             for b, func in enumerate(self.basis):
-                self.columns[b].append(func.evaluate(self.ring, f))
-        self.family.extend(new)
+                if step is None:
+                    value = self._one() if func.perm.is_identity() else self._zero()
+                elif b in self._leibniz:
+                    value = self._times_factor(b, step[0], *step[1])
+                else:
+                    g = derived.get(func.perm)
+                    if g is None:
+                        g = derived[func.perm] = f.derivative(derivative_operator(ring, func.perm))
+                    value = func.at_translate(ring, g)
+                self.columns[b].append(value)
+        self.family.extend(fam[len(self.family) :])
         self.family_degree = degree
+
+    def _factor_at(self, b: int, i: int, d: int) -> Polynomial:
+        """(D_w e_{i,d})(u) for basis[b] = ev_u ∘ D_w, memoised."""
+        key = (b, i, d)
+        hit = self._factor_cache.get(key)
+        if hit is None:
+            func, ring = self.basis[b], self.ring
+            e = elementary_symmetric(ring, i, d)
+            if not func.perm.is_identity():
+                op = derivative_operator(ring, func.perm)
+                e = Polynomial._wrap(ring, K.p_derivative(e.terms, op, ring.nvars), e.den)
+            hit = self._factor_cache[key] = e.eval_cells(func.translate.point_map(ring))
+        return hit
+
+    def _times_factor(self, b: int, t: int, i: int, d: int) -> RationalFunction:
+        """basis[b] on f_t * e_{i,d}, for basis[b] = ev_u ∘ D_w with l(w) <= 1,
+        from the entries of column b and of the orbit's ev_u at t.
+
+        ev_u is a ring homomorphism, so ev_u(f_t e) = ev_u(f_t) e(u); for one
+        letter s, D_s = d/dx_p - d/dx_(p+1) is a derivation, so ev_u(D_s(f_t
+        e)) = ev_u(D_s f_t) e(u) + ev_u(f_t) (D_s e)(u).  The products are
+        taken on integer numerators (:func:`sum_of_products`)."""
+        ident, columns = self._leibniz[b], self.columns
+        pairs = [(columns[b][t].num, self._factor_at(ident, i, d))]
+        if ident != b:
+            pairs.append((columns[ident][t].num, self._factor_at(b, i, d)))
+        return RationalFunction.from_poly(sum_of_products(self.ring, pairs))
 
     def certify_rank(self):
         """Escalate the family degree from max(shape) until the evaluation
@@ -671,8 +741,11 @@ class ModuleWindow:
         :meth:`certify_rank`.
 
         The right-hand side at member t is basis[idx] of the generator image
-        of f_t.  A multiplier image e_{i,d} * f_t that is itself a family
-        member f_{t'} (:meth:`_closure`) is read from the window's column,
+        of f_t.  For a multiplier e_{i,d} on a functional of word length
+        <= 1 it is taken from the columns at t by the product rule of the
+        certificate (:meth:`_times_factor`), for every member.  On a longer
+        word, an image e_{i,d} * f_t that is itself a family member f_{t'}
+        (:meth:`_closure`) is read from the window's column,
         ``columns[idx][t']``; every other image is evaluated through the
         point's memoised map x_c -> z_tag + offset.  The rank certificate
         makes the window's columns independent, so the solution of
@@ -687,11 +760,15 @@ class ModuleWindow:
         self._refuse_boundary(gen, idx)
         if not self.family:
             self.certify_rank()
-        func, column, closure = self.basis[idx], self.columns[idx], self._closure(gen)
-        rhs = [
-            column[closure[t]] if t in closure else func.evaluate(self.ring, self.gen_image(gen, t))
-            for t in range(len(self.family))
-        ]
+        func, column, members = self.basis[idx], self.columns[idx], range(len(self.family))
+        if gen[0] == "multiplier" and idx in self._leibniz:
+            rhs = [self._times_factor(idx, t, gen[1], gen[2]) for t in members]
+        else:
+            closure = self._closure(gen)
+            rhs = [
+                column[closure[t]] if t in closure else func.evaluate(self.ring, self.gen_image(gen, t))
+                for t in members
+            ]
         cand = [b for j in self.target_orbits(self.basis_meta[idx][0], gen) for b in self.block_indices(j)]
         x = _linalg.solve_columns([self.columns[b] for b in cand], rhs, self._zero())
         if x is None:

@@ -456,6 +456,18 @@ def _family(ring: Ring, max_degree: int) -> dict:
     return out
 
 
+def family_parents(ring: Ring, max_degree: int) -> list:
+    """How :func:`invariant_family` grows: for member t, in family order,
+    (p, (i, d)) with member t = member p * e_{i,d}, the factor its product
+    was taken with; None for the unit, member 0."""
+    factors = _factors(ring)
+    pos, out = {}, []
+    for t, combo in enumerate(_family(ring, max_degree)):
+        pos[combo] = t
+        out.append((pos[combo[:-1]], factors[combo[-1]]) if combo else None)
+    return out
+
+
 def family_closure(ring: Ring, max_degree: int, i: int, d: int) -> dict:
     """Where multiplication by e_{i,d} keeps :func:`invariant_family`: the
     map t -> t' of family positions with member t' = e_{i,d} * member t, for

@@ -405,24 +405,58 @@ def test_multiplier_images_in_the_family_read_the_same_column(name):
 
 
 def test_multiplier_act_evaluates_only_outside_the_closure(singular_point, monkeypatch):
-    # of the 125 members of the radius-2 window, 95, 70 and 95 have their
-    # image in the family; one multiplier act evaluates only the others
-    w = build_basis_B(singular_point, 2)
+    # a functional of word length <= 1 takes a multiplier's right-hand side
+    # by the product rule, with no evaluation: every functional of the
+    # radius-2 doubled point.  A longer word on the (3,1) triple point reads
+    # the members whose image is in the family from its column and
+    # evaluates exactly the others
     evaluate, calls = Functional.evaluate, []
 
     def counted(self, ring, f):
         calls.append(f)
         return evaluate(self, ring, f)
 
-    monkeypatch.setattr(Functional, "evaluate", counted)
-    counts = {}
-    for gen in w.multiplier_gens():
-        calls.clear()
-        w.act(gen, 0)
-        counts[gen] = len(calls)
-        assert len(calls) == len(w.family) - len(closure_pairs(w, gen))
+    w = build_basis_B(singular_point, 2)
     assert len(w.family) == 125
-    assert counts == {("multiplier", 1, 1): 30, ("multiplier", 1, 2): 55, ("multiplier", 2, 1): 30}
+    monkeypatch.setattr(Functional, "evaluate", counted)
+    for gen in w.multiplier_gens():
+        for b in range(len(w.basis)):
+            w.act(gen, b)
+    assert calls == []
+    monkeypatch.undo()
+    w = build_basis_B(EvalPoint.make(*EVALUATION_WINDOWS["triple"][:2]), 1)
+    longer = [b for b, func in enumerate(w.basis) if func.perm.length() >= 2]
+    assert len(longer) == 9
+    monkeypatch.setattr(Functional, "evaluate", counted)
+    for gen in w.multiplier_gens():
+        for b in longer:
+            calls.clear()
+            w.act(gen, b)
+            assert len(calls) == len(w.family) - len(closure_pairs(w, gen)) > 0, (gen, b)
+
+
+def test_columns_differentiate_no_member_of_word_length_at_most_one(singular_point, monkeypatch):
+    # the certificate of the radius-2 doubled point evaluates nothing and
+    # differentiates nothing: every word has length <= 1.  On the (3,1)
+    # triple point, D_w f is taken once per member after the unit and per
+    # distinct permutation w of length >= 2, whatever the number of orbits
+    calls = []
+    for name in ("evaluate", "derivative"):
+        owner = Functional if name == "evaluate" else Polynomial
+        raw = getattr(owner, name)
+
+        def counted(*args, raw=raw, name=name):
+            calls.append(name)
+            return raw(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    w = build_basis_B(singular_point, 2)
+    assert len(w.basis) == 25 and calls == []
+    w = build_basis_B(EvalPoint.make(*EVALUATION_WINDOWS["triple"][:2]), 1)
+    longer = {func.perm for func in w.basis if func.perm.length() >= 2}
+    assert len(longer) == 3
+    assert sum(func.perm.length() >= 2 for func in w.basis) == 9
+    assert calls == ["derivative"] * ((len(w.family) - 1) * len(longer))
 
 
 def test_multiplier_keeps_blocks(singular_window):
