@@ -609,10 +609,9 @@ class ModuleWindow:
         if hit is None:
             func, ring = self.basis[b], self.ring
             e = elementary_symmetric(ring, i, d)
-            if not func.perm.is_identity():
-                op = derivative_operator(ring, func.perm)
-                e = Polynomial._wrap(ring, K.p_derivative(e.terms, op, ring.nvars), e.den)
-            hit = self._factor_cache[key] = e.eval_cells(func.translate.point_map(ring))
+            op = derivative_operator(ring, func.perm)
+            de = Polynomial._wrap(ring, K.p_derivative(e.terms, op, ring.nvars), e.den)
+            hit = self._factor_cache[key] = de.eval_cells(func.translate.point_map(ring))
         return hit
 
     def _times_factor(self, b: int, t: int, i: int, d: int) -> RationalFunction:

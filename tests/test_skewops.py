@@ -24,7 +24,7 @@ from ogzkit import (
     is_row_symmetric,
     random_invariant,
 )
-from ogzkit.skewops import ladder_coefficient
+from ogzkit.skewops import family_parents, ladder_coefficient
 from reference import all_named, inverse
 
 
@@ -285,6 +285,11 @@ def test_invariant_family_equals_the_reference(shape):
         got = invariant_family(ring, degree)
         want = reference_family(ring, degree)
         assert [(f.terms, f.den) for f in got] == [(f.terms, f.den) for f in want]
+    # each member after the unit is an earlier member times one factor
+    parents = family_parents(ring, 7)
+    assert parents[0] is None and len(parents) == len(got)
+    for t, (p, (i, d)) in enumerate(parents[1:], start=1):
+        assert p < t and got[t] == got[p] * elementary_symmetric(ring, i, d), t
 
 
 def test_agree_on_invariants():
