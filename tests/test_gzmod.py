@@ -806,6 +806,9 @@ def test_columns_and_multiplier_right_hand_sides_match_evaluate(name, monkeypatc
             assert got.value.args[0] == [func.evaluate(ring, g) for g in images], (gen, func.render())
 
 
+# ---------------------------------------------------------------------------
+# a second window: the (3,1) triple point, stabiliser blocks of 3 cells
+
 
 @pytest.fixture(scope="module")
 def triple_window():
